@@ -9,9 +9,14 @@ own list at most once per mutation batch.
 With the local-epoch option (default on) a release does not fold the new
 local time into the list at all: the value is kept aside as a pending epoch,
 published through a per-lock (releaser, epoch) scalar that acquirers merge as
-one extra candidate, and folded into the list at the next forced deep copy.
-This saves the deep copies that folding into a freshly shared list would
-force.
+one extra candidate, and folded into the list at the next deep copy or
+in-place unshare.  This saves the deep copies that folding into a freshly
+shared list would force.
+
+A thread's list stays shared after a release until it must change.  Then, if
+every lock view of it has since been released (its reference count is back to
+one), the thread unshares it and mutates it in place; otherwise it
+deep-copies.
 """
 
 from __future__ import annotations
@@ -63,19 +68,24 @@ class OrderedListEngine(Engine):
 
     def _ensure_exclusive(self, thread: int) -> None:
         lst = self.o_threads[thread]
+        if self.debug:
+            views = sum(1 for v in self.lock_views if v is not None and v.target is lst)
+            assert lst.refs == 1 + views, f"thread {thread}: refs {lst.refs}, {views} views"
         if not lst.shared:
             return
-        fresh = lst.deep_copy()
-        lst.refs -= 1
-        self.o_threads[thread] = fresh
-        self.metrics.deep_copies += 1
-        self.metrics.full_traversals += 1
-        self.deep_copies_per_thread[thread] += 1
+        if not lst.unshare():
+            fresh = lst.deep_copy()
+            lst.refs -= 1
+            self.o_threads[thread] = lst = fresh
+            self.metrics.deep_copies += 1
+            self.metrics.full_traversals += 1
+            self.deep_copies_per_thread[thread] += 1
         pending = self.pending_local[thread]
         if pending is not None:
-            # Fold point for the disentangled epoch; the freshness bump for
-            # this change was already counted at the release that recorded it.
-            fresh.set(thread, pending)
+            # Fold point for the disentangled epoch, on both the copy and the
+            # in-place path; the freshness bump for this change was already
+            # counted at the release that recorded it.
+            lst.set(thread, pending)
             self.pending_local[thread] = None
 
     # -- handlers ------------------------------------------------------------
@@ -96,9 +106,9 @@ class OrderedListEngine(Engine):
             assert view is not None and view.target is not self.o_threads[t]
         d = freshness - ut[lr]
         ut[lr] = freshness
-        visited = 0
-        for tstar, n in view.prefix(d):
-            visited += 1
+        # Filtering against the list alone drops no entry the merge needs:
+        # a pending epoch can only raise the thread's own component.
+        for tstar, n in view.newer_in_prefix(d, self.o_threads[t]):
             if n > self._get_merged(t, tstar):
                 self._ensure_exclusive(t)
                 self.o_threads[t].set(tstar, n)
@@ -109,8 +119,9 @@ class OrderedListEngine(Engine):
                 self._ensure_exclusive(t)
                 self.o_threads[t].set(rel_thread, rel_value)
                 ut[t] += 1
+        visited = min(d, self.num_threads)
         self.metrics.nodes_visited += visited
-        self.metrics.entries_saved += max(self.num_threads - visited, 0)
+        self.metrics.entries_saved += self.num_threads - visited
 
     def _release(self, ev: Event) -> None:
         t, lock = ev.thread, ev.target

@@ -1,137 +1,136 @@
 """Move-to-front ordered-list timestamps with copy-on-write sharing.
 
 An OrderedList stores a vector timestamp as a doubly linked sequence of
-(tid, time) nodes, exactly one node per thread, ordered by recency of update:
-every set/increment moves the touched node to the head.  The d most recently
+(tid, time) entries, exactly one per thread, ordered by recency of update:
+every set/increment moves the touched entry to the head.  The d most recently
 changed entries are therefore always a prefix.
 
+The list is array-backed: ``_time[t]`` is thread t's component, and
+``_next[t]``/``_prev[t]`` are the neighbouring thread ids in list order, with
+-1 as the null link and ``_head`` the first thread id.  A deep copy is three
+list slices and a snapshot is one.
+
 Sharing is single-writer copy-on-write.  ``shallow_copy`` publishes a
-read-only view (as a lock's timestamp) and flags the list shared; the flag is
-sticky until ``deep_copy`` materializes an exclusive copy.  Mutating a shared
+read-only view (as a lock's timestamp) and flags the list shared.  The flag
+stays set until the last view is released and the owner calls ``unshare``,
+or until ``deep_copy`` materializes an exclusive copy.  Mutating a shared
 list is a contract violation and raises.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Tuple
 
 
 class SharedMutationError(RuntimeError):
     """A set/increment was attempted through a shared (published) list."""
 
 
-class _Node:
-    __slots__ = ("tid", "time", "prev", "next")
-
-    def __init__(self, tid: int, time: int):
-        self.tid = tid
-        self.time = time
-        self.prev: Optional[_Node] = None
-        self.next: Optional[_Node] = None
-
-
 class OrderedList:
-    """Doubly linked (tid, time) list with O(1) get/set/increment.
+    """Array-backed doubly linked (tid, time) list with O(1) get/set/increment.
 
-    ``op_steps`` counts node touches inside the constant-time operations so
+    ``op_steps`` counts entry touches inside the constant-time operations so
     tests can assert the bound; prefix traversal is charged to the caller.
     """
 
-    __slots__ = ("width", "_head", "_tail", "_nodes", "shared", "refs", "op_steps")
+    __slots__ = ("width", "_time", "_next", "_prev", "_head", "shared", "refs", "op_steps")
 
     def __init__(self, width: int):
         self.width = width
-        self._nodes: List[_Node] = [_Node(t, 0) for t in range(width)]
-        for a, b in zip(self._nodes, self._nodes[1:]):
-            a.next = b
-            b.prev = a
-        self._head: Optional[_Node] = self._nodes[0] if width else None
-        self._tail: Optional[_Node] = self._nodes[-1] if width else None
+        self._time = [0] * width
+        self._next = list(range(1, width)) + [-1] if width else []
+        self._prev = list(range(-1, width - 1))
+        self._head = 0 if width else -1
         self.shared = False
         self.refs = 1  # owning thread; shallow copies add views
         self.op_steps = 0
 
     def get(self, tid: int) -> int:
         self.op_steps += 1
-        return self._nodes[tid].time
+        return self._time[tid]
 
-    def _move_to_head(self, node: _Node) -> None:
-        if node is self._head:
+    def _move_to_head(self, tid: int) -> None:
+        head = self._head
+        if tid == head:
             return
         self.op_steps += 2
-        if node.prev is not None:
-            node.prev.next = node.next
-        if node.next is not None:
-            node.next.prev = node.prev
-        else:
-            self._tail = node.prev
-        node.prev = None
-        node.next = self._head
-        assert self._head is not None
-        self._head.prev = node
-        self._head = node
+        nxt, prev = self._next, self._prev
+        before, after = prev[tid], nxt[tid]
+        nxt[before] = after  # tid is not the head, so it has a predecessor
+        if after != -1:
+            prev[after] = before
+        prev[tid] = -1
+        nxt[tid] = head
+        prev[head] = tid
+        self._head = tid
 
     def set(self, tid: int, time: int) -> None:
         if self.shared:
             raise SharedMutationError("set() on a shared ordered list")
         self.op_steps += 1
-        node = self._nodes[tid]
-        node.time = time
-        self._move_to_head(node)
+        self._time[tid] = time
+        self._move_to_head(tid)
 
     def increment(self, tid: int, k: int = 1) -> None:
         if self.shared:
             raise SharedMutationError("increment() on a shared ordered list")
         self.op_steps += 1
-        node = self._nodes[tid]
-        node.time += k
-        self._move_to_head(node)
+        self._time[tid] += k
+        self._move_to_head(tid)
 
     def prefix(self, k: int) -> List[Tuple[int, int]]:
         """First min(k, width) (tid, time) pairs in list order; read-only."""
         out: List[Tuple[int, int]] = []
-        node = self._head
-        while node is not None and len(out) < k:
-            out.append((node.tid, node.time))
-            node = node.next
+        tid = self._head
+        while tid != -1 and len(out) < k:
+            out.append((tid, self._time[tid]))
+            tid = self._next[tid]
+        return out
+
+    def newer_in_prefix(self, k: int, other: "OrderedList") -> List[Tuple[int, int]]:
+        """The (tid, time) pairs among the first k entries whose time exceeds
+        ``other``'s component for tid, in list order; read-only."""
+        out: List[Tuple[int, int]] = []
+        times, links, theirs = self._time, self._next, other._time
+        tid = self._head
+        while k > 0 and tid != -1:
+            if times[tid] > theirs[tid]:
+                out.append((tid, times[tid]))
+            tid = links[tid]
+            k -= 1
         return out
 
     def __iter__(self) -> Iterator[Tuple[int, int]]:
-        node = self._head
-        while node is not None:
-            yield (node.tid, node.time)
-            node = node.next
+        tid = self._head
+        while tid != -1:
+            yield (tid, self._time[tid])
+            tid = self._next[tid]
 
     def snapshot(self) -> List[int]:
         """Dense clock view: component t = get(t)."""
-        return [n.time for n in self._nodes]
+        return self._time[:]
 
     def shallow_copy(self) -> "SharedList":
-        """Publish a read-only view over the same nodes; marks the list shared."""
+        """Publish a read-only view over the same arrays; marks the list shared."""
         self.shared = True
         self.refs += 1
         return SharedList(self)
+
+    def unshare(self) -> bool:
+        """Make the list mutable again in place; fails while a view still targets it."""
+        if self.refs != 1:
+            return False
+        self.shared = False
+        return True
 
     def deep_copy(self) -> "OrderedList":
         """Structurally identical, exclusively owned copy (same values, same order)."""
         out = OrderedList.__new__(OrderedList)
         out.width = self.width
-        out._nodes = [_Node(t, self._nodes[t].time) for t in range(self.width)]
-        prev: Optional[_Node] = None
-        head = tail = None
-        for tid, _ in self:
-            node = out._nodes[tid]
-            node.prev = prev
-            if prev is not None:
-                prev.next = node
-            else:
-                head = node
-            prev = node
-        if prev is not None:
-            prev.next = None
-            tail = prev
-        out._head = head
-        out._tail = tail
+        out._time = self._time[:]
+        out._next = self._next[:]
+        out._prev = self._prev[:]
+        out._head = self._head
         out.shared = False
         out.refs = 1
         out.op_steps = 0
@@ -165,9 +164,13 @@ class SharedList:
     def prefix(self, k: int) -> List[Tuple[int, int]]:
         return self._list.prefix(k)
 
+    def newer_in_prefix(self, k: int, other: OrderedList) -> List[Tuple[int, int]]:
+        return self._list.newer_in_prefix(k, other)
+
     def snapshot(self) -> List[int]:
         return self._list.snapshot()
 
     def release(self) -> None:
-        """Drop this view (share accounting only; the shared flag is sticky)."""
+        """Drop this view.  Only the reference count changes: the list stays
+        shared until its owner calls ``unshare`` (or deep-copies it)."""
         self._list.refs -= 1

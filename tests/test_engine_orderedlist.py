@@ -1,6 +1,8 @@
 from conftest import handoff_trace, random_traces
 from racelab import oracle
+from racelab.cli import diff_report
 from racelab.engines import create_engine
+from racelab.history import EXTENDED, SAMPLED_ONLY
 from racelab.olist import OrderedList
 from racelab.trace import Event, OpKind, SamplingPolicy, Trace, apply_sampling, parse_trace
 
@@ -122,3 +124,62 @@ def test_empty_sample_set_never_merges(ladder_trace):
     assert e.metrics.acquires_skipped == e.metrics.acquires_total
     assert e.metrics.deep_copies == 0
     assert all(o.snapshot() == [0, 0] for o in e.o_threads)
+
+
+# Trace 535 of the acceptance suite at rate 0.1, shrunk to 20 events.  At e14
+# T5 acquires l4 and merges T3's entry.  T5's list was published at e6, but
+# T2's release of l5 at e10 dropped that view, so T5 unshares in place.  Its
+# pending epoch (from the sampled write at e2) must be folded there, exactly as
+# on a deep copy.  Folded later instead, it lands ahead of T3's entry, so T2's
+# acquire of l7 at e19 walks a two-entry prefix that misses T3, and in extended
+# mode T2's read at e20 looks unordered after T3's write at e4.
+UNSHARE_FOLD_TEXT = "\n".join([
+    "T3|acq(l7)", "T5|w(x1)|*", "T2|w(x4)|*", "T3|w(x0)|*", "T5|acq(l5)",
+    "T5|rel(l5)", "T3|acq(l4)", "T2|acq(l5)", "T3|rel(l4)", "T2|rel(l5)",
+    "T2|acq(l3)", "T2|rel(l3)", "T3|acq(l3)", "T5|acq(l4)", "T5|rel(l4)",
+    "T3|rel(l7)", "T5|acq(l7)", "T5|rel(l7)", "T2|acq(l7)", "T2|r(x0)",
+])
+
+
+def test_unshare_path_folds_pending_epoch():
+    tr = parse_trace(UNSHARE_FOLD_TEXT)
+    assert len(tr) == 20
+    for mode in (SAMPLED_ONLY, EXTENDED):
+        assert diff_report(tr, mode)["verdict"] == "EQUIVALENT"
+        assert oracle.racy_events(tr, mode) == set()
+        for opt in (True, False):
+            e = create_engine("orderedlist", tr, mode=mode, local_epoch_opt=opt, debug=True)
+            e.run(tr)
+            assert e.racy_set() == set(), (mode, opt)
+
+
+def test_refcount_invariant_holds_under_debug():
+    # debug=True makes every _ensure_exclusive check refs == 1 + live views.
+    for marked, _ in random_traces(seed=65, count=100):
+        for mode in (SAMPLED_ONLY, EXTENDED):
+            for opt in (True, False):
+                e = create_engine("orderedlist", marked, mode=mode, local_epoch_opt=opt, debug=True)
+                e.run(marked)
+                for lst in e.o_threads:
+                    views = sum(v is not None and v.target is lst for v in e.lock_views)
+                    assert lst.refs == 1 + views
+
+
+def test_ping_pong_unshares_instead_of_copying():
+    # Two threads alternate over one lock with a sampled write in each of five
+    # critical sections.  Each acquirer's list was published at its previous
+    # release, but that view was replaced by the other thread's release in
+    # between, so the merge unshares in place: no deep copies, where a shared
+    # flag that only a deep copy clears costs 3.
+    lines = []
+    for thread in ("T1", "T2", "T1", "T2", "T1"):
+        lines += [f"{thread}|acq(l)", f"{thread}|w(x)|*", f"{thread}|rel(l)"]
+    tr = parse_trace("\n".join(lines))
+    assert len(tr) == 15
+    for opt in (True, False):
+        e = create_engine("orderedlist", tr, local_epoch_opt=opt, debug=True)
+        e.run(tr)
+        m = e.metrics
+        assert m.deep_copies == 0
+        assert (m.nodes_visited, m.shallow_copies, m.acquires_skipped) == (7, 5, 1)
+        assert e.racy_set() == oracle.racy_events(tr) == set()

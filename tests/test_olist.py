@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from racelab.olist import OrderedList, SharedMutationError
 
@@ -142,3 +143,115 @@ def test_deep_copy_preserves_structure(mutations):
     for op, tid, val in mutations:
         (o.set if op == "set" else o.increment)(tid, val)
     assert list(o.deep_copy()) == list(o)
+
+
+@given(ops, ops, st.integers(0, 7))
+def test_newer_in_prefix_filters_prefix(mutations, other_mutations, k):
+    o, other = OrderedList(5), OrderedList(5)
+    for lst, muts in ((o, mutations), (other, other_mutations)):
+        for op, tid, val in muts:
+            (lst.set if op == "set" else lst.increment)(tid, val)
+    want = [(tid, n) for tid, n in o.prefix(k) if n > other.get(tid)]
+    assert o.newer_in_prefix(k, other) == want
+    assert o.shallow_copy().newer_in_prefix(k, other) == want
+
+
+def test_unshare_waits_for_the_last_view():
+    o = OrderedList(3)
+    assert o.unshare()  # never shared: nothing to do
+    v1, v2 = o.shallow_copy(), o.shallow_copy()
+    assert not o.unshare()
+    v1.release()
+    assert not o.unshare()
+    assert o.shared
+    v2.release()
+    assert o.unshare()
+    assert not o.shared and o.refs == 1
+    o.set(0, 4)  # mutable in place again
+    assert list(o)[0] == (0, 4)
+
+
+WIDTH = 4
+
+
+class OrderedListModel(RuleBasedStateMachine):
+    """Mixed mutations, views, unshares and deep copies against a reference
+    model: a value per thread plus thread ids ordered by recency of update."""
+
+    def __init__(self):
+        super().__init__()
+        self.lst = OrderedList(WIDTH)
+        self.values = [0] * WIDTH
+        self.order = list(range(WIDTH))
+        self.shared = False
+        self.refs = {id(self.lst): 1}
+        self.views = []  # live views, of the current list or of older copies
+
+    def _mutate(self, tid, apply):
+        if self.shared:
+            with pytest.raises(SharedMutationError):
+                apply()
+            return
+        apply()
+        self.order.remove(tid)
+        self.order.insert(0, tid)
+
+    @rule(tid=st.integers(0, WIDTH - 1), val=st.integers(0, 9))
+    def set(self, tid, val):
+        def apply():
+            self.lst.set(tid, val)
+            self.values[tid] = val
+        self._mutate(tid, apply)
+
+    @rule(tid=st.integers(0, WIDTH - 1), k=st.integers(0, 9))
+    def increment(self, tid, k):
+        def apply():
+            self.lst.increment(tid, k)
+            self.values[tid] += k
+        self._mutate(tid, apply)
+
+    @rule()
+    def shallow_copy(self):
+        view = self.lst.shallow_copy()
+        assert view.target is self.lst
+        self.views.append(view)
+        self.shared = True
+        self.refs[id(self.lst)] += 1
+
+    @precondition(lambda self: self.views)
+    @rule(pick=st.integers(0, 1_000))
+    def release(self, pick):
+        view = self.views.pop(pick % len(self.views))
+        view.release()
+        self.refs[id(view.target)] -= 1
+
+    @rule()
+    def unshare(self):
+        ok = self.refs[id(self.lst)] == 1
+        assert self.lst.unshare() == ok
+        if ok:
+            self.shared = False
+
+    @rule()
+    def deep_copy(self):
+        fresh = self.lst.deep_copy()
+        assert fresh is not self.lst
+        self.lst = fresh
+        self.shared = False
+        self.refs[id(fresh)] = 1
+
+    @invariant()
+    def matches_model(self):
+        o = self.lst
+        assert o.snapshot() == self.values
+        pairs = [(tid, self.values[tid]) for tid in self.order]
+        assert list(o) == pairs
+        for k in range(WIDTH + 2):
+            assert o.prefix(k) == pairs[:k]
+        assert o.shared == self.shared
+        for view in self.views + [None]:
+            target = o if view is None else view.target
+            assert target.refs == self.refs[id(target)]
+
+
+TestOrderedListModel = OrderedListModel.TestCase
