@@ -21,6 +21,7 @@ from . import oracle
 from .engines import ENGINE_TOKENS, create_engine
 from .history import EXTENDED, SAMPLED_ONLY, render_reports
 from .trace import (
+    READ,
     GenConfig,
     SamplingPolicy,
     Trace,
@@ -64,7 +65,7 @@ def cmd_gen(args) -> int:
         sys.stdout.write(serialize_trace(tr))
     else:
         dump_trace(tr, args.out)
-    accesses = sum(1 for e in tr.events if e.is_access)
+    accesses = sum(1 for k in tr.kinds if k >= READ)
     print(
         f"generated {len(tr)} events: {tr.num_threads} threads, "
         f"{tr.num_locks} locks, {tr.num_vars} vars, {accesses} accesses",

@@ -10,8 +10,6 @@ from __future__ import annotations
 from typing import List
 
 from ..clocks import bottom, join_into
-from ..history import RaceReport
-from ..trace import Event
 from .base import Engine, check_monotone
 
 
@@ -28,25 +26,31 @@ class DjitpEngine(Engine):
     def _effective(self, thread: int) -> List[int]:
         return list(self.c_threads[thread])
 
-    def _acquire(self, ev: Event) -> None:
-        join_into(self.c_threads[ev.thread], self.c_locks[ev.target])
+    def _acquire(self, index, thread, lock, marked):
+        join_into(self.c_threads[thread], self.c_locks[lock])
         self.metrics.full_traversals += 1
 
-    def _release(self, ev: Event) -> None:
-        ct = self.c_threads[ev.thread]
+    def _release(self, index, thread, lock, marked):
+        ct = self.c_threads[thread]
         if self.debug:
-            check_monotone(self.c_locks[ev.target], ct, "lock")
-        self.c_locks[ev.target] = list(ct)
+            check_monotone(self.c_locks[lock], ct, "lock")
+        self.c_locks[lock] = list(ct)
         self.metrics.full_traversals += 1
         self.metrics.releases_copied += 1
-        self._emit(ev)  # the release's timestamp precedes the local increment
-        ct[ev.thread] += 1
+        self._emit(thread)  # the release's timestamp precedes the local increment
+        ct[thread] += 1
         self.metrics.epoch_increments += 1
 
-    def _access(self, ev: Event) -> List[RaceReport]:
-        t = ev.thread
-        ct = self.c_threads[t]
-        # Full detection: treat every access as recorded, ignoring marks.
-        return self.histories.check_and_update(
-            ev.index, t, ev.target, ev.kind.value == "w", ct, ct[t], marked=True
-        )
+    # Full detection: treat every access as recorded, ignoring marks.
+
+    def _read(self, index, thread, var, marked):
+        ct = self.c_threads[thread]
+        reports = self.histories.check_and_update(index, thread, var, False, ct, ct[thread], True)
+        if reports:
+            self.reports.extend(reports)
+
+    def _write(self, index, thread, var, marked):
+        ct = self.c_threads[thread]
+        reports = self.histories.check_and_update(index, thread, var, True, ct, ct[thread], True)
+        if reports:
+            self.reports.extend(reports)

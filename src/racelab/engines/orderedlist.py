@@ -23,13 +23,11 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..history import RaceReport
 from ..olist import OrderedList, SharedList
-from ..trace import Event
-from .base import Engine
+from .base import EpochEngine
 
 
-class OrderedListEngine(Engine):
+class OrderedListEngine(EpochEngine):
     name = "orderedlist"
 
     def __init__(self, num_threads, num_locks, num_vars, *, local_epoch_opt=True, **kwargs):
@@ -37,8 +35,6 @@ class OrderedListEngine(Engine):
         self.local_epoch_opt = local_epoch_opt
         self.o_threads = [OrderedList(num_threads) for _ in range(num_threads)]
         self.u_threads = [[0] * num_threads for _ in range(num_threads)]
-        self.epochs = [1] * num_threads
-        self.new_sample = [False] * num_threads
         self.pending_local: List[Optional[int]] = [None] * num_threads
         self.lock_views: List[Optional[SharedList]] = [None] * num_locks
         self.last_releaser: List[Optional[int]] = [None] * num_locks
@@ -55,10 +51,8 @@ class OrderedListEngine(Engine):
             snap[thread] = self.pending_local[thread]
         return snap
 
-    def _effective(self, thread: int) -> List[int]:
-        eff = self.o_threads[thread].snapshot()
-        eff[thread] = self.epochs[thread]
-        return eff
+    def _clock(self, thread: int) -> List[int]:
+        return self.o_threads[thread].snapshot()
 
     def _get_merged(self, thread: int, tstar: int) -> int:
         """Component view used by merge guards; consults the pending epoch."""
@@ -90,8 +84,7 @@ class OrderedListEngine(Engine):
 
     # -- handlers ------------------------------------------------------------
 
-    def _acquire(self, ev: Event) -> None:
-        t, lock = ev.thread, ev.target
+    def _acquire(self, index, t, lock, marked):
         lr = self.last_releaser[lock]
         freshness = self.lock_freshness[lock]
         ut = self.u_threads[t]
@@ -123,8 +116,7 @@ class OrderedListEngine(Engine):
         self.metrics.nodes_visited += visited
         self.metrics.entries_saved += self.num_threads - visited
 
-    def _release(self, ev: Event) -> None:
-        t, lock = ev.thread, ev.target
+    def _release(self, index, t, lock, marked):
         if self.new_sample[t]:
             if self.local_epoch_opt:
                 self.pending_local[t] = self.epochs[t]
@@ -132,12 +124,9 @@ class OrderedListEngine(Engine):
                 self._ensure_exclusive(t)
                 self.o_threads[t].set(t, self.epochs[t])
             self.u_threads[t][t] += 1
-            self._emit(ev)
-            self.epochs[t] += 1
-            self.metrics.epoch_increments += 1
-            self.new_sample[t] = False
+            self._end_epoch(t)
         else:
-            self._emit(ev)
+            self._emit(t)
         old_view = self.lock_views[lock]
         if old_view is not None:
             old_view.release()
@@ -149,18 +138,3 @@ class OrderedListEngine(Engine):
             pending = self.pending_local[t]
             own = pending if pending is not None else self.o_threads[t].get(t)
             self.lock_epoch[lock] = (t, own)
-
-    def _access(self, ev: Event) -> List[RaceReport]:
-        t = ev.thread
-        reports = self.histories.check_and_update(
-            ev.index,
-            t,
-            ev.target,
-            ev.kind.value == "w",
-            self._effective(t),
-            self.epochs[t],
-            ev.marked,
-        )
-        if ev.marked:
-            self.new_sample[t] = True
-        return reports

@@ -9,64 +9,38 @@ copies the thread clock to the lock and every acquire still joins.
 
 from __future__ import annotations
 
-from typing import List
-
 from ..clocks import bottom, join_into
-from ..history import RaceReport
-from ..trace import Event
-from .base import Engine, check_monotone
+from .base import EpochEngine, check_monotone
 
 
-class SamplingEngine(Engine):
+class SamplingEngine(EpochEngine):
     name = "sampling"
 
     def __init__(self, num_threads, num_locks, num_vars, **kwargs):
         super().__init__(num_threads, num_locks, num_vars, **kwargs)
         self.c_threads = [bottom(num_threads) for _ in range(num_threads)]
         self.c_locks = [bottom(num_threads) for _ in range(num_locks)]
-        self.epochs = [1] * num_threads
-        self.new_sample = [False] * num_threads
 
-    def _effective(self, thread: int) -> List[int]:
-        eff = list(self.c_threads[thread])
-        eff[thread] = self.epochs[thread]
-        return eff
+    def _clock(self, thread):
+        return list(self.c_threads[thread])
 
-    def _acquire(self, ev: Event) -> None:
-        old = list(self.c_threads[ev.thread]) if self.debug else None
-        join_into(self.c_threads[ev.thread], self.c_locks[ev.target])
+    def _acquire(self, index, thread, lock, marked):
+        ct = self.c_threads[thread]
+        old = list(ct) if self.debug else None
+        join_into(ct, self.c_locks[lock])
         self.metrics.full_traversals += 1
         if self.debug:
-            check_monotone(old, self.c_threads[ev.thread], "thread")
+            check_monotone(old, ct, "thread")
 
-    def _release(self, ev: Event) -> None:
-        t = ev.thread
+    def _release(self, index, t, lock, marked):
         ct = self.c_threads[t]
         if self.new_sample[t]:
             ct[t] = self.epochs[t]
-            self._emit(ev)
-            self.epochs[t] += 1
-            self.metrics.epoch_increments += 1
-            self.new_sample[t] = False
+            self._end_epoch(t)
         else:
-            self._emit(ev)
+            self._emit(t)
         if self.debug:
-            check_monotone(self.c_locks[ev.target], ct, "lock")
-        self.c_locks[ev.target] = list(ct)
+            check_monotone(self.c_locks[lock], ct, "lock")
+        self.c_locks[lock] = list(ct)
         self.metrics.full_traversals += 1
         self.metrics.releases_copied += 1
-
-    def _access(self, ev: Event) -> List[RaceReport]:
-        t = ev.thread
-        reports = self.histories.check_and_update(
-            ev.index,
-            t,
-            ev.target,
-            ev.kind.value == "w",
-            self._effective(t),
-            self.epochs[t],
-            ev.marked,
-        )
-        if ev.marked:
-            self.new_sample[t] = True
-        return reports

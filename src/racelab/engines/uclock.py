@@ -13,12 +13,10 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..clocks import bottom, join_into
-from ..history import RaceReport
-from ..trace import Event
-from .base import Engine, check_monotone
+from .base import EpochEngine, check_monotone
 
 
-class UclockEngine(Engine):
+class UclockEngine(EpochEngine):
     name = "uclock"
 
     def __init__(self, num_threads, num_locks, num_vars, **kwargs):
@@ -28,16 +26,11 @@ class UclockEngine(Engine):
         self.c_locks = [bottom(num_threads) for _ in range(num_locks)]
         self.u_locks = [bottom(num_threads) for _ in range(num_locks)]
         self.last_releaser: List[Optional[int]] = [None] * num_locks
-        self.epochs = [1] * num_threads
-        self.new_sample = [False] * num_threads
 
-    def _effective(self, thread: int) -> List[int]:
-        eff = list(self.c_threads[thread])
-        eff[thread] = self.epochs[thread]
-        return eff
+    def _clock(self, thread):
+        return list(self.c_threads[thread])
 
-    def _acquire(self, ev: Event) -> None:
-        t, lock = ev.thread, ev.target
+    def _acquire(self, index, t, lock, marked):
         lr = self.last_releaser[lock]
         if lr is None:
             self.metrics.acquires_skipped += 1
@@ -57,19 +50,15 @@ class UclockEngine(Engine):
         if self.debug:
             check_monotone(old, ct, "thread")
 
-    def _release(self, ev: Event) -> None:
-        t, lock = ev.thread, ev.target
+    def _release(self, index, t, lock, marked):
         self.last_releaser[lock] = t
         ct, ut = self.c_threads[t], self.u_threads[t]
         if self.new_sample[t]:
             ct[t] = self.epochs[t]
             ut[t] += 1
-            self._emit(ev)
-            self.epochs[t] += 1
-            self.metrics.epoch_increments += 1
-            self.new_sample[t] = False
+            self._end_epoch(t)
         else:
-            self._emit(ev)
+            self._emit(t)
         if ut[t] != self.u_locks[lock][t]:
             if self.debug:
                 check_monotone(self.c_locks[lock], ct, "lock")
@@ -77,18 +66,3 @@ class UclockEngine(Engine):
             self.u_locks[lock] = list(ut)
             self.metrics.full_traversals += 2
             self.metrics.releases_copied += 1
-
-    def _access(self, ev: Event) -> List[RaceReport]:
-        t = ev.thread
-        reports = self.histories.check_and_update(
-            ev.index,
-            t,
-            ev.target,
-            ev.kind.value == "w",
-            self._effective(t),
-            self.epochs[t],
-            ev.marked,
-        )
-        if ev.marked:
-            self.new_sample[t] = True
-        return reports

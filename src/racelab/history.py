@@ -21,12 +21,15 @@ Two modes:
   counters ``gen_r``/``gen_w`` against per-thread ``seen_r``/``seen_w``
   watermarks).  Unmarked events never update ``cr``/``cw``.  The total number
   of checked events is bounded by |S| + 2|S|T.
+
+``AccessHistories.will_check`` is the one predicate for "this access is
+checked".  Engines ask it before they build the effective timestamp, and
+``check_and_update`` uses it to decide and to count ``race_checks``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence
 
 SAMPLED_ONLY = "sampled-only"
 EXTENDED = "extended"
@@ -36,9 +39,12 @@ WRITE_READ = "write-read"  # earlier write races a later read
 READ_WRITE = "read-write"  # earlier read races a later write
 
 
-@dataclass(frozen=True, order=True)
-class RaceReport:
-    """One detected race; ``event_index`` is the later event of the pair."""
+class RaceReport(NamedTuple):
+    """One detected race; ``event_index`` is the later event of the pair.
+
+    A plain tuple, so hashing and ordering (event index, then variable, then
+    kind) run in C when thousands of reports are deduplicated and sorted.
+    """
 
     event_index: int
     variable: int
@@ -50,7 +56,11 @@ class RaceReport:
 
 
 class VarHistory:
-    """Read/write summary clocks for one variable."""
+    """Read/write summary clocks for one variable.
+
+    ``check_read``/``check_write`` run the race check unconditionally; whether
+    an access is checked at all is ``AccessHistories.will_check``.
+    """
 
     __slots__ = ("var", "width", "cw", "cr", "gen_r", "gen_w", "seen_r", "seen_w")
 
@@ -68,69 +78,63 @@ class VarHistory:
         return any(s > e for s, e in zip(summary, eff))
 
     def check_read(
-        self,
-        event_index: int,
-        thread: int,
-        eff: Sequence[int],
-        epoch: int,
-        marked: bool,
-        mode: str,
+        self, event_index: int, thread: int, eff: Sequence[int], epoch: int, marked: bool
     ) -> List[RaceReport]:
-        """Race check + summary update for a read; returns 0 or 1 report."""
+        """Race check for a read, plus the summary update if marked; 0 or 1 report."""
         reports: List[RaceReport] = []
+        if self._not_leq(self.cw, eff):
+            reports.append(RaceReport(event_index, self.var, WRITE_READ))
         if marked:
-            if self._not_leq(self.cw, eff):
-                reports.append(RaceReport(event_index, self.var, WRITE_READ))
             self.cr[thread] = epoch
             self.gen_r += 1
-            self.seen_r[thread] = self.gen_w
-            return reports
-        if mode == EXTENDED and self.seen_r[thread] < self.gen_w:
-            if self._not_leq(self.cw, eff):
-                reports.append(RaceReport(event_index, self.var, WRITE_READ))
-            self.seen_r[thread] = self.gen_w
+        self.seen_r[thread] = self.gen_w
         return reports
 
     def check_write(
-        self,
-        event_index: int,
-        thread: int,
-        eff: Sequence[int],
-        epoch: int,
-        marked: bool,
-        mode: str,
+        self, event_index: int, thread: int, eff: Sequence[int], epoch: int, marked: bool
     ) -> List[RaceReport]:
-        """Race check + summary update for a write; returns 0..2 reports."""
+        """Race check for a write, plus the summary update if marked; 0..2 reports."""
         reports: List[RaceReport] = []
+        if self._not_leq(self.cr, eff):
+            reports.append(RaceReport(event_index, self.var, READ_WRITE))
+        if self._not_leq(self.cw, eff):
+            reports.append(RaceReport(event_index, self.var, WRITE_WRITE))
         if marked:
-            if self._not_leq(self.cr, eff):
-                reports.append(RaceReport(event_index, self.var, READ_WRITE))
-            if self._not_leq(self.cw, eff):
-                reports.append(RaceReport(event_index, self.var, WRITE_WRITE))
             self.cw = list(eff)
             self.gen_w += 1
-            self.seen_w[thread] = max(self.gen_r, self.gen_w)
-            return reports
-        if mode == EXTENDED and self.seen_w[thread] < max(self.gen_r, self.gen_w):
-            if self._not_leq(self.cr, eff):
-                reports.append(RaceReport(event_index, self.var, READ_WRITE))
-            if self._not_leq(self.cw, eff):
-                reports.append(RaceReport(event_index, self.var, WRITE_WRITE))
-            self.seen_w[thread] = max(self.gen_r, self.gen_w)
+        self.seen_w[thread] = max(self.gen_r, self.gen_w)
         return reports
 
 
 class AccessHistories:
     """All per-variable histories of one engine plus the check-invocation counter."""
 
-    __slots__ = ("mode", "histories", "race_checks")
+    __slots__ = ("mode", "extended", "histories", "race_checks")
 
     def __init__(self, num_vars: int, width: int, mode: str = SAMPLED_ONLY):
         if mode not in (SAMPLED_ONLY, EXTENDED):
             raise ValueError(f"unknown history mode {mode!r}")
         self.mode = mode
+        self.extended = mode == EXTENDED
         self.histories = [VarHistory(x, width) for x in range(num_vars)]
         self.race_checks = 0
+
+    def will_check(self, thread: int, var: int, is_write: bool, marked: bool) -> bool:
+        """Whether this access runs a race check: it is marked, or, in extended
+        mode, it is the thread's first access to ``var`` since the history
+        gained a marked event it could race with (the watermark test).
+
+        O(1), and it needs no timestamp, so engines call it before building one.
+        """
+        if marked:
+            return True
+        if not self.extended:
+            return False
+        h = self.histories[var]
+        if is_write:
+            gen_r, gen_w = h.gen_r, h.gen_w
+            return h.seen_w[thread] < (gen_r if gen_r > gen_w else gen_w)
+        return h.seen_r[thread] < h.gen_w
 
     def check_and_update(
         self,
@@ -142,17 +146,14 @@ class AccessHistories:
         epoch: int,
         marked: bool,
     ) -> List[RaceReport]:
+        """Check and record one access; unchecked accesses change nothing."""
+        if not self.will_check(thread, var, is_write, marked):
+            return []
+        self.race_checks += 1
         h = self.histories[var]
-        if marked:
-            self.race_checks += 1
-        elif self.mode == EXTENDED:
-            watermark = h.seen_w[thread] if is_write else h.seen_r[thread]
-            gen = max(h.gen_r, h.gen_w) if is_write else h.gen_w
-            if watermark < gen:
-                self.race_checks += 1
         if is_write:
-            return h.check_write(event_index, thread, eff, epoch, marked, self.mode)
-        return h.check_read(event_index, thread, eff, epoch, marked, self.mode)
+            return h.check_write(event_index, thread, eff, epoch, marked)
+        return h.check_read(event_index, thread, eff, epoch, marked)
 
 
 def render_reports(reports, var_names=None) -> str:

@@ -12,6 +12,9 @@ Counting conventions:
 * ``epoch_increments`` counts local-epoch advances (every release for the
   baseline full detector, only sample-consuming releases for the sampling
   engines).
+* ``race_checks`` counts accesses checked against the histories
+  (``AccessHistories.race_checks``): |S| in ``sampled-only`` mode, at most
+  |S| + 2|S|T in ``extended`` mode, every access for the baseline detector.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ _COUNTER_FIELDS = (
     "entries_saved",
     "race_count",
     "epoch_increments",
+    "race_checks",
 )
 
 
@@ -56,6 +60,7 @@ class RunMetrics:
     entries_saved: int = 0
     race_count: int = 0
     epoch_increments: int = 0
+    race_checks: int = 0
     num_threads: int = 0
 
     @property

@@ -1,4 +1,4 @@
-"""Event/trace data model, text format, validation, sampling and generation.
+"""Trace data model, text format, validation, sampling and generation.
 
 Trace file format (UTF-8 text, LF line endings)::
 
@@ -13,14 +13,26 @@ Thread/lock/variable names in files are free-form tokens; dense integer ids
 are assigned by order of first appearance.  Every trace is validated against
 the locking discipline: a lock is held by at most one thread, is released only
 by its holder, and re-entrant acquires are rejected.
+
+In memory a trace is a set of columns, one entry per event: ``threads`` and
+``targets`` are ``array('i')`` of dense ids, ``kinds`` is an ``array('b')``
+of the small-int kind codes ``ACQ``/``REL``/``READ``/``WRITE``, and
+``marks`` is an immutable ``bytes`` mark vector (1 = in the sample set).
+That is about 10 bytes per event.  A sampling policy yields a new mark
+vector only; the trace it returns shares the other three columns.
+``Trace.events`` is a lazily built, cached tuple of frozen ``Event`` views
+over the same data, for the oracle and tests; the parser, the sampler, the
+serializer and ``Engine.run`` never build it.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, replace
+from array import array
+from dataclasses import dataclass
 from enum import Enum
+from itertools import count
 from typing import List, Optional, Sequence, Tuple
 
 
@@ -47,14 +59,27 @@ class InfeasibleConfigError(TraceError):
     """The generator cannot satisfy the requested configuration."""
 
 
+# Kind codes stored in ``Trace.kinds``; codes >= READ are accesses.
+ACQ, REL, READ, WRITE = 0, 1, 2, 3
+
+
 class OpKind(Enum):
-    ACQUIRE = "acq"
-    RELEASE = "rel"
-    READ = "r"
-    WRITE = "w"
+    """Event kind; ``value`` is the file token, ``code`` the column code."""
+
+    ACQUIRE = ("acq", ACQ)
+    RELEASE = ("rel", REL)
+    READ = ("r", READ)
+    WRITE = ("w", WRITE)
+
+    def __new__(cls, token: str, code: int):
+        member = object.__new__(cls)
+        member._value_ = token
+        member.code = code
+        return member
 
 
-_SYNC_KINDS = (OpKind.ACQUIRE, OpKind.RELEASE)
+_KIND_OF_CODE = (OpKind.ACQUIRE, OpKind.RELEASE, OpKind.READ, OpKind.WRITE)
+_CODE_OF_TOKEN = {kind.value: kind.code for kind in OpKind}
 
 
 @dataclass(frozen=True)
@@ -76,74 +101,151 @@ class Event:
         return not self.is_access
 
 
-@dataclass(frozen=True)
 class Trace:
-    """A validated, immutable sequence of events.
+    """A validated, immutable trace held as columns (see the module docstring).
 
-    Safe to share read-only across concurrent analyses.  Name tables keep the
-    original tokens per dense id so serialization round-trips byte-for-byte.
+    ``Trace(events, num_threads, num_locks, num_vars)`` builds the columns
+    from ``Event`` values and validates them.  Safe to share read-only
+    across concurrent analyses.  Name tables keep the original tokens per
+    dense id so serialization round-trips byte-for-byte.
     """
 
-    events: Tuple[Event, ...]
-    num_threads: int
-    num_locks: int
-    num_vars: int
-    thread_names: Tuple[str, ...] = ()
-    lock_names: Tuple[str, ...] = ()
-    var_names: Tuple[str, ...] = ()
+    __slots__ = (
+        "threads", "kinds", "targets", "marks",
+        "num_threads", "num_locks", "num_vars",
+        "thread_names", "lock_names", "var_names", "_events",
+    )
 
-    def __post_init__(self):
-        if not self.thread_names:
-            object.__setattr__(
-                self, "thread_names", tuple(f"T{i}" for i in range(self.num_threads))
+    def __init__(
+        self,
+        events: Sequence[Event],
+        num_threads: int,
+        num_locks: int,
+        num_vars: int,
+        thread_names: Tuple[str, ...] = (),
+        lock_names: Tuple[str, ...] = (),
+        var_names: Tuple[str, ...] = (),
+    ):
+        events = tuple(events)
+        for pos, ev in enumerate(events, start=1):
+            if ev.index != pos:
+                raise TraceError(f"event {pos}: index field is {ev.index}, expected {pos}")
+        threads = [ev.thread for ev in events]
+        kinds = [ev.kind.code for ev in events]
+        targets = [ev.target for ev in events]
+        marks = bytes(1 if ev.marked else 0 for ev in events)
+        _validate_columns(threads, kinds, targets, marks, num_threads, num_locks, num_vars)
+        self._fill(
+            array("i", threads), array("b", kinds), array("i", targets), marks,
+            num_threads, num_locks, num_vars, thread_names, lock_names, var_names,
+        )
+        self._events = events
+
+    @classmethod
+    def _from_columns(cls, threads, kinds, targets, marks, num_threads, num_locks, num_vars,
+                      thread_names=(), lock_names=(), var_names=()) -> "Trace":
+        """Wrap already validated columns without copying them."""
+        tr = cls.__new__(cls)
+        tr._fill(threads, kinds, targets, marks, num_threads, num_locks, num_vars,
+                 thread_names, lock_names, var_names)
+        return tr
+
+    def _fill(self, threads, kinds, targets, marks, num_threads, num_locks, num_vars,
+              thread_names, lock_names, var_names) -> None:
+        self.threads = threads
+        self.kinds = kinds
+        self.targets = targets
+        self.marks = marks
+        self.num_threads = num_threads
+        self.num_locks = num_locks
+        self.num_vars = num_vars
+        self.thread_names = tuple(thread_names) or tuple(f"T{i}" for i in range(num_threads))
+        self.lock_names = tuple(lock_names) or tuple(f"l{i}" for i in range(num_locks))
+        self.var_names = tuple(var_names) or tuple(f"x{i}" for i in range(num_vars))
+        self._events = None
+
+    def _with_marks(self, marks: bytes) -> "Trace":
+        """The same events under a valid mark vector of the same length; the
+        other columns are shared."""
+        return Trace._from_columns(
+            self.threads, self.kinds, self.targets, bytes(marks),
+            self.num_threads, self.num_locks, self.num_vars,
+            self.thread_names, self.lock_names, self.var_names,
+        )
+
+    @property
+    def events(self) -> Tuple[Event, ...]:
+        """``Event`` views of the columns, built on first use and cached."""
+        if self._events is None:
+            self._events = tuple(
+                Event(i, t, _KIND_OF_CODE[k], x, bool(m))
+                for i, t, k, x, m in zip(count(1), self.threads, self.kinds, self.targets, self.marks)
             )
-        if not self.lock_names:
-            object.__setattr__(
-                self, "lock_names", tuple(f"l{i}" for i in range(self.num_locks))
-            )
-        if not self.var_names:
-            object.__setattr__(
-                self, "var_names", tuple(f"x{i}" for i in range(self.num_vars))
-            )
-        validate_events(self.events, self.num_threads, self.num_locks, self.num_vars)
+        return self._events
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.kinds)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return (
+            self.num_threads == other.num_threads
+            and self.num_locks == other.num_locks
+            and self.num_vars == other.num_vars
+            and self.thread_names == other.thread_names
+            and self.lock_names == other.lock_names
+            and self.var_names == other.var_names
+            and self.marks == other.marks
+            and self.kinds == other.kinds
+            and self.threads == other.threads
+            and self.targets == other.targets
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Trace({len(self)} events, {self.num_threads} threads, {self.num_locks} locks, "
+            f"{self.num_vars} vars, {self.sample_size} marked)"
+        )
 
     @property
     def sampled_indices(self) -> Tuple[int, ...]:
-        return tuple(e.index for e in self.events if e.marked)
+        return tuple(i for i, m in enumerate(self.marks, start=1) if m)
 
     @property
     def sample_size(self) -> int:
-        return sum(1 for e in self.events if e.marked)
+        return self.marks.count(1)
 
 
-def validate_events(
-    events: Sequence[Event], num_threads: int, num_locks: int, num_vars: int
+def _validate_columns(
+    threads: Sequence[int],
+    kinds: Sequence[int],
+    targets: Sequence[int],
+    marks: Sequence[int],
+    num_threads: int,
+    num_locks: int,
+    num_vars: int,
 ) -> None:
-    """Check indices, id ranges, mark placement and the locking discipline."""
+    """Check id ranges, mark placement and the locking discipline."""
     holder: List[Optional[int]] = [None] * num_locks
-    for pos, ev in enumerate(events, start=1):
-        if ev.index != pos:
-            raise TraceError(f"event {pos}: index field is {ev.index}, expected {pos}")
-        if not 0 <= ev.thread < num_threads:
-            raise TraceError(f"event {pos}: thread id {ev.thread} out of range")
-        limit = num_vars if ev.is_access else num_locks
-        if not 0 <= ev.target < limit:
-            raise TraceError(f"event {pos}: target id {ev.target} out of range")
-        if ev.marked and not ev.is_access:
+    for pos, t, k, x, m in zip(count(1), threads, kinds, targets, marks):
+        if not 0 <= t < num_threads:
+            raise TraceError(f"event {pos}: thread id {t} out of range")
+        access = k >= READ
+        if not 0 <= x < (num_vars if access else num_locks):
+            raise TraceError(f"event {pos}: target id {x} out of range")
+        if m and not access:
             raise TraceError(f"event {pos}: mark on non-access event")
-        if ev.kind is OpKind.ACQUIRE:
-            if holder[ev.target] is not None:
+        if k == ACQ:
+            if holder[x] is not None:
                 raise LockDisciplineError(pos, "acquire-of-held-lock")
-            holder[ev.target] = ev.thread
-        elif ev.kind is OpKind.RELEASE:
-            if holder[ev.target] is None:
+            holder[x] = t
+        elif k == REL:
+            if holder[x] is None:
                 raise LockDisciplineError(pos, "release-of-free-lock")
-            if holder[ev.target] != ev.thread:
+            if holder[x] != t:
                 raise LockDisciplineError(pos, "release-by-non-holder")
-            holder[ev.target] = None
+            holder[x] = None
 
 
 _LINE_RE = re.compile(
@@ -165,53 +267,89 @@ class _DenseIds:
         return idx
 
 
+def _decode(data: bytes) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise TraceSyntaxError(line_no, f"invalid UTF-8: {exc.reason}") from None
+
+
 def parse_trace(data) -> Trace:
     """Parse the text format into a validated Trace.
 
     Accepts ``str`` or ``bytes``.  Dense ids are assigned by first appearance,
-    independently for threads, locks and variables.
+    independently for threads, locks and variables.  One pass fills the
+    columns and checks the locking discipline; a discipline violation is
+    raised only once the whole text has parsed, so a syntax error anywhere
+    takes precedence, as for a parse followed by validation.
     """
     if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
+        data = _decode(data)
     threads, locks, variables = _DenseIds(), _DenseIds(), _DenseIds()
-    events: List[Event] = []
+    thread_ids, lock_ids, var_ids = threads.by_name, locks.by_name, variables.by_name
+    tcol, kcol, xcol = array("i"), array("b"), array("i")
+    marks = bytearray()
+    holder = {}  # lock id -> holding thread id
+    violation: Optional[LockDisciplineError] = None
+    match = _LINE_RE.match
+    codes = _CODE_OF_TOKEN
     for line_no, raw in enumerate(data.split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
-        m = _LINE_RE.match(line)
+        m = match(line)
         if m is None:
             raise TraceSyntaxError(line_no, f"cannot parse {line!r}")
-        kind = OpKind(m.group("op"))
-        tid = threads.get(m.group("thread"))
-        if kind in _SYNC_KINDS:
-            target = locks.get(m.group("obj"))
+        name, op, obj, mark = m.groups()
+        tid = thread_ids.get(name)
+        if tid is None:
+            tid = threads.get(name)
+        kind = codes[op]
+        if kind >= READ:
+            target = var_ids.get(obj)
+            if target is None:
+                target = variables.get(obj)
         else:
-            target = variables.get(m.group("obj"))
-        marked = m.group("mark") is not None
-        if marked and kind in _SYNC_KINDS:
-            raise TraceSyntaxError(line_no, "mark on non-access event")
-        events.append(Event(len(events) + 1, tid, kind, target, marked))
-    return Trace(
-        events=tuple(events),
-        num_threads=len(threads.names),
-        num_locks=len(locks.names),
-        num_vars=len(variables.names),
-        thread_names=tuple(threads.names),
-        lock_names=tuple(locks.names),
-        var_names=tuple(variables.names),
+            if mark:
+                raise TraceSyntaxError(line_no, "mark on non-access event")
+            target = lock_ids.get(obj)
+            if target is None:
+                target = locks.get(obj)
+            if violation is None:
+                if kind == ACQ:
+                    if target in holder:
+                        violation = LockDisciplineError(len(kcol) + 1, "acquire-of-held-lock")
+                    holder[target] = tid
+                else:
+                    owner = holder.pop(target, None)
+                    if owner is None:
+                        violation = LockDisciplineError(len(kcol) + 1, "release-of-free-lock")
+                    elif owner != tid:
+                        violation = LockDisciplineError(len(kcol) + 1, "release-by-non-holder")
+        tcol.append(tid)
+        kcol.append(kind)
+        xcol.append(target)
+        marks.append(1 if mark else 0)
+    if violation is not None:
+        raise violation
+    return Trace._from_columns(
+        tcol, kcol, xcol, bytes(marks),
+        len(threads.names), len(locks.names), len(variables.names),
+        threads.names, locks.names, variables.names,
     )
 
 
 def serialize_trace(tr: Trace) -> str:
     """Render a trace back to the text format; inverse of parse_trace."""
-    lines = []
-    for ev in tr.events:
-        name = tr.var_names[ev.target] if ev.is_access else tr.lock_names[ev.target]
-        line = f"{tr.thread_names[ev.thread]}|{ev.kind.value}({name})"
-        if ev.marked:
-            line += "|*"
-        lines.append(line)
+    tokens = tuple(kind.value for kind in _KIND_OF_CODE)
+    tables = (tr.lock_names, tr.lock_names, tr.var_names, tr.var_names)
+    thread_names = tr.thread_names
+    lines = [
+        f"{thread_names[t]}|{tokens[k]}({tables[k][x]})|*" if m
+        else f"{thread_names[t]}|{tokens[k]}({tables[k][x]})"
+        for t, k, x, m in zip(tr.threads, tr.kinds, tr.targets, tr.marks)
+    ]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -229,13 +367,15 @@ def dump_trace(tr: Trace, path) -> None:
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
 
 
 def mix64(z: int) -> int:
     """splitmix64 finalizer; the documented mark-decision mix function."""
     z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return z ^ (z >> 31)
 
 
@@ -248,6 +388,30 @@ def bernoulli_hit(seed: int, event_index: int, rate: float) -> bool:
     """
     z = mix64((seed + event_index * _GOLDEN) & _MASK64)
     return z < int(rate * (1 << 64))
+
+
+def bernoulli_marks(kinds: Sequence[int], seed: int, rate: float) -> bytes:
+    """The mark vector ``bernoulli_hit(seed, i, rate)`` gives each access event i.
+
+    One pass with the splitmix64 finalizer inlined; sync events stay unmarked.
+    """
+    n = len(kinds)
+    threshold = int(rate * (1 << 64))
+    if threshold == 0:
+        return bytes(n)
+    if threshold > _MASK64:  # every 64-bit value is below it
+        return bytes(1 if k >= READ else 0 for k in kinds)
+    out = bytearray(n)
+    mask, golden, mix1, mix2 = _MASK64, _GOLDEN, _MIX1, _MIX2
+    z = seed & mask
+    for pos, k in enumerate(kinds):
+        z = (z + golden) & mask  # seed + (pos + 1) * GOLDEN
+        if k >= READ:
+            y = ((z ^ (z >> 30)) * mix1) & mask
+            y = ((y ^ (y >> 27)) * mix2) & mask
+            if y ^ (y >> 31) < threshold:
+                out[pos] = 1
+    return bytes(out)
 
 
 @dataclass(frozen=True)
@@ -278,22 +442,18 @@ class SamplingPolicy:
 
 
 def apply_sampling(tr: Trace, policy: SamplingPolicy) -> Trace:
-    """Return a copy of ``tr`` whose marks follow ``policy``.
+    """Return ``tr`` with the marks ``policy`` chooses.
 
-    Synchronization events are never marked.  ``premarked`` keeps the existing
-    marks, ``none`` clears all marks, ``bernoulli`` re-decides each access
-    event independently from (seed, event index).
+    Synchronization events are never marked.  ``premarked`` returns ``tr``
+    itself, ``none`` clears all marks, ``bernoulli`` re-decides each access
+    event independently from (seed, event index).  Only the mark vector is
+    new; the other columns are shared with ``tr``.
     """
     if policy.mode == "premarked":
         return tr
-    events = []
-    for ev in tr.events:
-        if ev.is_access and policy.mode == "bernoulli":
-            marked = bernoulli_hit(policy.seed, ev.index, policy.rate)
-        else:
-            marked = False
-        events.append(replace(ev, marked=marked) if marked != ev.marked else ev)
-    return replace(tr, events=tuple(events))
+    if policy.mode == "none":
+        return tr._with_marks(bytes(len(tr)))
+    return tr._with_marks(bernoulli_marks(tr.kinds, policy.seed, policy.rate))
 
 
 # --- synthetic trace generation -------------------------------------------
@@ -353,10 +513,14 @@ def generate_trace(cfg: GenConfig, seed: int) -> Trace:
     lock_used = [False] * cfg.locks
     last_released: Optional[int] = None
     open_total = 0
-    events: List[Event] = []
+    threads: List[int] = []
+    kinds: List[int] = []
+    targets: List[int] = []
 
-    def emit(thread: int, kind: OpKind, target: int) -> None:
-        events.append(Event(len(events) + 1, thread, kind, target, False))
+    def emit(thread: int, kind: int, target: int) -> None:
+        threads.append(thread)
+        kinds.append(kind)
+        targets.append(target)
 
     def pick_lock() -> Optional[int]:
         # Contention first, then never-acquired locks, then any free lock.
@@ -372,13 +536,13 @@ def generate_trace(cfg: GenConfig, seed: int) -> Trace:
         free = [l for l in range(cfg.locks) if lock_free[l]]
         return rng.choice(free) if free else None
 
-    while len(events) < cfg.events:
-        remaining = cfg.events - len(events)
+    while len(kinds) < cfg.events:
+        remaining = cfg.events - len(kinds)
         if remaining <= open_total:
             # Out of slack: close open critical sections, innermost first.
             thread = rng.choice([t for t in range(cfg.threads) if held[t]])
             lock = held[thread].pop()
-            emit(thread, OpKind.RELEASE, lock)
+            emit(thread, REL, lock)
             lock_free[lock] = True
             last_released = lock
             open_total -= 1
@@ -388,7 +552,7 @@ def generate_trace(cfg: GenConfig, seed: int) -> Trace:
         if depth > 0:
             if rng.random() < p_close:
                 lock = held[thread].pop()
-                emit(thread, OpKind.RELEASE, lock)
+                emit(thread, REL, lock)
                 lock_free[lock] = True
                 last_released = lock
                 open_total -= 1
@@ -398,25 +562,25 @@ def generate_trace(cfg: GenConfig, seed: int) -> Trace:
                 and rng.random() < _NEST_PROB * cfg.p_sync
                 and (lock := pick_lock()) is not None
             ):
-                emit(thread, OpKind.ACQUIRE, lock)
+                emit(thread, ACQ, lock)
                 held[thread].append(lock)
                 lock_free[lock] = False
                 lock_used[lock] = True
                 open_total += 1
             elif cfg.p_sync >= 1.0:
                 lock = held[thread].pop()
-                emit(thread, OpKind.RELEASE, lock)
+                emit(thread, REL, lock)
                 lock_free[lock] = True
                 last_released = lock
                 open_total -= 1
             else:
-                kind = OpKind.WRITE if rng.random() < 0.5 else OpKind.READ
+                kind = WRITE if rng.random() < 0.5 else READ
                 emit(thread, kind, rng.randrange(cfg.vars))
         else:
             start = rng.random() < cfg.p_sync
             lock = pick_lock() if start else None
             if start and lock is not None and remaining - 1 > open_total:
-                emit(thread, OpKind.ACQUIRE, lock)
+                emit(thread, ACQ, lock)
                 held[thread].append(lock)
                 lock_free[lock] = False
                 lock_used[lock] = True
@@ -424,31 +588,33 @@ def generate_trace(cfg: GenConfig, seed: int) -> Trace:
             elif cfg.p_sync >= 1.0:
                 continue  # all-sync config and no lock available right now
             else:
-                kind = OpKind.WRITE if rng.random() < 0.5 else OpKind.READ
+                kind = WRITE if rng.random() < 0.5 else READ
                 emit(thread, kind, rng.randrange(cfg.vars))
 
-    return _relabel_by_first_appearance(events)
+    return _relabel_by_first_appearance(threads, kinds, targets)
 
 
-def _relabel_by_first_appearance(events: Sequence[Event]) -> Trace:
+def _relabel_by_first_appearance(
+    threads: Sequence[int], kinds: Sequence[int], targets: Sequence[int]
+) -> Trace:
     """Renumber thread/lock/var ids densely by first appearance.
 
     Keeps the dense-id invariant that parse_trace establishes, so generated
     traces round-trip through the text format event-for-event; ids that never
     appear are dropped.
     """
-    threads: dict = {}
-    locks: dict = {}
-    variables: dict = {}
-    out: List[Event] = []
-    for ev in events:
-        tid = threads.setdefault(ev.thread, len(threads))
-        table = variables if ev.is_access else locks
-        target = table.setdefault(ev.target, len(table))
-        out.append(Event(ev.index, tid, ev.kind, target, ev.marked))
-    return Trace(
-        events=tuple(out),
-        num_threads=max(len(threads), 1),
-        num_locks=len(locks),
-        num_vars=len(variables),
+    thread_ids: dict = {}
+    lock_ids: dict = {}
+    var_ids: dict = {}
+    tcol = [thread_ids.setdefault(t, len(thread_ids)) for t in threads]
+    xcol = []
+    for k, x in zip(kinds, targets):
+        table = var_ids if k >= READ else lock_ids
+        xcol.append(table.setdefault(x, len(table)))
+    num_threads = max(len(thread_ids), 1)
+    marks = bytes(len(kinds))
+    _validate_columns(tcol, kinds, xcol, marks, num_threads, len(lock_ids), len(var_ids))
+    return Trace._from_columns(
+        array("i", tcol), array("b", kinds), array("i", xcol), marks,
+        num_threads, len(lock_ids), len(var_ids),
     )

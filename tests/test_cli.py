@@ -148,3 +148,48 @@ def test_bench_generated_traces(tmp_path):
     assert rc == 0
     rows = list(csv.DictReader(open(out)))
     assert len(rows) == 2 * 2 * 4
+
+
+def _budget_trace(tmp_path):
+    out = str(tmp_path / "b.trace")
+    assert main(["gen", "--threads", "6", "--locks", "3", "--vars", "5",
+                 "--events", "2000", "--seed", "3", "--out", out]) == 0
+    return out
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_analyze_metrics_report_race_checks_within_budget(tmp_path, fmt):
+    trace = _budget_trace(tmp_path)
+    threads = parse_trace(open(trace, "rb").read()).num_threads
+    out = tmp_path / f"m.{fmt}"
+    for mode in ("sampled-only", "extended"):
+        for engine in ("sampling", "uclock", "orderedlist"):
+            rc = main(["analyze", "--trace", trace, "--engine", engine, "--rate", "0.02",
+                       "--seed", "4", "--mode", mode, "--format", fmt,
+                       "--out-races", str(tmp_path / "r.txt"), "--out-metrics", str(out)])
+            assert rc in (0, 1)
+            text = out.read_text()
+            row = json.loads(text) if fmt == "json" else next(csv.DictReader(io.StringIO(text)))
+            checks, s = int(row["race_checks"]), int(row["accesses_sampled"])
+            assert s > 0
+            if mode == "sampled-only":
+                assert checks == s
+            else:
+                assert s <= checks <= s + 2 * s * threads
+
+
+def test_gen_and_analyze_build_no_event_views(tmp_path, monkeypatch):
+    import racelab.trace as trace_mod
+
+    def no_views(*args, **kwargs):
+        raise AssertionError("an Event view was built")
+
+    monkeypatch.setattr(trace_mod, "Event", no_views)
+    out = str(tmp_path / "t.trace")
+    assert main(["gen", "--threads", "4", "--locks", "2", "--vars", "3",
+                 "--events", "300", "--seed", "2", "--out", out]) == 0
+    for engine in ("djitp", "sampling", "uclock", "orderedlist"):
+        rc = main(["analyze", "--trace", out, "--engine", engine, "--rate", "0.1",
+                   "--mode", "extended", "--out-races", str(tmp_path / "r.txt"),
+                   "--out-metrics", str(tmp_path / "m.json")])
+        assert rc in (0, 1)

@@ -1,0 +1,170 @@
+"""The columnar trace core: columns, mark vectors, Event views, retained size."""
+
+import tracemalloc
+
+import pytest
+
+from conftest import LADDER_TEXT
+from racelab.engines import ENGINE_TOKENS, create_engine
+from racelab.history import EXTENDED, SAMPLED_ONLY
+from racelab.olist import OrderedList
+from racelab.trace import (
+    ACQ,
+    READ,
+    REL,
+    WRITE,
+    Event,
+    GenConfig,
+    OpKind,
+    SamplingPolicy,
+    Trace,
+    TraceError,
+    TraceSyntaxError,
+    apply_sampling,
+    bernoulli_hit,
+    generate_trace,
+    parse_trace,
+    serialize_trace,
+)
+
+
+def test_columns_hold_ids_kinds_and_marks():
+    tr = parse_trace("T1|acq(l)\nT1|w(x)|*\nT2|r(y)\nT1|rel(l)\n")
+    assert list(tr.threads) == [0, 0, 1, 0]
+    assert list(tr.kinds) == [ACQ, WRITE, READ, REL]
+    assert list(tr.targets) == [0, 0, 1, 0]
+    assert tr.marks == b"\x00\x01\x00\x00"
+    assert [k.code for k in OpKind] == [ACQ, REL, READ, WRITE]
+
+
+def test_events_are_views_of_the_columns(ladder_trace):
+    evs = ladder_trace.events
+    assert evs is ladder_trace.events  # built once, then cached
+    assert [e.index for e in evs] == list(range(1, 19))
+    assert [e.kind.code for e in evs] == list(ladder_trace.kinds)
+    assert [e.thread for e in evs] == list(ladder_trace.threads)
+    assert [e.target for e in evs] == list(ladder_trace.targets)
+    assert [int(e.marked) for e in evs] == list(ladder_trace.marks)
+
+
+def test_trace_from_events_round_trips_through_the_columns(ladder_trace):
+    again = Trace(
+        ladder_trace.events,
+        ladder_trace.num_threads,
+        ladder_trace.num_locks,
+        ladder_trace.num_vars,
+        ladder_trace.thread_names,
+        ladder_trace.lock_names,
+        ladder_trace.var_names,
+    )
+    assert again == ladder_trace
+    assert serialize_trace(again) == LADDER_TEXT
+
+
+@pytest.mark.parametrize(
+    "events,message",
+    [
+        ((Event(2, 0, OpKind.READ, 0),), "index field is 2"),
+        ((Event(1, 3, OpKind.READ, 0),), "thread id 3 out of range"),
+        ((Event(1, 0, OpKind.ACQUIRE, 5),), "target id 5 out of range"),
+        ((Event(1, 0, OpKind.ACQUIRE, 0, True),), "mark on non-access event"),
+        ((Event(1, 0, OpKind.RELEASE, 0),), "release-of-free-lock"),
+    ],
+)
+def test_trace_from_events_is_validated(events, message):
+    with pytest.raises(TraceError, match=message):
+        Trace(events, num_threads=1, num_locks=1, num_vars=1)
+
+
+def test_sampling_shares_all_columns_but_the_marks(ladder_trace):
+    marked = apply_sampling(ladder_trace, SamplingPolicy.bernoulli(0.5, 3))
+    assert marked.threads is ladder_trace.threads
+    assert marked.kinds is ladder_trace.kinds
+    assert marked.targets is ladder_trace.targets
+    assert isinstance(marked.marks, bytes)
+    assert marked.marks != ladder_trace.marks
+
+
+def test_premarked_policy_returns_the_trace_itself(ladder_trace):
+    assert apply_sampling(ladder_trace, SamplingPolicy.premarked()) is ladder_trace
+
+
+@pytest.mark.parametrize("seed", [0, 31, 2**64 - 1])
+@pytest.mark.parametrize("rate", [0.0, 0.003, 0.03, 1.0])
+def test_mark_vector_equals_bernoulli_hit_at_every_index(seed, rate):
+    tr = generate_trace(GenConfig(threads=4, locks=3, vars=6, events=4000), 8)
+    marks = apply_sampling(tr, SamplingPolicy.bernoulli(rate, seed)).marks
+    for i, kind in enumerate(tr.kinds, start=1):
+        want = kind >= READ and bernoulli_hit(seed, i, rate)
+        assert marks[i - 1] == want, f"event {i}"
+
+
+def test_invalid_utf8_is_a_syntax_error_with_its_line():
+    with pytest.raises(TraceSyntaxError) as err:
+        parse_trace(b"\xff\xfe")
+    assert err.value.line_no == 1
+    with pytest.raises(TraceSyntaxError) as err:
+        parse_trace(b"T1|w(x)\n# note\nT1|r(\xc3x)\n")
+    assert err.value.line_no == 3
+
+
+def test_syntax_errors_take_precedence_over_later_discipline_checks():
+    # Parsing and discipline checks share one pass; a violation on an
+    # earlier line must still lose to a syntax error on a later one.
+    with pytest.raises(TraceSyntaxError) as err:
+        parse_trace("T1|rel(l)\nT1|acq(m)|*")
+    assert err.value.line_no == 2
+
+
+def test_parsed_trace_retains_at_most_16_bytes_per_event():
+    text = serialize_trace(generate_trace(GenConfig(threads=8, locks=8, vars=64, events=20_000), 4))
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tr = parse_trace(text)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tr) == 20_000
+    assert (retained - base) / len(tr) <= 16
+
+
+def _snapshot_calls(monkeypatch):
+    calls = []
+    original = OrderedList.snapshot
+
+    def counting(self):
+        calls.append(1)
+        return original(self)
+
+    monkeypatch.setattr(OrderedList, "snapshot", counting)
+    return calls
+
+
+@pytest.mark.parametrize("mode", [SAMPLED_ONLY, EXTENDED])
+def test_only_checked_accesses_build_a_timestamp(monkeypatch, mode):
+    tr = generate_trace(GenConfig(threads=6, locks=3, vars=8, events=3000), 2)
+    marked = apply_sampling(tr, SamplingPolicy.bernoulli(0.01, 5))
+    calls = _snapshot_calls(monkeypatch)
+    engine = create_engine("orderedlist", marked, mode=mode)
+    engine.run(marked)
+    checks = engine.histories.race_checks
+    assert 0 < checks < marked.sample_size + 2 * marked.sample_size * marked.num_threads
+    assert len(calls) == checks
+    if mode == SAMPLED_ONLY:
+        assert checks == marked.sample_size
+
+
+@pytest.mark.parametrize("token", ENGINE_TOKENS)
+def test_run_and_process_agree(token):
+    tr = generate_trace(GenConfig(threads=5, locks=3, vars=4, events=1500, p_sync=0.4), 6)
+    marked = apply_sampling(tr, SamplingPolicy.bernoulli(0.1, 1))
+    for mode in (SAMPLED_ONLY, EXTENDED):
+        fast = create_engine(token, marked, mode=mode)
+        fast.run(marked)
+        slow = create_engine(token, marked, mode=mode)
+        for ev in marked.events:
+            slow.process(ev)
+        assert fast.reports == slow.reports
+        assert fast.metrics == slow.metrics
+        assert fast.metrics.race_checks == fast.histories.race_checks

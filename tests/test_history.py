@@ -115,3 +115,61 @@ def test_report_rendering_sorted():
         "RACE write-read at e2 on x\nRACE write-write at e9 on x\n"
     )
     assert render_reports([]) == ""
+
+
+MULTI_RACE_TEXT = """\
+T1|w(a)|*
+T2|r(a)|*
+T3|w(a)|*
+T1|acq(m)
+T1|w(b)|*
+T1|rel(m)
+T2|w(b)|*
+T3|r(c)|*
+T2|r(c)|*
+T1|w(c)|*
+T2|acq(m)
+T2|w(b)|*
+T2|rel(m)
+"""
+
+
+def test_rendered_race_list_is_pinned_on_a_multi_race_trace():
+    tr = parse_trace(MULTI_RACE_TEXT)
+    want = (
+        "RACE write-read at e2 on a\n"
+        "RACE read-write at e3 on a\n"
+        "RACE write-write at e3 on a\n"
+        "RACE write-write at e7 on b\n"
+        "RACE read-write at e10 on c\n"
+    )
+    for token in ("djitp", "sampling", "uclock", "orderedlist"):
+        e = create_engine(token, tr)
+        reports = e.run(tr)
+        assert render_reports(reports, tr.var_names) == want
+        assert render_reports(reversed(reports + reports), tr.var_names) == want
+
+
+def test_rendered_race_list_is_pinned_on_a_generated_trace():
+    import hashlib
+
+    from racelab.trace import GenConfig, SamplingPolicy, apply_sampling, generate_trace
+
+    cfg = GenConfig(threads=6, locks=3, vars=5, events=3000)
+    tr = apply_sampling(generate_trace(cfg, 17), SamplingPolicy.bernoulli(1.0, 0))
+    e = create_engine("djitp", tr)
+    text = render_reports(e.run(tr), tr.var_names)
+    assert text.count("\n") == 3004
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "2d1bdfcd769f09e2801f1798eab0ec17556ed6704923bfa35382b7c0d6210f9e"
+    )
+
+
+def test_race_report_is_a_plain_tuple():
+    r = RaceReport(7, 2, WRITE_READ)
+    assert tuple(r) == (7, 2, WRITE_READ)
+    assert r.render() == "RACE write-read at e7 on x2"
+    assert r.render("v") == "RACE write-read at e7 on v"
+    assert sorted([RaceReport(3, 1, WRITE_WRITE), RaceReport(3, 0, WRITE_WRITE), r]) == [
+        RaceReport(3, 0, WRITE_WRITE), RaceReport(3, 1, WRITE_WRITE), r
+    ]
