@@ -1,6 +1,5 @@
 """racelab: offline laboratory for sampling-based happens-before race detection."""
 
-from .clocks import VectorClock
 from .history import EXTENDED, SAMPLED_ONLY, RaceReport
 from .olist import OrderedList, SharedList
 from .trace import (
@@ -16,7 +15,6 @@ from .trace import (
 )
 
 __all__ = [
-    "VectorClock",
     "OrderedList",
     "SharedList",
     "RaceReport",

@@ -1,11 +1,12 @@
-"""Command-line entry point wiring traces, policies, engines, oracle, metrics.
+"""Command-line entry point: argument handling for the racelab subcommands.
 
 Subcommands:
 
 * ``gen``      write a synthetic trace file
 * ``analyze``  run one engine over a trace; exit 0 = no race, 1 = races, 2 = error
-* ``diff``     run all engines plus the oracle on identical marks and report
-               the first divergence, or EQUIVALENT
+* ``diff``     run all engine configurations plus the oracle on identical
+               marks and report the first divergence, or EQUIVALENT; the
+               comparison is ``racelab.differential.diff_report``
 * ``bench``    one CSV row of counters per (engine, trace, rate, seed)
 """
 
@@ -14,17 +15,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from . import metrics as metrics_mod
-from . import oracle
+from . import oracle  # noqa: F401  re-exported: callers patch racelab.cli.oracle
+from .differential import diff_report
 from .engines import ENGINE_TOKENS, create_engine
 from .history import EXTENDED, SAMPLED_ONLY, render_reports
 from .trace import (
     READ,
     GenConfig,
     SamplingPolicy,
-    Trace,
     TraceError,
     apply_sampling,
     dump_trace,
@@ -91,84 +92,6 @@ def cmd_analyze(args) -> int:
     return 1 if reports else 0
 
 
-def _run_all(tr: Trace, mode: str):
-    """Run the engine family on identical marks, collecting per-event snapshots."""
-    runs: Dict[str, dict] = {}
-    specs = [
-        ("djitp", {}),
-        ("sampling", {}),
-        ("uclock", {}),
-        ("orderedlist", {"local_epoch_opt": True}),
-        ("orderedlist-noopt", {"local_epoch_opt": False}),
-    ]
-    for label, extra in specs:
-        token = "orderedlist" if label.startswith("orderedlist") else label
-        snaps: List[List[int]] = []
-        engine = create_engine(
-            token, tr, mode=mode, on_event=lambda ev, eff, s=snaps: s.append(eff), **extra
-        )
-        engine.run(tr)
-        runs[label] = {
-            "engine": engine,
-            "racy": engine.racy_set(),
-            "snapshots": snaps,
-        }
-    return runs
-
-
-def diff_report(tr: Trace, mode: str) -> dict:
-    """Compare all engines against each other and the oracle; machine-readable."""
-    runs = _run_all(tr, mode)
-    tables = oracle.declarative_timestamps(tr)
-    oracle_racy = oracle.racy_events(tr, mode)
-    oracle_full = oracle.racy_events_full(tr)
-
-    sampling_family = ["sampling", "uclock", "orderedlist", "orderedlist-noopt"]
-    for label in sampling_family:
-        got = runs[label]["racy"]
-        if got != oracle_racy:
-            return {
-                "verdict": "DIVERGENT",
-                "field": "racy-set",
-                "engine": label,
-                "only_engine": sorted(got - oracle_racy),
-                "only_oracle": sorted(oracle_racy - got),
-            }
-    if runs["djitp"]["racy"] != oracle_full:
-        got = runs["djitp"]["racy"]
-        return {
-            "verdict": "DIVERGENT",
-            "field": "racy-set",
-            "engine": "djitp",
-            "only_engine": sorted(got - oracle_full),
-            "only_oracle": sorted(oracle_full - got),
-        }
-    for pos, ev in enumerate(tr.events):
-        expect = tables.ct_smp_effective(ev.index, ev.thread)
-        for label in sampling_family:
-            got = runs[label]["snapshots"][pos]
-            if got != expect:
-                return {
-                    "verdict": "DIVERGENT",
-                    "field": "snapshot",
-                    "engine": label,
-                    "event_index": ev.index,
-                    "engine_value": got,
-                    "oracle_value": expect,
-                }
-        got = runs["djitp"]["snapshots"][pos]
-        if got != tables.ct_ft[pos]:
-            return {
-                "verdict": "DIVERGENT",
-                "field": "snapshot",
-                "engine": "djitp",
-                "event_index": ev.index,
-                "engine_value": got,
-                "oracle_value": tables.ct_ft[pos],
-            }
-    return {"verdict": "EQUIVALENT", "races": sorted(oracle_racy)}
-
-
 def cmd_diff(args) -> int:
     tr = apply_sampling(load_trace(args.trace), _policy(args))
     report = diff_report(tr, args.mode)
@@ -218,7 +141,6 @@ def _add_common_analysis_flags(p) -> None:
                    help="Bernoulli sampling rate; omit to keep the file's marks")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
     p.add_argument("--mode", choices=[SAMPLED_ONLY, EXTENDED], default=SAMPLED_ONLY)
-    p.add_argument("--local-epoch-opt", choices=["on", "off"], default="on")
 
 
 def _add_gen_flags(p, required: bool) -> None:
@@ -243,6 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="run one engine over a trace")
     _add_common_analysis_flags(p_an)
+    p_an.add_argument("--local-epoch-opt", choices=["on", "off"], default="on")
     p_an.add_argument("--engine", choices=list(ENGINE_TOKENS), required=True)
     p_an.add_argument("--out-races", default="-")
     p_an.add_argument("--out-metrics", default="-")

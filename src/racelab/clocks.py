@@ -1,10 +1,7 @@
-"""Dense vector clocks with the pointwise operations used by the analysis engines.
+"""Dense vector clocks: one non-negative integer component per thread.
 
-A vector clock is a fixed-width vector of non-negative integers, one component
-per thread.  ``VectorClock`` is an immutable value type; the analysis engines
-keep plain ``list[int]`` clocks internally (they own them exclusively within a
-single analysis stream) and use the ``*_values`` helpers below, which operate
-on any integer sequences.
+The analysis engines keep plain ``list[int]`` clocks, each owned by a single
+analysis stream, and combine them in place with ``join_into``.
 """
 
 from __future__ import annotations
@@ -16,114 +13,18 @@ class WidthMismatchError(ValueError):
     """Raised when two clocks of different widths are combined."""
 
 
-def _check_widths(a: Sequence[int], b: Sequence[int]) -> None:
-    if len(a) != len(b):
-        raise WidthMismatchError(f"clock widths differ: {len(a)} vs {len(b)}")
-
-
 def bottom(width: int) -> List[int]:
     """All-zero clock of the given width."""
     return [0] * width
 
 
-def join_values(a: Sequence[int], b: Sequence[int]) -> List[int]:
-    """Pointwise maximum of two equal-width clocks."""
-    _check_widths(a, b)
-    return [x if x >= y else y for x, y in zip(a, b)]
-
-
-def leq_values(a: Sequence[int], b: Sequence[int]) -> bool:
-    """Pointwise comparison: true iff a(t) <= b(t) for every component."""
-    _check_widths(a, b)
-    return all(x <= y for x, y in zip(a, b))
-
-
 def join_into(dst: List[int], src: Sequence[int]) -> int:
     """Join ``src`` into ``dst`` in place, returning how many components changed."""
-    _check_widths(dst, src)
+    if len(dst) != len(src):
+        raise WidthMismatchError(f"clock widths differ: {len(dst)} vs {len(src)}")
     changed = 0
     for i, v in enumerate(src):
         if v > dst[i]:
             dst[i] = v
             changed += 1
     return changed
-
-
-class VectorClock:
-    """Immutable dense vector clock.
-
-    All operations return new values; the zero clock acts as the identity of
-    ``join``.  Debug rendering is ``[a,b,...]``.
-    """
-
-    __slots__ = ("components",)
-
-    def __init__(self, components: Sequence[int]):
-        for v in components:
-            if v < 0:
-                raise ValueError("vector clock components must be non-negative")
-        object.__setattr__(self, "components", tuple(components))
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard only
-        raise AttributeError("VectorClock is immutable")
-
-    @classmethod
-    def bottom(cls, width: int) -> "VectorClock":
-        return cls((0,) * width)
-
-    @property
-    def width(self) -> int:
-        return len(self.components)
-
-    def get(self, t: int) -> int:
-        return self.components[t]
-
-    __getitem__ = get
-
-    def join(self, other: "VectorClock") -> "VectorClock":
-        return VectorClock(join_values(self.components, other.components))
-
-    def leq(self, other: "VectorClock") -> bool:
-        return leq_values(self.components, other.components)
-
-    def set(self, t: int, v: int) -> "VectorClock":
-        if not 0 <= t < self.width:
-            raise IndexError(f"thread index {t} out of range for width {self.width}")
-        comps = list(self.components)
-        comps[t] = v
-        return VectorClock(comps)
-
-    def increment(self, t: int, k: int = 1) -> "VectorClock":
-        if not 0 <= t < self.width:
-            raise IndexError(f"thread index {t} out of range for width {self.width}")
-        comps = list(self.components)
-        comps[t] += k
-        return VectorClock(comps)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VectorClock) and self.components == other.components
-
-    def __hash__(self) -> int:
-        return hash(self.components)
-
-    def __str__(self) -> str:
-        return "[" + ",".join(str(v) for v in self.components) + "]"
-
-    def __repr__(self) -> str:
-        return f"VectorClock({list(self.components)!r})"
-
-
-def join(a: VectorClock, b: VectorClock) -> VectorClock:
-    return a.join(b)
-
-
-def leq(a: VectorClock, b: VectorClock) -> bool:
-    return a.leq(b)
-
-
-def set_component(c: VectorClock, t: int, v: int) -> VectorClock:
-    return c.set(t, v)
-
-
-def increment(c: VectorClock, t: int, k: int = 1) -> VectorClock:
-    return c.increment(t, k)

@@ -23,8 +23,8 @@ Two modes:
   of checked events is bounded by |S| + 2|S|T.
 
 ``AccessHistories.will_check`` is the one predicate for "this access is
-checked".  Engines ask it before they build the effective timestamp, and
-``check_and_update`` uses it to decide and to count ``race_checks``.
+checked".  Engines ask it once per access, before they build the effective
+timestamp, and call ``check_and_update`` only when it holds.
 """
 
 from __future__ import annotations
@@ -146,9 +146,11 @@ class AccessHistories:
         epoch: int,
         marked: bool,
     ) -> List[RaceReport]:
-        """Check and record one access; unchecked accesses change nothing."""
-        if not self.will_check(thread, var, is_write, marked):
-            return []
+        """Check and record one access that ``will_check`` said is checked.
+
+        Callers ask ``will_check`` first; this method counts the check in
+        ``race_checks`` and runs it unconditionally.
+        """
         self.race_checks += 1
         h = self.histories[var]
         if is_write:

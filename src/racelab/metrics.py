@@ -77,13 +77,6 @@ class RunMetrics:
             return 0.0
         return self.entries_saved / denom
 
-    def merge(self, other: "RunMetrics") -> "RunMetrics":
-        """Additive merge for batch reports."""
-        out = RunMetrics(num_threads=max(self.num_threads, other.num_threads))
-        for name in _COUNTER_FIELDS:
-            setattr(out, name, getattr(self, name) + getattr(other, name))
-        return out
-
     def as_dict(self, labels: Optional[Mapping[str, object]] = None) -> dict:
         row: dict = dict(labels) if labels else {}
         for name in _COUNTER_FIELDS:

@@ -44,11 +44,6 @@ class HbClosure:
             return True
         return bool((self.preds[j - 1] >> (i - 1)) & 1)
 
-    def predecessors(self, j: int) -> Set[int]:
-        """1-based indices of all events ordered at or before event j."""
-        bits = self.preds[j - 1]
-        return {i + 1 for i in range(self.n) if (bits >> i) & 1}
-
 
 def hb_closure(tr: Trace) -> HbClosure:
     n = len(tr.events)
@@ -146,10 +141,11 @@ def _per_thread_max(
 
 
 def declarative_timestamps(
-    tr: Trace, sampled: Optional[Iterable[int]] = None
+    tr: Trace, sampled: Optional[Iterable[int]] = None, hb: Optional[HbClosure] = None
 ) -> OracleTables:
     chosen = sampled_positions(tr, sampled)
-    hb = hb_closure(tr)
+    if hb is None:
+        hb = hb_closure(tr)
     n = len(tr.events)
     T = tr.num_threads
 

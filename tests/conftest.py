@@ -5,8 +5,17 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import strategies as st
 
-from racelab.trace import GenConfig, SamplingPolicy, apply_sampling, generate_trace, parse_trace
+from racelab.trace import (
+    Event,
+    GenConfig,
+    OpKind,
+    SamplingPolicy,
+    apply_sampling,
+    generate_trace,
+    parse_trace,
+)
 
 # The 18-event two-thread handoff execution used throughout the golden tests.
 # Sample marks sit on events 5, 15 and 16.  Thread ids: T1 -> 0, T2 -> 1;
@@ -74,3 +83,37 @@ def random_traces(seed: int, count: int, max_events: int = 160):
         rate = rng.choice([0.0, 0.05, 0.2, 0.5, 1.0])
         out.append((apply_sampling(tr, SamplingPolicy.bernoulli(rate, i)), rate))
     return out
+
+
+@st.composite
+def valid_traces(draw):
+    """Lock-discipline-respecting event lists in file tokens, with the Events
+    a parse must produce (dense ids by first appearance)."""
+    names = ["T1", "T2", "T3"]
+    locks = ["l1", "l2"]
+    variables = ["x", "y", "z"]
+    holder = {}
+    tokens, ids = [], ({}, {}, {})
+    events = []
+    for index in range(1, draw(st.integers(0, 30)) + 1):
+        thread = draw(st.sampled_from(names))
+        held = [l for l, h in holder.items() if h == thread]
+        free = [l for l in locks if l not in holder]
+        choices = ["r", "w"] + (["acq"] if free else []) + (["rel"] if held else [])
+        op = draw(st.sampled_from(choices))
+        if op == "acq":
+            obj = draw(st.sampled_from(free))
+            holder[obj] = thread
+        elif op == "rel":
+            obj = draw(st.sampled_from(held))
+            del holder[obj]
+        else:
+            obj = draw(st.sampled_from(variables))
+        marked = op in ("r", "w") and draw(st.booleans())
+        tokens.append(f"{thread}|{op}({obj})" + ("|*" if marked else ""))
+        tid = ids[0].setdefault(thread, len(ids[0]))
+        table = ids[2] if op in ("r", "w") else ids[1]
+        target = table.setdefault(obj, len(table))
+        events.append(Event(index, tid, OpKind(op), target, marked))
+    text = "\n".join(tokens) + ("\n" if tokens else "")
+    return text, tuple(events)

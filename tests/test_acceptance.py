@@ -1,8 +1,9 @@
 """Acceptance criteria, one test per criterion, exact tolerances.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion.  The generated suites are deterministic; expected wall time for
-the whole module is a few minutes.
+criterion.  The generated suites are deterministic; the whole module takes
+about half a minute.  Criteria 1, 3 and 9 compare engines with the oracle
+through ``racelab.differential``, the comparison ``racelab diff`` uses.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import handoff_trace
-from racelab import oracle
+from racelab import differential, oracle
 from racelab.engines import create_engine
 from racelab.history import EXTENDED, SAMPLED_ONLY
 from racelab.olist import OrderedList
@@ -32,6 +33,7 @@ RATES = (0.0, 0.003, 0.03, 0.1, 1.0)
 N_SUITE1 = 1000
 N_SUITE3 = 200
 N_SUITE5 = 100
+SAMPLING_FAMILY = ("sampling", "uclock", "orderedlist", "orderedlist-noopt")
 
 
 def _config(rng: random.Random, max_events: int) -> GenConfig:
@@ -70,31 +72,14 @@ def suite1():
             marked = apply_sampling(tr, SamplingPolicy.bernoulli(rate, 77_000 + i))
             data["rate_runs"] += 1
             s, t, l = marked.sample_size, marked.num_threads, marked.num_locks
-            want = oracle.racy_events(marked, SAMPLED_ONLY, hb=hb)
-
-            sampling = create_engine("sampling", marked)
-            sampling.run(marked)
-            uclock = create_engine("uclock", marked)
-            uclock.run(marked)
-            olists = {}
-            for opt in (True, False):
-                e = create_engine("orderedlist", marked, local_epoch_opt=opt)
-                e.run(marked)
-                olists[opt] = e
+            runs = differential.run_configs(marked, SAMPLED_ONLY, SAMPLING_FAMILY)
+            sampling, uclock = runs["sampling"].engine, runs["uclock"].engine
+            olists = {True: runs["orderedlist"].engine, False: runs["orderedlist-noopt"].engine}
 
             # criterion 1: engine equivalence against the oracle
-            for label, eng in (
-                ("sampling", sampling),
-                ("uclock", uclock),
-                ("orderedlist+opt", olists[True]),
-                ("orderedlist-opt", olists[False]),
-            ):
-                got = eng.racy_set()
-                if got != want:
-                    data["c1"].append(
-                        f"trace {i} rate {rate} {label}: "
-                        f"engine-only {sorted(got - want)} oracle-only {sorted(want - got)}"
-                    )
+            report = differential.racy_divergence(marked, SAMPLED_ONLY, runs, hb)
+            if report:
+                data["c1"].append(f"trace {i} rate {rate}: {report}")
 
             # criterion 2: full-rate agreement with the baseline detector
             if rate == 1.0:
@@ -130,16 +115,14 @@ def suite1():
                     )
 
             # criterion 9: extended mode equals its oracle within the budget
-            wantx = oracle.racy_events(marked, EXTENDED, hb=hb)
-            for token in ("sampling", "orderedlist"):
-                e = create_engine(token, marked, mode=EXTENDED)
-                e.run(marked)
-                if e.racy_set() != wantx:
-                    data["c9"].append(f"trace {i} rate {rate} {token}: extended set")
-                if e.histories.race_checks > s + 2 * s * t:
-                    data["c9"].append(
-                        f"trace {i} rate {rate} {token}: {e.histories.race_checks} checks"
-                    )
+            runs = differential.run_configs(marked, EXTENDED, ("sampling", "orderedlist"))
+            report = differential.racy_divergence(marked, EXTENDED, runs, hb)
+            if report:
+                data["c9"].append(f"trace {i} rate {rate}: {report}")
+            for label, run in runs.items():
+                checks = run.engine.histories.race_checks
+                if checks > s + 2 * s * t:
+                    data["c9"].append(f"trace {i} rate {rate} {label}: {checks} checks")
 
             if rate == 0.03:
                 data["skip_ratio_3pct"]["uclock"].append(uclock.metrics.skip_ratio)
@@ -158,30 +141,10 @@ def suite3():
         marked = apply_sampling(tr, SamplingPolicy.bernoulli(rate, i))
         tables = oracle.declarative_timestamps(marked)
 
-        for token, opt in (
-            ("sampling", True),
-            ("uclock", True),
-            ("orderedlist", True),
-            ("orderedlist", False),
-        ):
-            snaps = []
-            e = create_engine(
-                token, marked, local_epoch_opt=opt,
-                on_event=lambda ev, eff: snaps.append(eff),
-            )
-            e.run(marked)
-            for pos, ev in enumerate(marked.events):
-                if snaps[pos] != tables.ct_smp_effective(ev.index, ev.thread):
-                    fidelity.append(f"trace {i} {token} opt={opt} event {ev.index}")
-                    break
-
-        snaps = []
-        dj = create_engine("djitp", marked, on_event=lambda ev, eff: snaps.append(eff))
-        dj.run(marked)
-        for pos in range(len(marked)):
-            if snaps[pos] != tables.ct_ft[pos]:
-                fidelity.append(f"trace {i} djitp event {pos + 1}")
-                break
+        runs = differential.run_configs(marked, SAMPLED_ONLY, snapshots=True)
+        report = differential.snapshot_divergence(marked, runs, tables)
+        if report:
+            fidelity.append(f"trace {i}: {report}")
 
         uc = create_engine("uclock", marked)
         for pos, ev in enumerate(marked.events):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from conftest import LADDER_TEXT, handoff_trace
+from racelab import differential
 from racelab.cli import main
 from racelab.trace import dump_trace, parse_trace
 
@@ -85,6 +86,27 @@ def test_diff_full_rate_equivalent_including_baseline(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["verdict"] == "EQUIVALENT"
     assert [9, "write-write"] in report["races"]
+
+
+def test_diff_rejects_local_epoch_opt(tmp_path, capsys):
+    # diff always runs orderedlist with the option both on and off.
+    trace = write(tmp_path, "ladder.trace", LADDER_TEXT)
+    with pytest.raises(SystemExit) as err:
+        main(["diff", "--trace", trace, "--local-epoch-opt", "off"])
+    assert err.value.code == 2
+    assert "--local-epoch-opt" in capsys.readouterr().err
+
+
+def test_diff_above_event_cap_exits_2_before_the_closure(tmp_path, capsys, monkeypatch):
+    def no_closure(tr):
+        raise AssertionError("the closure was built")
+
+    monkeypatch.setattr(differential.oracle, "hb_closure", no_closure)
+    n = differential.MAX_EVENTS + 1
+    trace = write(tmp_path, "big.trace", "T1|w(x)|*\n" * n)
+    assert main(["diff", "--trace", trace]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(n) in err and str(differential.MAX_EVENTS) in err
 
 
 def test_bench_row_cardinality_and_determinism(tmp_path):

@@ -1,6 +1,6 @@
 from conftest import handoff_trace, random_traces
 from racelab import oracle
-from racelab.cli import diff_report
+from racelab.differential import diff_report
 from racelab.engines import create_engine
 from racelab.history import EXTENDED, SAMPLED_ONLY
 from racelab.olist import OrderedList

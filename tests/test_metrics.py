@@ -2,7 +2,7 @@ import json
 
 from conftest import random_traces
 from racelab.engines import create_engine
-from racelab.metrics import RunMetrics, emit
+from racelab.metrics import emit
 from racelab.trace import SamplingPolicy, Trace, apply_sampling
 
 
@@ -46,14 +46,6 @@ def test_csv_has_header_row(ladder_trace):
     header, row = text.strip().split("\n")
     assert header.startswith("engine,events_total,")
     assert row.startswith("orderedlist,18,")
-
-
-def test_merge_is_additive():
-    a = RunMetrics(events_total=3, race_count=1, num_threads=2)
-    b = RunMetrics(events_total=4, acquires_total=2, num_threads=4)
-    c = a.merge(b)
-    assert c.events_total == 7 and c.race_count == 1 and c.acquires_total == 2
-    assert c.num_threads == 4
 
 
 def test_saving_ratio_trend_is_reported_not_asserted(capsys):

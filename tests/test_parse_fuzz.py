@@ -3,7 +3,8 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from racelab.trace import Event, OpKind, TraceError, parse_trace, serialize_trace
+from conftest import valid_traces
+from racelab.trace import OpKind, TraceError, parse_trace, serialize_trace
 
 FUZZ = settings(max_examples=100, deadline=None)
 
@@ -44,40 +45,6 @@ def test_near_miss_lines_raise_only_trace_errors(lines):
     text = "\n".join(lines)
     _parses_or_trace_error(text)
     _parses_or_trace_error(text.encode("utf-8"))
-
-
-@st.composite
-def valid_traces(draw):
-    """Lock-discipline-respecting event lists in file tokens, with the Events
-    a parse must produce (dense ids by first appearance)."""
-    names = ["T1", "T2", "T3"]
-    locks = ["l1", "l2"]
-    variables = ["x", "y", "z"]
-    holder = {}
-    tokens, ids = [], ({}, {}, {})
-    events = []
-    for index in range(1, draw(st.integers(0, 30)) + 1):
-        thread = draw(st.sampled_from(names))
-        held = [l for l, h in holder.items() if h == thread]
-        free = [l for l in locks if l not in holder]
-        choices = ["r", "w"] + (["acq"] if free else []) + (["rel"] if held else [])
-        op = draw(st.sampled_from(choices))
-        if op == "acq":
-            obj = draw(st.sampled_from(free))
-            holder[obj] = thread
-        elif op == "rel":
-            obj = draw(st.sampled_from(held))
-            del holder[obj]
-        else:
-            obj = draw(st.sampled_from(variables))
-        marked = op in ("r", "w") and draw(st.booleans())
-        tokens.append(f"{thread}|{op}({obj})" + ("|*" if marked else ""))
-        tid = ids[0].setdefault(thread, len(ids[0]))
-        table = ids[2] if op in ("r", "w") else ids[1]
-        target = table.setdefault(obj, len(table))
-        events.append(Event(index, tid, OpKind(op), target, marked))
-    text = "\n".join(tokens) + ("\n" if tokens else "")
-    return text, tuple(events)
 
 
 @FUZZ
