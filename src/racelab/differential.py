@@ -55,7 +55,7 @@ def run_configs(
         if label not in chosen:
             continue
         snaps: Optional[List[List[int]]] = [] if snapshots else None
-        hook = (lambda ev, eff, s=snaps: s.append(eff)) if snapshots else None
+        hook = (lambda index, eff, s=snaps: s.append(eff)) if snapshots else None
         engine = create_engine(token, tr, mode=mode, local_epoch_opt=opt, on_event=hook)
         engine.run(tr)
         runs[label] = Run(engine, snaps)
@@ -88,11 +88,11 @@ def racy_divergence(
 
 
 def snapshot_divergence(
-    tr: Trace, runs: Dict[str, Run], tables: oracle.OracleTables
+    tr: Trace, runs: Dict[str, Run], tables: oracle.TimestampTables
 ) -> Optional[dict]:
     """The first event at which some run's effective timestamp differs from
     the declarative one, as a DIVERGENT report, or ``None``.  Runs must carry
-    snapshots; ``tables`` is ``oracle.declarative_timestamps`` of ``tr``."""
+    snapshots; ``tables`` is ``oracle.timestamp_tables`` of ``tr``."""
     for pos, ev in enumerate(tr.events):
         sampling_ts = tables.ct_smp_effective(ev.index, ev.thread)
         for label, run in runs.items():
@@ -124,7 +124,7 @@ def diff_report(tr: Trace, mode: str) -> dict:
     runs = run_configs(tr, mode, snapshots=True)
     hb = oracle.hb_closure(tr)
     report = racy_divergence(tr, mode, runs, hb) or snapshot_divergence(
-        tr, runs, oracle.declarative_timestamps(tr, hb=hb)
+        tr, runs, oracle.timestamp_tables(tr, hb=hb)
     )
     if report is not None:
         return report

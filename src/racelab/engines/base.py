@@ -1,42 +1,48 @@
-"""Shared engine scaffolding: event dispatch, the access path, metrics, snapshots.
+"""The engine core: one driver loop, epochs, the access path and the release skeleton.
 
 Engines process one validated trace in order, one instance per analysis
 stream.  ``Engine.run`` walks the trace's columns and dispatches on the int
 kind code to four handlers, ``_acquire``, ``_release``, ``_read`` and
 ``_write``, each called as ``(index, thread, target, marked)``; no ``Event``
-is built.  ``Engine.process(ev)`` feeds one ``Event`` to the same handlers.
+is built.  ``Engine.process(ev)`` feeds one ``Event`` through the same loop.
 
-The optional ``on_event`` callback receives ``(event, effective_timestamp)``
-at the event's timestamp point: after the acquire join or access handling,
-and at releases after the local-time fold but before the epoch advances.
-This is the per-event timestamp the differential tests compare against the
-declarative tables.  With a callback set, ``run`` feeds the trace's ``Event``
-views through ``process``.
+Every engine is the paper's sampling algorithm and differs only in how it
+timestamps.  ``Engine`` owns the per-thread epochs, the new-sample flags,
+the one access path and the release skeleton; a subclass supplies
+``_acquire``, ``_clock`` (a fresh copy of the thread's clock), ``_fold``
+(write the epoch into the clock at a sample-consuming release) and
+``_publish`` (hand the clock to the lock at every release).  An access is
+handed to the histories only if ``AccessHistories.will_check`` says it will
+be checked, so an unchecked access costs O(1) and never builds its O(T)
+timestamp.  With ``sample_all`` set (Djit+), every access is sampled and
+every release ends an epoch.
 
-``EpochEngine`` is the common base of the three sampling engines: per-thread
-epochs, new-sample flags and one access path.  An access is handed to the
-histories only if ``AccessHistories.will_check`` says it will be checked, so
-an unchecked access costs O(1) and never builds its O(T) timestamp.
+The optional ``on_event`` hook receives ``(index, effective_timestamp)`` at
+the event's timestamp point: after the acquire join or access handling, and
+at releases after the fold but before the epoch advances.  This is the
+per-event timestamp the differential tests compare against the declarative
+tables.  The driver loop is the same with and without a hook.
 """
 
 from __future__ import annotations
 
-from itertools import count
-from typing import Callable, List, Optional, Sequence
+from itertools import count, repeat
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from ..history import SAMPLED_ONLY, AccessHistories, RaceReport
 from ..metrics import RunMetrics
 from ..trace import ACQ, REL, Event, Trace
 
-SnapshotHook = Callable[[Event, List[int]], None]
-
-_HANDLERS = ("_acquire", "_release", "_read", "_write")  # indexed by kind code
+SnapshotHook = Callable[[int, List[int]], None]
 
 
 class Engine:
-    """Base class; subclasses implement the four handlers and ``_effective``."""
+    """Base class; subclasses implement ``_acquire``, ``_clock``, ``_fold``
+    and ``_publish``."""
 
     name = "base"
+    # Every access counts as marked and every release ends an epoch.
+    sample_all = False
 
     def __init__(
         self,
@@ -57,98 +63,33 @@ class Engine:
         self.histories = AccessHistories(num_vars, num_threads, mode)
         self.metrics = RunMetrics(num_threads=num_threads)
         self.reports: List[RaceReport] = []
-        self._event: Optional[Event] = None  # the event ``process`` is handling
+        self.epochs = [1] * num_threads
+        self.new_sample = [self.sample_all] * num_threads
 
-    # -- handlers: (index, thread, target, marked) ---------------------------
+    # -- timestamping, per engine ---------------------------------------------
 
     def _acquire(self, index: int, thread: int, lock: int, marked: bool) -> None:
         raise NotImplementedError
 
-    def _release(self, index: int, thread: int, lock: int, marked: bool) -> None:
+    def _clock(self, thread: int) -> List[int]:
+        """A fresh copy of the thread's clock."""
         raise NotImplementedError
 
-    def _read(self, index: int, thread: int, var: int, marked: bool) -> None:
+    def _fold(self, thread: int) -> None:
+        """At a sample-consuming release: write the epoch into the clock."""
         raise NotImplementedError
 
-    def _write(self, index: int, thread: int, var: int, marked: bool) -> None:
+    def _publish(self, thread: int, lock: int) -> None:
+        """At every release, after the epoch step: hand the clock to the lock."""
         raise NotImplementedError
 
     def _effective(self, thread: int) -> List[int]:
         """Thread clock with the own component replaced by the current epoch."""
-        raise NotImplementedError
-
-    # -- driver -------------------------------------------------------------
-
-    def process(self, ev: Event) -> List[RaceReport]:
-        """Handle one event; returns the races it reports."""
-        m = self.metrics
-        code = ev.kind.code
-        m.events_total += 1
-        if code == ACQ:
-            m.acquires_total += 1
-        elif code == REL:
-            m.releases_total += 1
-        else:
-            m.accesses_total += 1
-            if ev.marked:
-                m.accesses_sampled += 1
-        before = len(self.reports)
-        self._event = ev
-        getattr(self, _HANDLERS[code])(ev.index, ev.thread, ev.target, ev.marked)
-        if code != REL:  # releases emit mid-handler, at the timestamp point
-            self._emit(ev.thread)
-        new_reports = self.reports[before:]
-        m.race_count += len(new_reports)
-        m.race_checks = self.histories.race_checks
-        return new_reports
-
-    def run(self, tr: Trace) -> List[RaceReport]:
-        if self.on_event is not None:
-            for ev in tr.events:
-                self.process(ev)
-            return self.reports
-        before = len(self.reports)
-        handlers = tuple(getattr(self, name) for name in _HANDLERS)
-        for i, k, t, x, mk in zip(count(1), tr.kinds, tr.threads, tr.targets, tr.marks):
-            handlers[k](i, t, x, mk)
-        m = self.metrics
-        n, acquires, releases = len(tr), tr.kinds.count(ACQ), tr.kinds.count(REL)
-        m.events_total += n
-        m.acquires_total += acquires
-        m.releases_total += releases
-        m.accesses_total += n - acquires - releases
-        m.accesses_sampled += tr.sample_size
-        m.race_count += len(self.reports) - before
-        m.race_checks = self.histories.race_checks
-        return self.reports
-
-    def racy_set(self) -> set:
-        return {(r.event_index, r.kind) for r in self.reports}
-
-    def _emit(self, thread: int) -> None:
-        if self.on_event is not None:
-            self.on_event(self._event, self._effective(thread))
-
-
-class EpochEngine(Engine):
-    """Epochs, new-sample flags and the access path of the sampling engines.
-
-    Subclasses implement the acquire and release timestamping and
-    ``_clock(thread)``, a fresh copy of the thread's clock.
-    """
-
-    def __init__(self, num_threads, num_locks, num_vars, **kwargs):
-        super().__init__(num_threads, num_locks, num_vars, **kwargs)
-        self.epochs = [1] * num_threads
-        self.new_sample = [False] * num_threads
-
-    def _clock(self, thread: int) -> List[int]:
-        raise NotImplementedError
-
-    def _effective(self, thread: int) -> List[int]:
         eff = self._clock(thread)
         eff[thread] = self.epochs[thread]
         return eff
+
+    # -- the access path and the release skeleton ------------------------------
 
     def _read(self, index, thread, var, marked):
         if self.histories.will_check(thread, var, False, marked):
@@ -167,13 +108,70 @@ class EpochEngine(Engine):
         if reports:
             self.reports.extend(reports)
 
-    def _end_epoch(self, thread: int) -> None:
-        """At a sample-consuming release, after the engine folded the epoch:
-        emit the release's timestamp, then start the thread's next epoch."""
-        self._emit(thread)
-        self.epochs[thread] += 1
-        self.metrics.epoch_increments += 1
-        self.new_sample[thread] = False
+    def _release(self, index, thread, lock, marked):
+        hook = self.on_event
+        if self.new_sample[thread]:
+            self._fold(thread)
+            if hook is not None:
+                hook(index, self._effective(thread))
+            self.epochs[thread] += 1
+            self.metrics.epoch_increments += 1
+            self.new_sample[thread] = self.sample_all
+        elif hook is not None:
+            hook(index, self._effective(thread))
+        self._publish(thread, lock)
+
+    # -- driver ---------------------------------------------------------------
+
+    def _walk(self, rows: Iterable[Tuple[int, int, int, int, bool]]) -> None:
+        """The driver loop over ``(index, kind, thread, target, marked)`` rows.
+
+        Releases call the hook mid-handler; every other event calls it here.
+        """
+        handlers = (self._acquire, self._release, self._read, self._write)
+        hook = self.on_event
+        for i, k, t, x, mk in rows:
+            handlers[k](i, t, x, mk)
+            if hook is not None and k != REL:
+                hook(i, self._effective(t))
+
+    def process(self, ev: Event) -> List[RaceReport]:
+        """Handle one event; returns the races it reports."""
+        m = self.metrics
+        code = ev.kind.code
+        m.events_total += 1
+        if code == ACQ:
+            m.acquires_total += 1
+        elif code == REL:
+            m.releases_total += 1
+        else:
+            m.accesses_total += 1
+            if ev.marked:
+                m.accesses_sampled += 1
+        before = len(self.reports)
+        self._walk(((ev.index, code, ev.thread, ev.target, ev.marked or self.sample_all),))
+        new_reports = self.reports[before:]
+        m.race_count += len(new_reports)
+        m.race_checks = self.histories.race_checks
+        return new_reports
+
+    def run(self, tr: Trace) -> List[RaceReport]:
+        before = len(self.reports)
+        marks = repeat(True) if self.sample_all else tr.marks
+        self._walk(zip(count(1), tr.kinds, tr.threads, tr.targets, marks))
+        m = self.metrics
+        n, acquires, releases = len(tr), tr.kinds.count(ACQ), tr.kinds.count(REL)
+        m.events_total += n
+        m.acquires_total += acquires
+        m.releases_total += releases
+        m.accesses_total += n - acquires - releases
+        m.accesses_sampled += tr.sample_size
+        m.race_count += len(self.reports) - before
+        m.race_checks = self.histories.race_checks
+        return self.reports
+
+    def racy_set(self) -> set:
+        return {(r.event_index, r.kind) for r in self.reports}
 
 
 def check_monotone(old: Sequence[int], new: Sequence[int], what: str) -> None:

@@ -24,10 +24,10 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from ..olist import OrderedList, SharedList
-from .base import EpochEngine
+from .base import Engine
 
 
-class OrderedListEngine(EpochEngine):
+class OrderedListEngine(Engine):
     name = "orderedlist"
 
     def __init__(self, num_threads, num_locks, num_vars, *, local_epoch_opt=True, **kwargs):
@@ -116,17 +116,15 @@ class OrderedListEngine(EpochEngine):
         self.metrics.nodes_visited += visited
         self.metrics.entries_saved += self.num_threads - visited
 
-    def _release(self, index, t, lock, marked):
-        if self.new_sample[t]:
-            if self.local_epoch_opt:
-                self.pending_local[t] = self.epochs[t]
-            else:
-                self._ensure_exclusive(t)
-                self.o_threads[t].set(t, self.epochs[t])
-            self.u_threads[t][t] += 1
-            self._end_epoch(t)
+    def _fold(self, t):
+        if self.local_epoch_opt:
+            self.pending_local[t] = self.epochs[t]
         else:
-            self._emit(t)
+            self._ensure_exclusive(t)
+            self.o_threads[t].set(t, self.epochs[t])
+        self.u_threads[t][t] += 1
+
+    def _publish(self, t, lock):
         old_view = self.lock_views[lock]
         if old_view is not None:
             old_view.release()

@@ -10,10 +10,10 @@ copies the thread clock to the lock and every acquire still joins.
 from __future__ import annotations
 
 from ..clocks import bottom, join_into
-from .base import EpochEngine, check_monotone
+from .base import Engine, check_monotone
 
 
-class SamplingEngine(EpochEngine):
+class SamplingEngine(Engine):
     name = "sampling"
 
     def __init__(self, num_threads, num_locks, num_vars, **kwargs):
@@ -32,13 +32,11 @@ class SamplingEngine(EpochEngine):
         if self.debug:
             check_monotone(old, ct, "thread")
 
-    def _release(self, index, t, lock, marked):
+    def _fold(self, t):
+        self.c_threads[t][t] = self.epochs[t]
+
+    def _publish(self, t, lock):
         ct = self.c_threads[t]
-        if self.new_sample[t]:
-            ct[t] = self.epochs[t]
-            self._end_epoch(t)
-        else:
-            self._emit(t)
         if self.debug:
             check_monotone(self.c_locks[lock], ct, "lock")
         self.c_locks[lock] = list(ct)

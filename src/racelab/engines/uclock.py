@@ -13,10 +13,10 @@ from __future__ import annotations
 from typing import List, Optional
 
 from ..clocks import bottom, join_into
-from .base import EpochEngine, check_monotone
+from .base import Engine, check_monotone
 
 
-class UclockEngine(EpochEngine):
+class UclockEngine(Engine):
     name = "uclock"
 
     def __init__(self, num_threads, num_locks, num_vars, **kwargs):
@@ -50,15 +50,13 @@ class UclockEngine(EpochEngine):
         if self.debug:
             check_monotone(old, ct, "thread")
 
-    def _release(self, index, t, lock, marked):
+    def _fold(self, t):
+        self.c_threads[t][t] = self.epochs[t]
+        self.u_threads[t][t] += 1
+
+    def _publish(self, t, lock):
         self.last_releaser[lock] = t
         ct, ut = self.c_threads[t], self.u_threads[t]
-        if self.new_sample[t]:
-            ct[t] = self.epochs[t]
-            ut[t] += 1
-            self._end_epoch(t)
-        else:
-            self._emit(t)
         if ut[t] != self.u_locks[lock][t]:
             if self.debug:
                 check_monotone(self.c_locks[lock], ct, "lock")

@@ -29,6 +29,7 @@ timestamp, and call ``check_and_update`` only when it holds.
 
 from __future__ import annotations
 
+from operator import gt
 from typing import List, NamedTuple, Optional, Sequence
 
 SAMPLED_ONLY = "sampled-only"
@@ -62,11 +63,10 @@ class VarHistory:
     an access is checked at all is ``AccessHistories.will_check``.
     """
 
-    __slots__ = ("var", "width", "cw", "cr", "gen_r", "gen_w", "seen_r", "seen_w")
+    __slots__ = ("var", "cw", "cr", "gen_r", "gen_w", "seen_r", "seen_w")
 
     def __init__(self, var: int, width: int):
         self.var = var
-        self.width = width
         self.cw: List[int] = [0] * width
         self.cr: List[int] = [0] * width
         self.gen_r = 0
@@ -75,7 +75,7 @@ class VarHistory:
         self.seen_w = [0] * width
 
     def _not_leq(self, summary: Sequence[int], eff: Sequence[int]) -> bool:
-        return any(s > e for s, e in zip(summary, eff))
+        return any(map(gt, summary, eff))
 
     def check_read(
         self, event_index: int, thread: int, eff: Sequence[int], epoch: int, marked: bool
@@ -91,16 +91,19 @@ class VarHistory:
         return reports
 
     def check_write(
-        self, event_index: int, thread: int, eff: Sequence[int], epoch: int, marked: bool
+        self, event_index: int, thread: int, eff: List[int], epoch: int, marked: bool
     ) -> List[RaceReport]:
-        """Race check for a write, plus the summary update if marked; 0..2 reports."""
+        """Race check for a write, plus the summary update if marked; 0..2 reports.
+
+        A marked write keeps ``eff`` itself as ``cw``.
+        """
         reports: List[RaceReport] = []
         if self._not_leq(self.cr, eff):
             reports.append(RaceReport(event_index, self.var, READ_WRITE))
         if self._not_leq(self.cw, eff):
             reports.append(RaceReport(event_index, self.var, WRITE_WRITE))
         if marked:
-            self.cw = list(eff)
+            self.cw = eff
             self.gen_w += 1
         self.seen_w[thread] = max(self.gen_r, self.gen_w)
         return reports
@@ -142,14 +145,16 @@ class AccessHistories:
         thread: int,
         var: int,
         is_write: bool,
-        eff: Sequence[int],
+        eff: List[int],
         epoch: int,
         marked: bool,
     ) -> List[RaceReport]:
         """Check and record one access that ``will_check`` said is checked.
 
         Callers ask ``will_check`` first; this method counts the check in
-        ``race_checks`` and runs it unconditionally.
+        ``race_checks`` and runs it unconditionally.  The caller hands over
+        ``eff``: a marked write keeps it as the write summary, uncopied, so
+        the caller must not reuse or mutate it.
         """
         self.race_checks += 1
         h = self.histories[var]

@@ -22,26 +22,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Optional
-
-_COUNTER_FIELDS = (
-    "events_total",
-    "accesses_total",
-    "accesses_sampled",
-    "acquires_total",
-    "acquires_skipped",
-    "releases_total",
-    "releases_copied",
-    "deep_copies",
-    "shallow_copies",
-    "nodes_visited",
-    "full_traversals",
-    "entries_saved",
-    "race_count",
-    "epoch_increments",
-    "race_checks",
-)
 
 
 @dataclass
@@ -84,6 +66,10 @@ class RunMetrics:
         row["skip_ratio"] = self.skip_ratio
         row["saving_ratio"] = self.saving_ratio
         return row
+
+
+# Every field but ``num_threads`` is a counter, emitted in declaration order.
+_COUNTER_FIELDS = tuple(f.name for f in fields(RunMetrics) if f.name != "num_threads")
 
 
 def emit(

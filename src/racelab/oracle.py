@@ -6,10 +6,11 @@ closure rather than with the engines' clock machinery:
 * ``hb_closure`` builds the full reachability relation from program-order
   edges plus an edge from every release of a lock to every later acquire of
   the same lock (predecessor bitsets, one per event).
-* ``declarative_timestamps`` evaluates the defining max/count formulas for
-  the local times, the causal and sampling timestamps, the evolution counter
-  and the freshness vectors, plus the total-clock-work scalar obtained by
-  abstractly replaying the plain sampling algorithm.
+* ``timestamp_tables`` evaluates the defining max formulas for the local
+  times and the causal and sampling timestamps; ``declarative_timestamps``
+  adds the evolution counter and the freshness vectors, plus the
+  total-clock-work scalar obtained by abstractly replaying the plain
+  sampling algorithm.
 * ``racy_events`` replays last-access summaries (the histories every engine
   keeps) and decides each check directly on the closure.
 
@@ -74,8 +75,26 @@ def sampled_positions(tr: Trace, sampled: Optional[Iterable[int]] = None) -> Set
 
 
 @dataclass
-class OracleTables:
-    """Per-event declarative values plus the clock-work scalar.
+class TimestampTables:
+    """Per-event declarative local times and timestamps: ``ft`` counts every
+    release (the causal timestamp, the full detector's), ``smp`` only the
+    first release after a sampled event (the sampling timestamp)."""
+
+    lt_ft: List[int]
+    ct_ft: List[List[int]]
+    lt_smp: List[int]
+    ct_smp: List[List[int]]
+
+    def ct_smp_effective(self, idx: int, thread: int) -> List[int]:
+        """Declarative sampling timestamp with the own component as local time."""
+        eff = list(self.ct_smp[idx - 1])
+        eff[thread] = self.lt_smp[idx - 1]
+        return eff
+
+
+@dataclass
+class OracleTables(TimestampTables):
+    """The timestamp tables plus freshness values and the clock-work scalar.
 
     ``vt``/``u`` follow the defining formulas (evolution of the declarative
     sampling timestamp along each thread, counted from the all-zero initial
@@ -85,21 +104,11 @@ class OracleTables:
     these are the quantities engine freshness clocks track exactly.
     """
 
-    lt_ft: List[int]
-    ct_ft: List[List[int]]
-    lt_smp: List[int]
-    ct_smp: List[List[int]]
     vt: List[int]
     u: List[List[int]]
     vt_replay: List[int]
     u_replay: List[List[int]]
     vtwork: int
-
-    def ct_smp_effective(self, idx: int, thread: int) -> List[int]:
-        """Declarative sampling timestamp with the own component as local time."""
-        eff = list(self.ct_smp[idx - 1])
-        eff[thread] = self.lt_smp[idx - 1]
-        return eff
 
 
 def rel_after_positions(tr: Trace, chosen: Set[int]) -> Set[int]:
@@ -140,18 +149,25 @@ def _per_thread_max(
     return out
 
 
-def declarative_timestamps(
+def _thread_masks(tr: Trace) -> List[int]:
+    """Per thread, the bitset of its events' 0-based positions."""
+    masks = [0] * tr.num_threads
+    for pos, ev in enumerate(tr.events):
+        masks[ev.thread] |= 1 << pos
+    return masks
+
+
+def timestamp_tables(
     tr: Trace, sampled: Optional[Iterable[int]] = None, hb: Optional[HbClosure] = None
-) -> OracleTables:
+) -> TimestampTables:
+    """The local-time and timestamp tables alone, what per-event timestamp
+    comparisons read; ``declarative_timestamps`` adds the freshness values."""
     chosen = sampled_positions(tr, sampled)
     if hb is None:
         hb = hb_closure(tr)
     n = len(tr.events)
     T = tr.num_threads
-
-    thread_masks = [0] * T
-    for pos, ev in enumerate(tr.events):
-        thread_masks[ev.thread] |= 1 << pos
+    thread_masks = _thread_masks(tr)
     sampled_mask = 0
     for idx in chosen:
         sampled_mask |= 1 << (idx - 1)
@@ -172,8 +188,26 @@ def declarative_timestamps(
         if ev.index in rel_after:
             ra_count[ev.thread] += 1
 
-    ct_ft = _per_thread_max(hb, thread_masks, lt_ft)
-    ct_smp = _per_thread_max(hb, thread_masks, lt_smp, restrict_mask=sampled_mask)
+    return TimestampTables(
+        lt_ft=lt_ft,
+        ct_ft=_per_thread_max(hb, thread_masks, lt_ft),
+        lt_smp=lt_smp,
+        ct_smp=_per_thread_max(hb, thread_masks, lt_smp, restrict_mask=sampled_mask),
+    )
+
+
+def declarative_timestamps(
+    tr: Trace, sampled: Optional[Iterable[int]] = None, hb: Optional[HbClosure] = None
+) -> OracleTables:
+    """``timestamp_tables`` plus the evolution counters, freshness vectors and
+    clock work."""
+    chosen = sampled_positions(tr, sampled)
+    if hb is None:
+        hb = hb_closure(tr)
+    base = timestamp_tables(tr, chosen, hb)
+    n = len(tr.events)
+    T = tr.num_threads
+    thread_masks = _thread_masks(tr)
 
     # Evolution counter along each thread's declarative clock, from all-zero.
     vt = [0] * n
@@ -181,21 +215,18 @@ def declarative_timestamps(
     running = [0] * T
     for pos, ev in enumerate(tr.events):
         before = prev_ct[ev.thread] or [0] * T
-        cur = ct_smp[pos]
+        cur = base.ct_smp[pos]
         running[ev.thread] += sum(1 for a, b in zip(before, cur) if a != b)
         vt[pos] = running[ev.thread]
         prev_ct[ev.thread] = cur
 
     u = _per_thread_max(hb, thread_masks, vt)
 
-    vt_replay, vtwork = _replay_clock_changes(tr, chosen, rel_after)
+    vt_replay, vtwork = _replay_clock_changes(tr, chosen, rel_after_positions(tr, chosen))
     u_replay = _per_thread_max(hb, thread_masks, vt_replay)
 
     return OracleTables(
-        lt_ft=lt_ft,
-        ct_ft=ct_ft,
-        lt_smp=lt_smp,
-        ct_smp=ct_smp,
+        **vars(base),
         vt=vt,
         u=u,
         vt_replay=vt_replay,

@@ -1,6 +1,7 @@
 """The columnar trace core: columns, mark vectors, Event views, retained size."""
 
 import tracemalloc
+from itertools import product
 
 import pytest
 
@@ -159,12 +160,20 @@ def test_only_checked_accesses_build_a_timestamp(monkeypatch, mode):
 def test_run_and_process_agree(token):
     tr = generate_trace(GenConfig(threads=5, locks=3, vars=4, events=1500, p_sync=0.4), 6)
     marked = apply_sampling(tr, SamplingPolicy.bernoulli(0.1, 1))
-    for mode in (SAMPLED_ONLY, EXTENDED):
-        fast = create_engine(token, marked, mode=mode)
+    for mode, hooked in product((SAMPLED_ONLY, EXTENDED), (False, True)):
+        snaps = {"fast": [], "slow": []}
+
+        def hook(key):
+            return (lambda index, eff: snaps[key].append((index, eff))) if hooked else None
+
+        fast = create_engine(token, marked, mode=mode, on_event=hook("fast"))
         fast.run(marked)
-        slow = create_engine(token, marked, mode=mode)
+        slow = create_engine(token, marked, mode=mode, on_event=hook("slow"))
         for ev in marked.events:
             slow.process(ev)
         assert fast.reports == slow.reports
         assert fast.metrics == slow.metrics
         assert fast.metrics.race_checks == fast.histories.race_checks
+        assert snaps["fast"] == snaps["slow"]
+        if hooked:  # one timestamp per event, in trace order
+            assert [index for index, _ in snaps["fast"]] == list(range(1, len(marked) + 1))

@@ -9,12 +9,13 @@ def test_ladder_clock_checkpoints(ladder_trace):
     e = create_engine("djitp", ladder_trace)
     for ev in ladder_trace.events[:6]:
         e.process(ev)
-    # after e6 (release of l1): thread clock advanced, lock carries the copy
-    assert e.c_threads[0] == [2, 0]
+    # after e6 (release of l1): epoch advanced, lock carries the copy
+    assert e._effective(0) == [2, 0]
+    assert e.epochs[0] == 2
     assert e.c_locks[L1] == [1, 0]
     for ev in ladder_trace.events[6:8]:
         e.process(ev)
-    assert e.c_threads[1] == [1, 1]  # e8 joined l1's clock
+    assert e._effective(1) == [1, 1]  # e8 joined l1's clock
 
 
 def test_unordered_writes_race():
