@@ -9,13 +9,14 @@ is built.  ``Engine.process(ev)`` feeds one ``Event`` through the same loop.
 Every engine is the paper's sampling algorithm and differs only in how it
 timestamps.  ``Engine`` owns the per-thread epochs, the new-sample flags,
 the one access path and the release skeleton; a subclass supplies
-``_acquire``, ``_clock`` (a fresh copy of the thread's clock), ``_fold``
-(write the epoch into the clock at a sample-consuming release) and
-``_publish`` (hand the clock to the lock at every release).  An access is
-handed to the histories only if ``AccessHistories.will_check`` says it will
-be checked, so an unchecked access costs O(1) and never builds its O(T)
-timestamp.  With ``sample_all`` set (Djit+), every access is sampled and
-every release ends an epoch.
+``_acquire``, ``_row`` (the thread's live clock, read in place by the race
+checks), ``_clock`` (a fresh copy of the thread's clock, for the snapshot
+hook only), ``_fold`` (write the epoch into the clock at a sample-consuming
+release) and ``_publish`` (hand the clock to the lock at every release).  An
+access is handed to the histories only if ``AccessHistories.will_check``
+says it will be checked, so an unchecked access costs O(1); a checked one
+reads the live row and builds no timestamp.  With ``sample_all`` set
+(Djit+), every access is sampled and every release ends an epoch.
 
 The optional ``on_event`` hook receives ``(index, effective_timestamp)`` at
 the event's timestamp point: after the acquire join or access handling, and
@@ -37,8 +38,8 @@ SnapshotHook = Callable[[int, List[int]], None]
 
 
 class Engine:
-    """Base class; subclasses implement ``_acquire``, ``_clock``, ``_fold``
-    and ``_publish``."""
+    """Base class; subclasses implement ``_acquire``, ``_row``, ``_clock``,
+    ``_fold`` and ``_publish``."""
 
     name = "base"
     # Every access counts as marked and every release ends an epoch.
@@ -71,6 +72,10 @@ class Engine:
     def _acquire(self, index: int, thread: int, lock: int, marked: bool) -> None:
         raise NotImplementedError
 
+    def _row(self, thread: int) -> Sequence[int]:
+        """The thread's live clock, not copied; callers must not mutate or keep it."""
+        raise NotImplementedError
+
     def _clock(self, thread: int) -> List[int]:
         """A fresh copy of the thread's clock."""
         raise NotImplementedError
@@ -84,7 +89,8 @@ class Engine:
         raise NotImplementedError
 
     def _effective(self, thread: int) -> List[int]:
-        """Thread clock with the own component replaced by the current epoch."""
+        """Thread clock with the own component replaced by the current epoch;
+        a fresh list, built only for the snapshot hook."""
         eff = self._clock(thread)
         eff[thread] = self.epochs[thread]
         return eff
@@ -92,16 +98,16 @@ class Engine:
     # -- the access path and the release skeleton ------------------------------
 
     def _read(self, index, thread, var, marked):
-        if self.histories.will_check(thread, var, False, marked):
+        if marked or self.histories.will_check(thread, var, False, False):
             self._check(index, thread, var, False, marked)
 
     def _write(self, index, thread, var, marked):
-        if self.histories.will_check(thread, var, True, marked):
+        if marked or self.histories.will_check(thread, var, True, False):
             self._check(index, thread, var, True, marked)
 
     def _check(self, index, thread, var, is_write, marked) -> None:
         reports = self.histories.check_and_update(
-            index, thread, var, is_write, self._effective(thread), self.epochs[thread], marked
+            index, thread, var, is_write, self._row(thread), self.epochs[thread], marked
         )
         if marked:
             self.new_sample[thread] = True

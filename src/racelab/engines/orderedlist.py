@@ -21,7 +21,7 @@ deep-copies.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..olist import OrderedList, SharedList
 from .base import Engine
@@ -50,6 +50,11 @@ class OrderedListEngine(Engine):
         if self.pending_local[thread] is not None:
             snap[thread] = self.pending_local[thread]
         return snap
+
+    def _row(self, thread: int) -> Sequence[int]:
+        # The pending epoch only ever stands for the own component, which
+        # the race checks ignore.
+        return self.o_threads[thread].times
 
     def _clock(self, thread: int) -> List[int]:
         return self.o_threads[thread].snapshot()

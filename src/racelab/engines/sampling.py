@@ -21,6 +21,9 @@ class SamplingEngine(Engine):
         self.c_threads = [bottom(num_threads) for _ in range(num_threads)]
         self.c_locks = [bottom(num_threads) for _ in range(num_locks)]
 
+    def _row(self, thread):
+        return self.c_threads[thread]
+
     def _clock(self, thread):
         return list(self.c_threads[thread])
 

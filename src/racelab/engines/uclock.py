@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from ..clocks import bottom, join_into
+from ..clocks import bottom
 from .base import Engine, check_monotone
 
 
@@ -27,6 +27,9 @@ class UclockEngine(Engine):
         self.u_locks = [bottom(num_threads) for _ in range(num_locks)]
         self.last_releaser: List[Optional[int]] = [None] * num_locks
 
+    def _row(self, thread):
+        return self.c_threads[thread]
+
     def _clock(self, thread):
         return list(self.c_threads[thread])
 
@@ -39,13 +42,22 @@ class UclockEngine(Engine):
         if ul[lr] <= ut[lr]:
             self.metrics.acquires_skipped += 1
             return
-        join_into(ut, ul)
         ct, cl = self.c_threads[t], self.c_locks[lock]
-        old = list(ct) if self.debug else None
-        for tstar in range(self.num_threads):
-            if cl[tstar] > ct[tstar]:
-                ct[tstar] = cl[tstar]
-                ut[t] += 1
+        if self.debug:
+            old = list(ct)
+            # No lock knows t's freshness better than t does, so the join
+            # below never moves ut[t]: only this acquire's changes bump it.
+            assert ul[t] <= ut[t], f"thread {t}: lock records freshness {ul[t]} > {ut[t]}"
+        changes = 0  # one pass joins both clock pairs
+        for s in range(self.num_threads):
+            u = ul[s]
+            if u > ut[s]:
+                ut[s] = u
+            c = cl[s]
+            if c > ct[s]:
+                ct[s] = c
+                changes += 1
+        ut[t] += changes
         self.metrics.full_traversals += 2
         if self.debug:
             check_monotone(old, ct, "thread")

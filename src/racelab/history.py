@@ -1,30 +1,46 @@
 """Per-variable access histories and race checks shared by all engines.
 
-Histories keep last-access summaries in the Djit+ style: ``cw`` is the full
-timestamp of the last recorded write (its own component replaced by the
-writer's epoch), ``cr`` holds the per-thread epochs of last recorded reads.
+Histories keep last-access summaries.  The last recorded write is a
+FastTrack epoch (Flanagan & Freund, PLDI 2009): the writer ``w_thread`` and
+its epoch ``w_epoch`` at the write.  ``cr`` holds the per-thread epochs of
+last recorded reads, one component per thread.
 
-Race checks compare a history against the *effective* timestamp of the
+Race checks compare a summary against the *effective* timestamp of the
 current access: the thread's clock with its own component replaced by the
 current epoch.  A thread's clock lags its epoch between a sampled access and
 the next release, so comparing against the raw clock would misreport
 same-thread histories as racy; happens-before races are defined only across
 threads, and the effective value makes own-component comparisons vacuously
-satisfied.
+satisfied.  So a check needs only the thread's live clock row for the other
+threads' components, and excludes its own.
+
+The write epoch loses nothing against the write's full timestamp.  Take a
+recorded write W by thread u in epoch e, and a later access E by thread
+t != u.  In every engine and both modes, the value e first enters any
+clock at the sample-consuming release that ends u's epoch e, and that
+release comes after W in u's program order.  The clock it publishes has u's
+component e and, on every other component, at least W's effective
+timestamp, because clocks only grow.  Thread t's component for u reaches e
+only through a chain of acquires starting at that release or a later one of
+u, and each acquire joins the whole published clock.  So
+``eff_W <= eff_E`` holds iff ``e <= eff_E[u]``, and E races W iff
+``w_epoch > row[w_thread]``.  For t == u the two are program-ordered and
+never race.  A read check is therefore O(1), and a write check is one scan
+of ``cr`` against the row, with ``cr[t]`` zeroed for the scan.
 
 Two modes:
 
 * ``sampled-only``: only marked accesses are checked and only marked accesses
-  update the summaries.
+  update the summaries.  The histories keep no watermarks.
 * ``extended``: additionally, the first unmarked access of each thread after
   a history gained a new marked event runs the same checks (generation
   counters ``gen_r``/``gen_w`` against per-thread ``seen_r``/``seen_w``
-  watermarks).  Unmarked events never update ``cr``/``cw``.  The total number
-  of checked events is bounded by |S| + 2|S|T.
+  watermarks).  Unmarked events never update the summaries.  The total
+  number of checked events is bounded by |S| + 2|S|T.
 
 ``AccessHistories.will_check`` is the one predicate for "this access is
-checked".  Engines ask it once per access, before they build the effective
-timestamp, and call ``check_and_update`` only when it holds.
+checked"; a marked access always is.  Engines call ``check_and_update``
+only when it holds, and neither builds a timestamp.
 """
 
 from __future__ import annotations
@@ -57,56 +73,23 @@ class RaceReport(NamedTuple):
 
 
 class VarHistory:
-    """Read/write summary clocks for one variable.
+    """The summaries of one variable: the write epoch, the read epochs and,
+    in extended mode only, the watermarks.
 
-    ``check_read``/``check_write`` run the race check unconditionally; whether
-    an access is checked at all is ``AccessHistories.will_check``.
+    ``w_epoch`` 0 means no recorded write: epochs start at 1, so it never
+    exceeds a clock component.
     """
 
-    __slots__ = ("var", "cw", "cr", "gen_r", "gen_w", "seen_r", "seen_w")
+    __slots__ = ("w_thread", "w_epoch", "cr", "gen_r", "gen_w", "seen_r", "seen_w")
 
-    def __init__(self, var: int, width: int):
-        self.var = var
-        self.cw: List[int] = [0] * width
+    def __init__(self, width: int, extended: bool):
+        self.w_thread = 0
+        self.w_epoch = 0
         self.cr: List[int] = [0] * width
         self.gen_r = 0
         self.gen_w = 0
-        self.seen_r = [0] * width
-        self.seen_w = [0] * width
-
-    def _not_leq(self, summary: Sequence[int], eff: Sequence[int]) -> bool:
-        return any(map(gt, summary, eff))
-
-    def check_read(
-        self, event_index: int, thread: int, eff: Sequence[int], epoch: int, marked: bool
-    ) -> List[RaceReport]:
-        """Race check for a read, plus the summary update if marked; 0 or 1 report."""
-        reports: List[RaceReport] = []
-        if self._not_leq(self.cw, eff):
-            reports.append(RaceReport(event_index, self.var, WRITE_READ))
-        if marked:
-            self.cr[thread] = epoch
-            self.gen_r += 1
-        self.seen_r[thread] = self.gen_w
-        return reports
-
-    def check_write(
-        self, event_index: int, thread: int, eff: List[int], epoch: int, marked: bool
-    ) -> List[RaceReport]:
-        """Race check for a write, plus the summary update if marked; 0..2 reports.
-
-        A marked write keeps ``eff`` itself as ``cw``.
-        """
-        reports: List[RaceReport] = []
-        if self._not_leq(self.cr, eff):
-            reports.append(RaceReport(event_index, self.var, READ_WRITE))
-        if self._not_leq(self.cw, eff):
-            reports.append(RaceReport(event_index, self.var, WRITE_WRITE))
-        if marked:
-            self.cw = eff
-            self.gen_w += 1
-        self.seen_w[thread] = max(self.gen_r, self.gen_w)
-        return reports
+        self.seen_r: Optional[List[int]] = [0] * width if extended else None
+        self.seen_w: Optional[List[int]] = [0] * width if extended else None
 
 
 class AccessHistories:
@@ -119,7 +102,7 @@ class AccessHistories:
             raise ValueError(f"unknown history mode {mode!r}")
         self.mode = mode
         self.extended = mode == EXTENDED
-        self.histories = [VarHistory(x, width) for x in range(num_vars)]
+        self.histories = [VarHistory(width, self.extended) for _ in range(num_vars)]
         self.race_checks = 0
 
     def will_check(self, thread: int, var: int, is_write: bool, marked: bool) -> bool:
@@ -127,7 +110,7 @@ class AccessHistories:
         mode, it is the thread's first access to ``var`` since the history
         gained a marked event it could race with (the watermark test).
 
-        O(1), and it needs no timestamp, so engines call it before building one.
+        O(1), and it needs no timestamp.
         """
         if marked:
             return True
@@ -145,28 +128,60 @@ class AccessHistories:
         thread: int,
         var: int,
         is_write: bool,
-        eff: List[int],
+        row: Sequence[int],
         epoch: int,
         marked: bool,
     ) -> List[RaceReport]:
         """Check and record one access that ``will_check`` said is checked.
 
         Callers ask ``will_check`` first; this method counts the check in
-        ``race_checks`` and runs it unconditionally.  The caller hands over
-        ``eff``: a marked write keeps it as the write summary, uncopied, so
-        the caller must not reuse or mutate it.
+        ``race_checks`` and runs it unconditionally.  ``row`` is the thread's
+        live clock, read but never kept or mutated; its own component is
+        ignored, ``epoch`` stands for it.  A read check is O(1) and a write
+        check one scan of ``cr``; a marked access records ``epoch``.
+        Returns 0..2 reports.
         """
         self.race_checks += 1
         h = self.histories[var]
-        if is_write:
-            return h.check_write(event_index, thread, eff, epoch, marked)
-        return h.check_read(event_index, thread, eff, epoch, marked)
+        w_thread = h.w_thread
+        write_races = w_thread != thread and h.w_epoch > row[w_thread]
+        if not is_write:
+            if marked:
+                h.cr[thread] = epoch
+                h.gen_r += 1
+            if self.extended:
+                h.seen_r[thread] = h.gen_w
+            return [RaceReport(event_index, var, WRITE_READ)] if write_races else []
+        cr = h.cr
+        own = cr[thread]
+        cr[thread] = 0  # the thread's own reads are program-ordered before it
+        read_races = any(map(gt, cr, row))
+        cr[thread] = own
+        if marked:
+            h.w_thread = thread
+            h.w_epoch = epoch
+            h.gen_w += 1
+        if self.extended:
+            gen_r, gen_w = h.gen_r, h.gen_w
+            h.seen_w[thread] = gen_r if gen_r > gen_w else gen_w
+        reports: List[RaceReport] = []
+        if read_races:
+            reports.append(RaceReport(event_index, var, READ_WRITE))
+        if write_races:
+            reports.append(RaceReport(event_index, var, WRITE_WRITE))
+        return reports
 
 
 def render_reports(reports, var_names=None) -> str:
-    """One line per race, sorted by event index then kind."""
-    lines = []
-    for r in sorted(set(reports)):
-        name = var_names[r.variable] if var_names is not None else None
-        lines.append(r.render(name))
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One line per distinct race, sorted by event index, variable, then kind.
+
+    The engines emit reports in event order, so ``dict.fromkeys`` keeps that
+    order and the sort is linear.  Byte-identical to joining
+    ``RaceReport.render`` lines.
+    """
+    unique = sorted(dict.fromkeys(reports))
+    if var_names is None:
+        lines = [f"RACE {kind} at e{index} on x{var}\n" for index, var, kind in unique]
+    else:
+        lines = [f"RACE {kind} at e{index} on {var_names[var]}\n" for index, var, kind in unique]
+    return "".join(lines)

@@ -19,7 +19,7 @@ list is a contract violation and raises.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 
 class SharedMutationError(RuntimeError):
@@ -105,6 +105,15 @@ class OrderedList:
         while tid != -1:
             yield (tid, self._time[tid])
             tid = self._next[tid]
+
+    @property
+    def times(self) -> Sequence[int]:
+        """The live dense clock, not copied: component t = get(t).
+
+        Read-only for callers; it changes with the list, so read it at once.
+        Uncounted in ``op_steps``, like ``snapshot``.
+        """
+        return self._time
 
     def snapshot(self) -> List[int]:
         """Dense clock view: component t = get(t)."""

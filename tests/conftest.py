@@ -117,3 +117,68 @@ def valid_traces(draw):
         events.append(Event(index, tid, OpKind(op), target, marked))
     text = "\n".join(tokens) + ("\n" if tokens else "")
     return text, tuple(events)
+
+
+
+@st.composite
+def critical_section_traces(draw):
+    """Traces shaped like ``racelab gen`` output, as trace text.
+
+    Each step lets one thread run a whole critical section (acquire, up to
+    two accesses, release), open a section it keeps holding while others
+    run (nesting up to two deep), close its innermost one, or access outside
+    any lock.  Every open section is closed at the end.  Acquires pick among
+    the free locks by recency of release, so index 0, the one Hypothesis
+    shrinks to, takes the lock released last: a hand-off whenever another
+    thread released it.  Accesses hit a few shared variables and carry
+    random marks.  The sizes are drawn large enough that lock views are
+    dropped and re-published between a thread's samples.
+    """
+    num_threads = draw(st.integers(3, 5))
+    num_locks = draw(st.integers(3, 6))
+    num_vars = draw(st.integers(1, 3))
+    held = [[] for _ in range(num_threads)]  # per-thread lock stack
+    free = list(range(num_locks))  # most recently released first
+    lines = []
+
+    def acquire(thread):
+        lock = free.pop(draw(st.integers(0, len(free) - 1)))
+        held[thread].append(lock)
+        lines.append(f"T{thread}|acq(l{lock})")
+
+    def release(thread):
+        lock = held[thread].pop()
+        free.insert(0, lock)
+        lines.append(f"T{thread}|rel(l{lock})")
+
+    def access(thread):
+        op = draw(st.sampled_from("rw"))
+        var = draw(st.integers(0, num_vars - 1))
+        mark = "|*" if draw(st.booleans()) else ""
+        lines.append(f"T{thread}|{op}(x{var}){mark}")
+
+    for _ in range(draw(st.integers(30, 60))):
+        thread = draw(st.integers(0, num_threads - 1))
+        steps = ["access"]
+        if free:
+            steps += ["section"] * 3
+            if len(held[thread]) < 2:
+                steps += ["open"] * 2
+        if held[thread]:
+            steps.append("close")
+        step = draw(st.sampled_from(steps))
+        if step == "section":
+            acquire(thread)
+            for _ in range(draw(st.integers(0, 2))):
+                access(thread)
+            release(thread)
+        elif step == "open":
+            acquire(thread)
+        elif step == "close":
+            release(thread)
+        else:
+            access(thread)
+    for thread in range(num_threads):
+        while held[thread]:
+            release(thread)
+    return "\n".join(lines) + "\n"

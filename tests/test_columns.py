@@ -144,6 +144,8 @@ def _snapshot_calls(monkeypatch):
 
 @pytest.mark.parametrize("mode", [SAMPLED_ONLY, EXTENDED])
 def test_only_checked_accesses_build_a_timestamp(monkeypatch, mode):
+    # Not even checked ones: a check reads the thread's live clock row, so a
+    # run without a snapshot hook copies no clock at all.
     tr = generate_trace(GenConfig(threads=6, locks=3, vars=8, events=3000), 2)
     marked = apply_sampling(tr, SamplingPolicy.bernoulli(0.01, 5))
     calls = _snapshot_calls(monkeypatch)
@@ -151,7 +153,7 @@ def test_only_checked_accesses_build_a_timestamp(monkeypatch, mode):
     engine.run(marked)
     checks = engine.histories.race_checks
     assert 0 < checks < marked.sample_size + 2 * marked.sample_size * marked.num_threads
-    assert len(calls) == checks
+    assert len(calls) == 0
     if mode == SAMPLED_ONLY:
         assert checks == marked.sample_size
 

@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings
 
-from conftest import valid_traces
+from conftest import critical_section_traces, valid_traces
 from racelab.differential import diff_report
 from racelab.history import EXTENDED, SAMPLED_ONLY
 from racelab.trace import parse_trace
@@ -16,6 +16,22 @@ from racelab.trace import parse_trace
 @given(valid_traces())
 def test_every_configuration_matches_the_oracle_on_fuzzed_traces(case):
     tr = parse_trace(case[0])
+    for mode in (SAMPLED_ONLY, EXTENDED):
+        report = diff_report(tr, mode)
+        assert report["verdict"] == "EQUIVALENT", (mode, report)
+
+
+# Generator-shaped traces: nested critical sections, hand-offs between
+# threads and random marks, so lock views, freshness skips and pending epochs
+# interact the way they do on ``racelab gen`` traces.  A wrong write-epoch
+# compare or a read check that counts the thread's own reads fails within a
+# handful of examples.  The unshare-fold bug (UNSHARE_FOLD_TEXT) needs a
+# longer hand-off chain: in five seeded runs this strategy took 223 to 1243 examples to find it,
+# so the golden trace still guards it.
+@settings(max_examples=200, deadline=None)
+@given(critical_section_traces())
+def test_every_configuration_matches_the_oracle_on_critical_section_traces(text):
+    tr = parse_trace(text)
     for mode in (SAMPLED_ONLY, EXTENDED):
         report = diff_report(tr, mode)
         assert report["verdict"] == "EQUIVALENT", (mode, report)

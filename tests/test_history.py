@@ -1,5 +1,8 @@
 """Race checks against the brute-force oracle and by hand."""
 
+import random
+import tracemalloc
+
 from conftest import random_traces
 from racelab import oracle
 from racelab.engines import create_engine
@@ -9,6 +12,7 @@ from racelab.history import (
     SAMPLED_ONLY,
     WRITE_READ,
     WRITE_WRITE,
+    AccessHistories,
     RaceReport,
     render_reports,
 )
@@ -163,6 +167,43 @@ def test_rendered_race_list_is_pinned_on_a_generated_trace():
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "2d1bdfcd769f09e2801f1798eab0ec17556ed6704923bfa35382b7c0d6210f9e"
     )
+
+
+def test_render_reports_matches_per_report_render_on_shuffled_duplicates():
+    rng = random.Random(5)
+    kinds = (WRITE_WRITE, WRITE_READ, READ_WRITE)
+    reports = [
+        RaceReport(rng.randint(1, 60), rng.randint(0, 3), rng.choice(kinds)) for _ in range(200)
+    ]
+    reports += reports[:70]
+    rng.shuffle(reports)
+    names = ("a", "bb", "x0", "x1")
+    unique = sorted(set(reports))
+    assert len(unique) < len(reports)
+    for var_names in (None, names):
+        want = "".join(
+            r.render(None if var_names is None else var_names[r.variable]) + "\n" for r in unique
+        )
+        assert render_reports(reports, var_names) == want
+        assert render_reports(iter(reports), var_names) == want
+
+
+def test_histories_allocate_one_list_per_variable_in_sampled_only_mode():
+    # The write summary is an epoch, so a history holds the read epochs
+    # alone, plus the two watermark lists in extended mode: 8 bytes a slot
+    # each, plus per-variable overhead.
+    num_vars, width = 1024, 256
+    limits = {SAMPLED_ONLY: 10, EXTENDED: 28}  # bytes per variable and thread
+    for mode, per_slot in limits.items():
+        tracemalloc.start()
+        try:
+            base, _ = tracemalloc.get_traced_memory()
+            histories = AccessHistories(num_vars, width, mode)
+            used, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(histories.histories) == num_vars
+        assert used - base <= per_slot * width * num_vars, (mode, used - base)
 
 
 def test_race_report_is_a_plain_tuple():
