@@ -1,7 +1,7 @@
 """racelab: offline laboratory for sampling-based happens-before race detection."""
 
 from .history import EXTENDED, SAMPLED_ONLY, RaceReport
-from .olist import OrderedList, SharedList
+from .olist import OrderedList
 from .trace import (
     Event,
     GenConfig,
@@ -16,7 +16,6 @@ from .trace import (
 
 __all__ = [
     "OrderedList",
-    "SharedList",
     "RaceReport",
     "SAMPLED_ONLY",
     "EXTENDED",

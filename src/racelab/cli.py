@@ -51,8 +51,9 @@ def _policy(args) -> SamplingPolicy:
     return SamplingPolicy.bernoulli(args.rate, args.seed)
 
 
-def cmd_gen(args) -> int:
-    cfg = GenConfig(
+def _gen_config(args) -> GenConfig:
+    """The generator settings of ``gen`` and ``bench`` (see ``_add_gen_flags``)."""
+    return GenConfig(
         threads=args.threads,
         locks=args.locks,
         vars=args.vars,
@@ -61,7 +62,10 @@ def cmd_gen(args) -> int:
         contention=args.contention,
         accesses_per_cs=args.accesses_per_cs,
     )
-    tr = generate_trace(cfg, args.seed)
+
+
+def cmd_gen(args) -> int:
+    tr = generate_trace(_gen_config(args), args.seed)
     if args.out is None or args.out == "-":
         sys.stdout.write(serialize_trace(tr))
     else:
@@ -105,15 +109,7 @@ def cmd_bench(args) -> int:
         for path in args.trace:
             traces.append((path, load_trace(path)))
     else:
-        cfg = GenConfig(
-            threads=args.threads,
-            locks=args.locks,
-            vars=args.vars,
-            events=args.events,
-            p_sync=args.p_sync,
-            contention=args.contention,
-            accesses_per_cs=args.accesses_per_cs,
-        )
+        cfg = _gen_config(args)
         for i in range(args.gen_count):
             traces.append((f"gen-{i}", generate_trace(cfg, args.seed + i)))
     rates = [float(r) for r in args.rates.split(",")] if args.rates else list(DEFAULT_RATES)

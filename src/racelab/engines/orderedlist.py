@@ -1,29 +1,33 @@
 """Ordered-list engine: lazy copies plus scalar lock freshness.
 
-Thread timestamps live in move-to-front ordered lists.  A release publishes a
-shallow (shared, read-only) view to the lock together with the releaser id
-and a freshness scalar; an acquire that learns anything new traverses only a
-prefix of the lock's list, as long as the freshness gap, and deep-copies its
-own list at most once per mutation batch.
+Thread timestamps live in move-to-front ordered lists.  A release publishes
+the thread's list itself to the lock as a shared, read-only view, together
+with the releaser id and a freshness scalar; an acquire that learns anything
+new traverses only a prefix of the lock's list, as long as the freshness gap,
+and deep-copies its own list at most once per mutation batch.  Before any
+release a lock holds a view of one bottom list, and its releaser and
+freshness are 0, which the freshness guard always skips.
 
 With the local-epoch option (default on) a release does not fold the new
-local time into the list at all: the value is kept aside as a pending epoch,
-published through a per-lock (releaser, epoch) scalar that acquirers merge as
-one extra candidate, and folded into the list at the next deep copy or
-in-place unshare.  This saves the deep copies that folding into a freshly
-shared list would force.
+local time into the list at all: the value is kept aside as a pending epoch
+(0 when there is none, since epochs start at 1), published as the lock's
+epoch, the releaser's own component, which acquirers merge as one extra
+candidate, and folded into the list at the next deep copy or in-place
+unshare.  This saves the deep copies that folding into a freshly shared list
+would force.
 
 A thread's list stays shared after a release until it must change.  Then, if
-every lock view of it has since been released (its reference count is back to
+every lock view of it has since been dropped (its reference count is back to
 one), the thread unshares it and mutates it in place; otherwise it
-deep-copies.
+deep-copies.  Re-publishing a list to the lock that already holds it drops
+and adds one reference and allocates nothing.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
-from ..olist import OrderedList, SharedList
+from ..olist import OrderedList
 from .base import Engine
 
 
@@ -35,11 +39,12 @@ class OrderedListEngine(Engine):
         self.local_epoch_opt = local_epoch_opt
         self.o_threads = [OrderedList(num_threads) for _ in range(num_threads)]
         self.u_threads = [[0] * num_threads for _ in range(num_threads)]
-        self.pending_local: List[Optional[int]] = [None] * num_threads
-        self.lock_views: List[Optional[SharedList]] = [None] * num_locks
-        self.last_releaser: List[Optional[int]] = [None] * num_locks
-        self.lock_freshness: List[Optional[int]] = [None] * num_locks
-        self.lock_epoch: List[Optional[Tuple[int, int]]] = [None] * num_locks
+        self.pending_local = [0] * num_threads
+        bottom = OrderedList(num_threads)
+        self.lock_views = [bottom.shallow_copy() for _ in range(num_locks)]
+        self.last_releaser = [0] * num_locks
+        self.lock_freshness = [0] * num_locks
+        self.lock_epoch = [0] * num_locks
         self.deep_copies_per_thread = [0] * num_threads
 
     # -- views -------------------------------------------------------------
@@ -47,7 +52,7 @@ class OrderedListEngine(Engine):
     def clock_snapshot(self, thread: int) -> List[int]:
         """The thread's conceptual sampling clock (pending epoch folded in)."""
         snap = self.o_threads[thread].snapshot()
-        if self.pending_local[thread] is not None:
+        if self.pending_local[thread]:
             snap[thread] = self.pending_local[thread]
         return snap
 
@@ -61,14 +66,14 @@ class OrderedListEngine(Engine):
 
     def _get_merged(self, thread: int, tstar: int) -> int:
         """Component view used by merge guards; consults the pending epoch."""
-        if tstar == thread and self.pending_local[thread] is not None:
+        if tstar == thread and self.pending_local[thread]:
             return self.pending_local[thread]
         return self.o_threads[thread].get(tstar)
 
     def _ensure_exclusive(self, thread: int) -> None:
         lst = self.o_threads[thread]
         if self.debug:
-            views = sum(1 for v in self.lock_views if v is not None and v.target is lst)
+            views = sum(1 for v in self.lock_views if v is lst)
             assert lst.refs == 1 + views, f"thread {thread}: refs {lst.refs}, {views} views"
         if not lst.shared:
             return
@@ -80,12 +85,12 @@ class OrderedListEngine(Engine):
             self.metrics.full_traversals += 1
             self.deep_copies_per_thread[thread] += 1
         pending = self.pending_local[thread]
-        if pending is not None:
+        if pending:
             # Fold point for the disentangled epoch, on both the copy and the
             # in-place path; the freshness bump for this change was already
             # counted at the release that recorded it.
             lst.set(thread, pending)
-            self.pending_local[thread] = None
+            self.pending_local[thread] = 0
 
     # -- handlers ------------------------------------------------------------
 
@@ -93,7 +98,7 @@ class OrderedListEngine(Engine):
         lr = self.last_releaser[lock]
         freshness = self.lock_freshness[lock]
         ut = self.u_threads[t]
-        if freshness is None or freshness <= ut[lr]:
+        if freshness <= ut[lr]:
             self.metrics.acquires_skipped += 1
             return
         view = self.lock_views[lock]
@@ -101,7 +106,7 @@ class OrderedListEngine(Engine):
             # Self hand-offs always fail the guard, so the merged view is
             # never the thread's own list.
             assert lr != t, "self-handoff passed the freshness guard"
-            assert view is not None and view.target is not self.o_threads[t]
+            assert view is not self.o_threads[t]
         d = freshness - ut[lr]
         ut[lr] = freshness
         # Filtering against the list alone drops no entry the merge needs:
@@ -111,11 +116,11 @@ class OrderedListEngine(Engine):
                 self._ensure_exclusive(t)
                 self.o_threads[t].set(tstar, n)
                 ut[t] += 1
-        if self.local_epoch_opt and self.lock_epoch[lock] is not None:
-            rel_thread, rel_value = self.lock_epoch[lock]
-            if rel_value > self._get_merged(t, rel_thread):
+        if self.local_epoch_opt:
+            epoch = self.lock_epoch[lock]
+            if epoch > self._get_merged(t, lr):
                 self._ensure_exclusive(t)
-                self.o_threads[t].set(rel_thread, rel_value)
+                self.o_threads[t].set(lr, epoch)
                 ut[t] += 1
         visited = min(d, self.num_threads)
         self.metrics.nodes_visited += visited
@@ -130,14 +135,10 @@ class OrderedListEngine(Engine):
         self.u_threads[t][t] += 1
 
     def _publish(self, t, lock):
-        old_view = self.lock_views[lock]
-        if old_view is not None:
-            old_view.release()
+        self.lock_views[lock].refs -= 1
         self.lock_views[lock] = self.o_threads[t].shallow_copy()
         self.metrics.shallow_copies += 1
         self.last_releaser[lock] = t
         self.lock_freshness[lock] = self.u_threads[t][t]
         if self.local_epoch_opt:
-            pending = self.pending_local[t]
-            own = pending if pending is not None else self.o_threads[t].get(t)
-            self.lock_epoch[lock] = (t, own)
+            self.lock_epoch[lock] = self.pending_local[t] or self.o_threads[t].get(t)

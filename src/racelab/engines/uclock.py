@@ -1,43 +1,33 @@
 """Freshness-timestamp engine: skips redundant acquire joins and release copies.
 
-Each thread keeps, next to its sampling clock, a freshness clock whose own
-component counts exactly the number of component changes applied to the
-sampling clock so far; locks carry both clocks plus the id of the last
-releasing thread.  An acquire is skipped when the lock's freshness for the
-last releaser does not exceed the acquirer's; a release skips the copy when
-the thread's own freshness equals the lock's record of it.
+The sampling engine's clocks plus freshness clocks.  Each thread keeps, next
+to its sampling clock, a freshness clock whose own component counts exactly
+the number of component changes applied to the sampling clock so far; locks
+carry both clocks plus the id of the last releasing thread.  An acquire is
+skipped when the lock's freshness for the last releaser does not exceed the
+acquirer's; a release skips the copy when the thread's own freshness equals
+the lock's record of it.  A never-released lock has releaser 0 and an
+all-zero freshness clock, so the same guard skips its acquires.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from ..clocks import bottom
-from .base import Engine, check_monotone
+from .base import check_monotone
+from .sampling import SamplingEngine
 
 
-class UclockEngine(Engine):
+class UclockEngine(SamplingEngine):
     name = "uclock"
 
     def __init__(self, num_threads, num_locks, num_vars, **kwargs):
         super().__init__(num_threads, num_locks, num_vars, **kwargs)
-        self.c_threads = [bottom(num_threads) for _ in range(num_threads)]
         self.u_threads = [bottom(num_threads) for _ in range(num_threads)]
-        self.c_locks = [bottom(num_threads) for _ in range(num_locks)]
         self.u_locks = [bottom(num_threads) for _ in range(num_locks)]
-        self.last_releaser: List[Optional[int]] = [None] * num_locks
-
-    def _row(self, thread):
-        return self.c_threads[thread]
-
-    def _clock(self, thread):
-        return list(self.c_threads[thread])
+        self.last_releaser = [0] * num_locks
 
     def _acquire(self, index, t, lock, marked):
         lr = self.last_releaser[lock]
-        if lr is None:
-            self.metrics.acquires_skipped += 1
-            return
         ut, ul = self.u_threads[t], self.u_locks[lock]
         if ul[lr] <= ut[lr]:
             self.metrics.acquires_skipped += 1
@@ -63,7 +53,7 @@ class UclockEngine(Engine):
             check_monotone(old, ct, "thread")
 
     def _fold(self, t):
-        self.c_threads[t][t] = self.epochs[t]
+        super()._fold(t)
         self.u_threads[t][t] += 1
 
     def _publish(self, t, lock):

@@ -10,11 +10,13 @@ The list is array-backed: ``_time[t]`` is thread t's component, and
 -1 as the null link and ``_head`` the first thread id.  A deep copy is three
 list slices and a snapshot is one.
 
-Sharing is single-writer copy-on-write.  ``shallow_copy`` publishes a
-read-only view (as a lock's timestamp) and flags the list shared.  The flag
-stays set until the last view is released and the owner calls ``unshare``,
-or until ``deep_copy`` materializes an exclusive copy.  Mutating a shared
-list is a contract violation and raises.
+Sharing is single-writer copy-on-write.  A published view (a lock's
+timestamp) is the list itself: ``shallow_copy`` flags the list shared, adds
+one to ``refs`` and returns it, and dropping a view is ``refs -= 1``.  ``refs``
+counts the owner plus every live view.  The shared flag stays set until the
+last view is dropped and the owner calls ``unshare``, or until ``deep_copy``
+materializes an exclusive copy.  Mutating a shared list is a contract
+violation and raises.
 """
 
 from __future__ import annotations
@@ -119,14 +121,14 @@ class OrderedList:
         """Dense clock view: component t = get(t)."""
         return self._time[:]
 
-    def shallow_copy(self) -> "SharedList":
-        """Publish a read-only view over the same arrays; marks the list shared."""
+    def shallow_copy(self) -> "OrderedList":
+        """Publish a read-only view: the list itself, marked shared, one more ref."""
         self.shared = True
         self.refs += 1
-        return SharedList(self)
+        return self
 
     def unshare(self) -> bool:
-        """Make the list mutable again in place; fails while a view still targets it."""
+        """Make the list mutable again in place; fails while a view is still live."""
         if self.refs != 1:
             return False
         self.shared = False
@@ -154,32 +156,3 @@ class OrderedList:
     def __repr__(self) -> str:
         return f"OrderedList<{self.render()}>"
 
-
-class SharedList:
-    """A read-only handle onto an OrderedList published at a release."""
-
-    __slots__ = ("_list",)
-
-    def __init__(self, lst: OrderedList):
-        self._list = lst
-
-    @property
-    def target(self) -> OrderedList:
-        return self._list
-
-    def get(self, tid: int) -> int:
-        return self._list.get(tid)
-
-    def prefix(self, k: int) -> List[Tuple[int, int]]:
-        return self._list.prefix(k)
-
-    def newer_in_prefix(self, k: int, other: OrderedList) -> List[Tuple[int, int]]:
-        return self._list.newer_in_prefix(k, other)
-
-    def snapshot(self) -> List[int]:
-        return self._list.snapshot()
-
-    def release(self) -> None:
-        """Drop this view.  Only the reference count changes: the list stays
-        shared until its owner calls ``unshare`` (or deep-copies it)."""
-        self._list.refs -= 1

@@ -60,6 +60,25 @@ def test_release_without_sample_on_shared_list_is_free():
     assert e.metrics.acquires_skipped == 2  # self hand-off always skips
 
 
+def test_republishing_an_unchanged_list_needs_no_copy():
+    # The lock's view is the thread's list itself: the second release drops
+    # the lock's reference to the list and takes it again.
+    tr = parse_trace("T1|w(x)|*\nT1|acq(l)\nT1|rel(l)\nT1|acq(l)\nT1|rel(l)")
+    for opt in (True, False):
+        e = create_engine("orderedlist", tr, local_epoch_opt=opt, debug=True)
+        releases = 0
+        for ev in tr.events:
+            e.process(ev)
+            if ev.kind is OpKind.RELEASE:
+                releases += 1
+                t, lock = ev.thread, ev.target
+                assert e.lock_views[lock] is e.o_threads[t]
+                assert e.o_threads[t].refs == 2
+                assert e.metrics.shallow_copies == releases
+                assert e.metrics.deep_copies == 0
+        assert releases == 2
+
+
 def test_handoff_trace_skips_and_lazy_copies():
     tr = handoff_trace(100)
     for opt in (True, False):
@@ -161,7 +180,7 @@ def test_refcount_invariant_holds_under_debug():
                 e = create_engine("orderedlist", marked, mode=mode, local_epoch_opt=opt, debug=True)
                 e.run(marked)
                 for lst in e.o_threads:
-                    views = sum(v is not None and v.target is lst for v in e.lock_views)
+                    views = sum(v is lst for v in e.lock_views)
                     assert lst.refs == 1 + views
 
 

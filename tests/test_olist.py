@@ -67,13 +67,14 @@ def test_deep_copy_isolation_and_structure():
 def test_shared_view_blocks_mutation():
     o = OrderedList(3)
     view = o.shallow_copy()
+    assert view is o and o.shared and o.refs == 2
     assert view.snapshot() == o.snapshot()
     with pytest.raises(SharedMutationError):
         o.set(0, 1)
     with pytest.raises(SharedMutationError):
         o.increment(1, 1)
     # the flag is sticky: dropping the view does not restore mutability
-    view.release()
+    view.refs -= 1
     with pytest.raises(SharedMutationError):
         o.set(0, 1)
     fresh = o.deep_copy()
@@ -85,9 +86,9 @@ def test_share_count_tracking():
     o = OrderedList(2)
     v1, v2 = o.shallow_copy(), o.shallow_copy()
     assert o.refs == 3
-    v1.release()
+    v1.refs -= 1
     assert o.refs == 2
-    assert v2.target is o
+    assert v2 is o
 
 
 def test_snapshot_ignores_order():
@@ -161,10 +162,10 @@ def test_unshare_waits_for_the_last_view():
     assert o.unshare()  # never shared: nothing to do
     v1, v2 = o.shallow_copy(), o.shallow_copy()
     assert not o.unshare()
-    v1.release()
+    v1.refs -= 1
     assert not o.unshare()
     assert o.shared
-    v2.release()
+    v2.refs -= 1
     assert o.unshare()
     assert not o.shared and o.refs == 1
     o.set(0, 4)  # mutable in place again
@@ -213,7 +214,7 @@ class OrderedListModel(RuleBasedStateMachine):
     @rule()
     def shallow_copy(self):
         view = self.lst.shallow_copy()
-        assert view.target is self.lst
+        assert view is self.lst
         self.views.append(view)
         self.shared = True
         self.refs[id(self.lst)] += 1
@@ -222,8 +223,8 @@ class OrderedListModel(RuleBasedStateMachine):
     @rule(pick=st.integers(0, 1_000))
     def release(self, pick):
         view = self.views.pop(pick % len(self.views))
-        view.release()
-        self.refs[id(view.target)] -= 1
+        view.refs -= 1
+        self.refs[id(view)] -= 1
 
     @rule()
     def unshare(self):
@@ -249,8 +250,7 @@ class OrderedListModel(RuleBasedStateMachine):
         for k in range(WIDTH + 2):
             assert o.prefix(k) == pairs[:k]
         assert o.shared == self.shared
-        for view in self.views + [None]:
-            target = o if view is None else view.target
+        for target in self.views + [o]:
             assert target.refs == self.refs[id(target)]
 
 
