@@ -18,7 +18,6 @@ import sys
 from typing import List, Optional
 
 from . import metrics as metrics_mod
-from . import oracle  # noqa: F401  re-exported: callers patch racelab.cli.oracle
 from .differential import diff_report
 from .engines import ENGINE_TOKENS, create_engine
 from .history import EXTENDED, SAMPLED_ONLY, render_reports

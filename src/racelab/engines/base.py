@@ -10,13 +10,13 @@ Every engine is the paper's sampling algorithm and differs only in how it
 timestamps.  ``Engine`` owns the per-thread epochs, the new-sample flags,
 the one access path and the release skeleton; a subclass supplies
 ``_acquire``, ``_row`` (the thread's live clock, read in place by the race
-checks), ``_clock`` (a fresh copy of the thread's clock, for the snapshot
-hook only), ``_fold`` (write the epoch into the clock at a sample-consuming
-release) and ``_publish`` (hand the clock to the lock at every release).  An
-access is handed to the histories only if ``AccessHistories.will_check``
-says it will be checked, so an unchecked access costs O(1); a checked one
-reads the live row and builds no timestamp.  With ``sample_all`` set
-(Djit+), every access is sampled and every release ends an epoch.
+checks and copied only for the snapshot hook), ``_fold`` (write the epoch
+into the clock at a sample-consuming release) and ``_publish`` (hand the
+clock to the lock at every release).  An access is handed to the histories
+only if ``AccessHistories.will_check`` says it will be checked, so an
+unchecked access costs O(1); a checked one reads the live row and builds no
+timestamp.  With ``sample_all`` set (Djit+), every access is sampled and
+every release ends an epoch.
 
 The optional ``on_event`` hook receives ``(index, effective_timestamp)`` at
 the event's timestamp point: after the acquire join or access handling, and
@@ -38,8 +38,8 @@ SnapshotHook = Callable[[int, List[int]], None]
 
 
 class Engine:
-    """Base class; subclasses implement ``_acquire``, ``_row``, ``_clock``,
-    ``_fold`` and ``_publish``."""
+    """Base class; subclasses implement ``_acquire``, ``_row``, ``_fold``
+    and ``_publish``."""
 
     name = "base"
     # Every access counts as marked and every release ends an epoch.
@@ -76,10 +76,6 @@ class Engine:
         """The thread's live clock, not copied; callers must not mutate or keep it."""
         raise NotImplementedError
 
-    def _clock(self, thread: int) -> List[int]:
-        """A fresh copy of the thread's clock."""
-        raise NotImplementedError
-
     def _fold(self, thread: int) -> None:
         """At a sample-consuming release: write the epoch into the clock."""
         raise NotImplementedError
@@ -91,7 +87,7 @@ class Engine:
     def _effective(self, thread: int) -> List[int]:
         """Thread clock with the own component replaced by the current epoch;
         a fresh list, built only for the snapshot hook."""
-        eff = self._clock(thread)
+        eff = list(self._row(thread))
         eff[thread] = self.epochs[thread]
         return eff
 

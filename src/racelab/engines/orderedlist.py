@@ -12,15 +12,15 @@ With the local-epoch option (default on) a release does not fold the new
 local time into the list at all: the value is kept aside as a pending epoch
 (0 when there is none, since epochs start at 1), published as the lock's
 epoch, the releaser's own component, which acquirers merge as one extra
-candidate, and folded into the list at the next deep copy or in-place
-unshare.  This saves the deep copies that folding into a freshly shared list
-would force.
+candidate, and folded into the list the next time the list must change, in
+place or in a deep copy.  This saves the deep copies that folding into a
+freshly shared list would force.
 
-A thread's list stays shared after a release until it must change.  Then, if
-every lock view of it has since been dropped (its reference count is back to
-one), the thread unshares it and mutates it in place; otherwise it
-deep-copies.  Re-publishing a list to the lock that already holds it drops
-and adds one reference and allocates nothing.
+A thread's list is shared after a release and stays shared while a lock
+still holds a view of it (its reference count is above one).  When the list
+must change, the thread mutates it in place if every view has since been
+dropped, and deep-copies it otherwise.  Re-publishing a list to the lock
+that already holds it drops and adds one reference and allocates nothing.
 """
 
 from __future__ import annotations
@@ -61,9 +61,6 @@ class OrderedListEngine(Engine):
         # the race checks ignore.
         return self.o_threads[thread].times
 
-    def _clock(self, thread: int) -> List[int]:
-        return self.o_threads[thread].snapshot()
-
     def _get_merged(self, thread: int, tstar: int) -> int:
         """Component view used by merge guards; consults the pending epoch."""
         if tstar == thread and self.pending_local[thread]:
@@ -75,9 +72,7 @@ class OrderedListEngine(Engine):
         if self.debug:
             views = sum(1 for v in self.lock_views if v is lst)
             assert lst.refs == 1 + views, f"thread {thread}: refs {lst.refs}, {views} views"
-        if not lst.shared:
-            return
-        if not lst.unshare():
+        if lst.refs > 1:
             fresh = lst.deep_copy()
             lst.refs -= 1
             self.o_threads[thread] = lst = fresh
@@ -88,7 +83,9 @@ class OrderedListEngine(Engine):
         if pending:
             # Fold point for the disentangled epoch, on both the copy and the
             # in-place path; the freshness bump for this change was already
-            # counted at the release that recorded it.
+            # counted at the release that recorded it.  Only ``_fold`` sets a
+            # pending epoch, right before ``_publish`` shares the list, so it
+            # waits here for the list's next change.
             lst.set(thread, pending)
             self.pending_local[thread] = 0
 

@@ -24,9 +24,6 @@ class SamplingEngine(Engine):
     def _row(self, thread):
         return self.c_threads[thread]
 
-    def _clock(self, thread):
-        return list(self.c_threads[thread])
-
     def _acquire(self, index, thread, lock, marked):
         ct = self.c_threads[thread]
         old = list(ct) if self.debug else None

@@ -11,12 +11,12 @@ The list is array-backed: ``_time[t]`` is thread t's component, and
 list slices and a snapshot is one.
 
 Sharing is single-writer copy-on-write.  A published view (a lock's
-timestamp) is the list itself: ``shallow_copy`` flags the list shared, adds
-one to ``refs`` and returns it, and dropping a view is ``refs -= 1``.  ``refs``
-counts the owner plus every live view.  The shared flag stays set until the
-last view is dropped and the owner calls ``unshare``, or until ``deep_copy``
-materializes an exclusive copy.  Mutating a shared list is a contract
-violation and raises.
+timestamp) is the list itself: ``shallow_copy`` adds one to ``refs`` and
+returns it, and dropping a view is ``refs -= 1``.  ``refs`` counts the owner
+plus every live view and is the only sharing state: the list is shared while
+``refs > 1``.  Mutating a shared list is a contract violation and raises;
+once the last view is dropped the owner mutates it in place again, and
+``deep_copy`` materializes an exclusive copy at any time.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ class OrderedList:
     tests can assert the bound; prefix traversal is charged to the caller.
     """
 
-    __slots__ = ("width", "_time", "_next", "_prev", "_head", "shared", "refs", "op_steps")
+    __slots__ = ("width", "_time", "_next", "_prev", "_head", "refs", "op_steps")
 
     def __init__(self, width: int):
         self.width = width
@@ -43,7 +43,6 @@ class OrderedList:
         self._next = list(range(1, width)) + [-1] if width else []
         self._prev = list(range(-1, width - 1))
         self._head = 0 if width else -1
-        self.shared = False
         self.refs = 1  # owning thread; shallow copies add views
         self.op_steps = 0
 
@@ -67,14 +66,14 @@ class OrderedList:
         self._head = tid
 
     def set(self, tid: int, time: int) -> None:
-        if self.shared:
+        if self.refs > 1:
             raise SharedMutationError("set() on a shared ordered list")
         self.op_steps += 1
         self._time[tid] = time
         self._move_to_head(tid)
 
     def increment(self, tid: int, k: int = 1) -> None:
-        if self.shared:
+        if self.refs > 1:
             raise SharedMutationError("increment() on a shared ordered list")
         self.op_steps += 1
         self._time[tid] += k
@@ -122,17 +121,9 @@ class OrderedList:
         return self._time[:]
 
     def shallow_copy(self) -> "OrderedList":
-        """Publish a read-only view: the list itself, marked shared, one more ref."""
-        self.shared = True
+        """Publish a read-only view: the list itself, one more ref."""
         self.refs += 1
         return self
-
-    def unshare(self) -> bool:
-        """Make the list mutable again in place; fails while a view is still live."""
-        if self.refs != 1:
-            return False
-        self.shared = False
-        return True
 
     def deep_copy(self) -> "OrderedList":
         """Structurally identical, exclusively owned copy (same values, same order)."""
@@ -142,7 +133,6 @@ class OrderedList:
         out._next = self._next[:]
         out._prev = self._prev[:]
         out._head = self._head
-        out.shared = False
         out.refs = 1
         out.op_steps = 0
         return out

@@ -14,6 +14,13 @@ are assigned by order of first appearance.  Every trace is validated against
 the locking discipline: a lock is held by at most one thread, is released only
 by its holder, and re-entrant acquires are rejected.
 
+There is one way into a trace: a line loop reads the text a line at a time
+(a file's bytes are decoded line by line), fills the columns, and hands them
+to ``_validate_columns``, the one check of ids, marks and lock discipline,
+which also guards ``Trace(events)`` and the generator.  A syntax error on any
+line therefore beats a discipline error, and ``load_trace`` never holds the
+whole file, its text or a list of its lines.
+
 In memory a trace is a set of columns, one entry per event: ``threads`` and
 ``targets`` are ``array('i')`` of dense ids, ``kinds`` is an ``array('b')``
 of the small-int kind codes ``ACQ``/``REL``/``READ``/``WRITE``, and
@@ -27,13 +34,14 @@ serializer and ``Engine.run`` never build it.
 
 from __future__ import annotations
 
+import io
 import random
 import re
 from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import count
-from typing import List, Optional, Sequence, Tuple
+from itertools import count, islice
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 
 class TraceError(ValueError):
@@ -226,26 +234,32 @@ def _validate_columns(
     num_locks: int,
     num_vars: int,
 ) -> None:
-    """Check id ranges, mark placement and the locking discipline."""
-    holder: List[Optional[int]] = [None] * num_locks
+    """Check id ranges, mark placement and the locking discipline, in event
+    order: the first offending event is reported.  The only discipline check
+    in the package; the parser calls it once the whole text has parsed."""
+    holder = [-1] * num_locks  # lock id -> holding thread id, -1 if free
     for pos, t, k, x, m in zip(count(1), threads, kinds, targets, marks):
         if not 0 <= t < num_threads:
             raise TraceError(f"event {pos}: thread id {t} out of range")
-        access = k >= READ
-        if not 0 <= x < (num_vars if access else num_locks):
+        if k >= READ:
+            if not 0 <= x < num_vars:
+                raise TraceError(f"event {pos}: target id {x} out of range")
+            continue
+        if not 0 <= x < num_locks:
             raise TraceError(f"event {pos}: target id {x} out of range")
-        if m and not access:
+        if m:
             raise TraceError(f"event {pos}: mark on non-access event")
+        h = holder[x]
         if k == ACQ:
-            if holder[x] is not None:
+            if h >= 0:
                 raise LockDisciplineError(pos, "acquire-of-held-lock")
             holder[x] = t
-        elif k == REL:
-            if holder[x] is None:
-                raise LockDisciplineError(pos, "release-of-free-lock")
-            if holder[x] != t:
-                raise LockDisciplineError(pos, "release-by-non-holder")
-            holder[x] = None
+        elif h == t:
+            holder[x] = -1
+        else:
+            raise LockDisciplineError(
+                pos, "release-of-free-lock" if h < 0 else "release-by-non-holder"
+            )
 
 
 _LINE_RE = re.compile(
@@ -253,114 +267,94 @@ _LINE_RE = re.compile(
 )
 
 
-class _DenseIds:
-    def __init__(self):
-        self.by_name = {}
-        self.names: List[str] = []
+def _parse_lines(lines, binary: bool) -> Trace:
+    """Fill the columns from ``lines`` (``bytes`` when ``binary``, else
+    ``str``), one line at a time, then validate them.
 
-    def get(self, name: str) -> int:
-        idx = self.by_name.get(name)
-        if idx is None:
-            idx = len(self.names)
-            self.by_name[name] = idx
-            self.names.append(name)
-        return idx
-
-
-def _decode(data: bytes) -> str:
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
-        raise TraceSyntaxError(line_no, f"invalid UTF-8: {exc.reason}") from None
-
-
-def parse_trace(data) -> Trace:
-    """Parse the text format into a validated Trace.
-
-    Accepts ``str`` or ``bytes``.  Dense ids are assigned by first appearance,
-    independently for threads, locks and variables.  One pass fills the
-    columns and checks the locking discipline; a discipline violation is
-    raised only once the whole text has parsed, so a syntax error anywhere
-    takes precedence, as for a parse followed by validation.
+    Dense ids are the insertion order of the name dicts.  The discipline
+    check runs only after the last line has parsed, so a syntax error on any
+    line takes precedence over it.
     """
-    if isinstance(data, (bytes, bytearray)):
-        data = _decode(data)
-    threads, locks, variables = _DenseIds(), _DenseIds(), _DenseIds()
-    thread_ids, lock_ids, var_ids = threads.by_name, locks.by_name, variables.by_name
+    thread_ids, lock_ids, var_ids = {}, {}, {}
     tcol, kcol, xcol = array("i"), array("b"), array("i")
     marks = bytearray()
-    holder = {}  # lock id -> holding thread id
-    violation: Optional[LockDisciplineError] = None
     match = _LINE_RE.match
     codes = _CODE_OF_TOKEN
-    for line_no, raw in enumerate(data.split("\n"), start=1):
-        line = raw.strip()
+    for line_no, line in enumerate(lines, start=1):
+        if binary:
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise TraceSyntaxError(line_no, f"invalid UTF-8: {exc.reason}") from None
+        line = line.strip()
         if not line or line[0] == "#":
             continue
         m = match(line)
         if m is None:
             raise TraceSyntaxError(line_no, f"cannot parse {line!r}")
         name, op, obj, mark = m.groups()
-        tid = thread_ids.get(name)
-        if tid is None:
-            tid = threads.get(name)
         kind = codes[op]
         if kind >= READ:
-            target = var_ids.get(obj)
-            if target is None:
-                target = variables.get(obj)
+            target = var_ids.setdefault(obj, len(var_ids))
+        elif mark:
+            raise TraceSyntaxError(line_no, "mark on non-access event")
         else:
-            if mark:
-                raise TraceSyntaxError(line_no, "mark on non-access event")
-            target = lock_ids.get(obj)
-            if target is None:
-                target = locks.get(obj)
-            if violation is None:
-                if kind == ACQ:
-                    if target in holder:
-                        violation = LockDisciplineError(len(kcol) + 1, "acquire-of-held-lock")
-                    holder[target] = tid
-                else:
-                    owner = holder.pop(target, None)
-                    if owner is None:
-                        violation = LockDisciplineError(len(kcol) + 1, "release-of-free-lock")
-                    elif owner != tid:
-                        violation = LockDisciplineError(len(kcol) + 1, "release-by-non-holder")
-        tcol.append(tid)
+            target = lock_ids.setdefault(obj, len(lock_ids))
+        tcol.append(thread_ids.setdefault(name, len(thread_ids)))
         kcol.append(kind)
         xcol.append(target)
         marks.append(1 if mark else 0)
-    if violation is not None:
-        raise violation
+    marks = bytes(marks)
+    _validate_columns(tcol, kcol, xcol, marks, len(thread_ids), len(lock_ids), len(var_ids))
     return Trace._from_columns(
-        tcol, kcol, xcol, bytes(marks),
-        len(threads.names), len(locks.names), len(variables.names),
-        threads.names, locks.names, variables.names,
+        tcol, kcol, xcol, marks, len(thread_ids), len(lock_ids), len(var_ids),
+        tuple(thread_ids), tuple(lock_ids), tuple(var_ids),
     )
+
+
+def parse_trace(data) -> Trace:
+    """Parse the text format, given as ``str`` or ``bytes``, into a validated Trace.
+
+    Dense ids are assigned by first appearance, independently for threads,
+    locks and variables.  Lines are parsed in order and the first malformed
+    one is reported, undecodable bytes included; the lock discipline is
+    checked after the whole text has parsed.
+    """
+    if isinstance(data, str):
+        return _parse_lines(data.split("\n"), binary=False)
+    return _parse_lines(io.BytesIO(data), binary=True)
+
+
+def _lines(tr: Trace) -> Iterator[str]:
+    """The text format of ``tr``, one newline-terminated line per event."""
+    tokens = tuple(kind.value for kind in _KIND_OF_CODE)
+    tables = (tr.lock_names, tr.lock_names, tr.var_names, tr.var_names)
+    thread_names = tr.thread_names
+    for t, k, x, m in zip(tr.threads, tr.kinds, tr.targets, tr.marks):
+        yield (
+            f"{thread_names[t]}|{tokens[k]}({tables[k][x]})|*\n" if m
+            else f"{thread_names[t]}|{tokens[k]}({tables[k][x]})\n"
+        )
 
 
 def serialize_trace(tr: Trace) -> str:
     """Render a trace back to the text format; inverse of parse_trace."""
-    tokens = tuple(kind.value for kind in _KIND_OF_CODE)
-    tables = (tr.lock_names, tr.lock_names, tr.var_names, tr.var_names)
-    thread_names = tr.thread_names
-    lines = [
-        f"{thread_names[t]}|{tokens[k]}({tables[k][x]})|*" if m
-        else f"{thread_names[t]}|{tokens[k]}({tables[k][x]})"
-        for t, k, x, m in zip(tr.threads, tr.kinds, tr.targets, tr.marks)
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(_lines(tr))
 
 
 def load_trace(path) -> Trace:
+    """Parse a trace file line by line; the file is never held whole."""
     with open(path, "rb") as fh:
-        return parse_trace(fh.read())
+        return _parse_lines(fh, binary=True)
 
 
 def dump_trace(tr: Trace, path) -> None:
+    """Write ``tr`` to ``path`` as ``serialize_trace`` renders it, a few
+    thousand lines at a time, so the whole text is never built."""
+    lines = _lines(tr)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(serialize_trace(tr))
+        while chunk := "".join(islice(lines, 4096)):
+            fh.write(chunk)
 
 
 # --- sampling -------------------------------------------------------------
@@ -536,60 +530,57 @@ def generate_trace(cfg: GenConfig, seed: int) -> Trace:
         free = [l for l in range(cfg.locks) if lock_free[l]]
         return rng.choice(free) if free else None
 
+    def release(thread: int) -> None:
+        nonlocal last_released, open_total
+        lock = held[thread].pop()
+        emit(thread, REL, lock)
+        lock_free[lock] = True
+        last_released = lock
+        open_total -= 1
+
+    def acquire(thread: int, lock: int) -> None:
+        nonlocal open_total
+        emit(thread, ACQ, lock)
+        held[thread].append(lock)
+        lock_free[lock] = False
+        lock_used[lock] = True
+        open_total += 1
+
+    def access(thread: int) -> None:
+        kind = WRITE if rng.random() < 0.5 else READ
+        emit(thread, kind, rng.randrange(cfg.vars))
+
     while len(kinds) < cfg.events:
         remaining = cfg.events - len(kinds)
         if remaining <= open_total:
             # Out of slack: close open critical sections, innermost first.
-            thread = rng.choice([t for t in range(cfg.threads) if held[t]])
-            lock = held[thread].pop()
-            emit(thread, REL, lock)
-            lock_free[lock] = True
-            last_released = lock
-            open_total -= 1
+            release(rng.choice([t for t in range(cfg.threads) if held[t]]))
             continue
         thread = rng.randrange(cfg.threads)
         depth = len(held[thread])
         if depth > 0:
             if rng.random() < p_close:
-                lock = held[thread].pop()
-                emit(thread, REL, lock)
-                lock_free[lock] = True
-                last_released = lock
-                open_total -= 1
+                release(thread)
             elif (
                 depth < _MAX_DEPTH
                 and remaining - 1 > open_total
                 and rng.random() < _NEST_PROB * cfg.p_sync
                 and (lock := pick_lock()) is not None
             ):
-                emit(thread, ACQ, lock)
-                held[thread].append(lock)
-                lock_free[lock] = False
-                lock_used[lock] = True
-                open_total += 1
+                acquire(thread, lock)
             elif cfg.p_sync >= 1.0:
-                lock = held[thread].pop()
-                emit(thread, REL, lock)
-                lock_free[lock] = True
-                last_released = lock
-                open_total -= 1
+                release(thread)
             else:
-                kind = WRITE if rng.random() < 0.5 else READ
-                emit(thread, kind, rng.randrange(cfg.vars))
+                access(thread)
         else:
             start = rng.random() < cfg.p_sync
             lock = pick_lock() if start else None
             if start and lock is not None and remaining - 1 > open_total:
-                emit(thread, ACQ, lock)
-                held[thread].append(lock)
-                lock_free[lock] = False
-                lock_used[lock] = True
-                open_total += 1
+                acquire(thread, lock)
             elif cfg.p_sync >= 1.0:
                 continue  # all-sync config and no lock available right now
             else:
-                kind = WRITE if rng.random() < 0.5 else READ
-                emit(thread, kind, rng.randrange(cfg.vars))
+                access(thread)
 
     return _relabel_by_first_appearance(threads, kinds, targets)
 

@@ -136,9 +136,7 @@ def test_bench_skip_ratio_monotone_in_rate_on_handoff(tmp_path):
 
 def test_diff_reports_first_divergence(tmp_path, capsys, monkeypatch):
     # Force a wrong oracle answer to exercise the divergence report path.
-    import racelab.cli as cli_mod
-
-    monkeypatch.setattr(cli_mod.oracle, "racy_events", lambda *a, **k: set())
+    monkeypatch.setattr("racelab.oracle.racy_events", lambda *a, **k: set())
     trace = write(tmp_path, "two.trace", "T1|w(x)|*\nT2|w(x)|*\n")
     rc = main(["diff", "--trace", trace])
     assert rc == 1

@@ -23,7 +23,9 @@ from racelab.trace import (
     TraceSyntaxError,
     apply_sampling,
     bernoulli_hit,
+    dump_trace,
     generate_trace,
+    load_trace,
     parse_trace,
     serialize_trace,
 )
@@ -128,6 +130,44 @@ def test_parsed_trace_retains_at_most_16_bytes_per_event():
         tracemalloc.stop()
     assert len(tr) == 20_000
     assert (retained - base) / len(tr) <= 16
+
+
+def test_load_trace_peaks_at_most_twice_the_retained_bytes(tmp_path):
+    # The file is parsed a line at a time: no copy of the whole file, its
+    # text or its line list is ever alive next to the columns.
+    path = tmp_path / "t.trace"
+    dump_trace(generate_trace(GenConfig(threads=8, locks=8, vars=64, events=20_000), 4), path)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        tr = load_trace(path)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tr) == 20_000
+    assert peak - base <= 2 * (retained - base)
+
+
+@pytest.mark.parametrize("source", ["bytes", "file"])
+def test_the_first_malformed_line_wins(tmp_path, source):
+    def parse(data):
+        if source == "bytes":
+            return parse_trace(data)
+        path = tmp_path / "t.trace"
+        path.write_bytes(data)
+        return load_trace(path)
+
+    # Lines are decoded one at a time, so a syntax error on line 1 beats
+    # undecodable bytes on line 2.
+    with pytest.raises(TraceSyntaxError) as err:
+        parse(b"garbage\nT1|r(\xff)\n")
+    assert err.value.line_no == 1
+    # A line is decoded with its newline, so the UTF-8 reason is the one a
+    # decode of the whole text gives.
+    with pytest.raises(TraceSyntaxError) as err:
+        parse(b"T1|w(x)\nT1|r(\xc3\n")
+    assert str(err.value) == "line 2: invalid UTF-8: invalid continuation byte"
 
 
 def _snapshot_calls(monkeypatch):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -86,3 +87,29 @@ def test_pure_sync_config_generates_lock_pairs():
     tr = generate_trace(GenConfig(threads=2, locks=2, vars=1, events=40, p_sync=1.0), 1)
     assert len(tr) == 40
     assert all(e.is_sync for e in tr.events)
+
+
+# The three benchmark trace shapes (the `racelab gen` flags of perfbench's
+# workloads) with the sha256 of their text at two seeds.  Any change to the
+# generator's RNG call order or to the serializer changes these digests.
+_BENCHMARK_SHAPES = {
+    "sync-heavy": GenConfig(64, 64, 256, 25_000, p_sync=0.8, contention=0.0, accesses_per_cs=1.0),
+    "sparse-extended": GenConfig(64, 16, 256, 25_000, p_sync=0.3, contention=0.0, accesses_per_cs=2.0),
+    "dense-full": GenConfig(8, 8, 64, 25_000, p_sync=0.3, contention=0.0, accesses_per_cs=2.0),
+}
+
+
+@pytest.mark.parametrize(
+    "shape,seed,digest",
+    [
+        ("sync-heavy", 7, "356ea87dd9fc47f53d8044fa1c030f1ef67cdea269cd706c04d05cd8c1c74b52"),
+        ("sync-heavy", 90210, "169ed1f9553d99bc350ff3a07c34b833f14dcd2e51de288b82af46642ee6fb80"),
+        ("sparse-extended", 7, "af2c0f0f23e49f5b85811e68a2e19f51e3d7e9c638e60e4b0553324cc721d461"),
+        ("sparse-extended", 90210, "528bcc40e6a60be417babf71a89fe5541dbf7b5917dba8a33db300e4f72a54d9"),
+        ("dense-full", 7, "9cc7c2b93c6d1ddea8ae93b29d9cd2df3e87f19bf059c605052df849aec9dec5"),
+        ("dense-full", 90210, "8d56505344720ce3c60545fcce557276fb926a92d89da8770506d40da8de5b63"),
+    ],
+)
+def test_benchmark_traces_are_pinned_byte_for_byte(shape, seed, digest):
+    text = serialize_trace(generate_trace(_BENCHMARK_SHAPES[shape], seed))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

@@ -67,19 +67,18 @@ def test_deep_copy_isolation_and_structure():
 def test_shared_view_blocks_mutation():
     o = OrderedList(3)
     view = o.shallow_copy()
-    assert view is o and o.shared and o.refs == 2
+    assert view is o and o.refs == 2
     assert view.snapshot() == o.snapshot()
     with pytest.raises(SharedMutationError):
         o.set(0, 1)
     with pytest.raises(SharedMutationError):
         o.increment(1, 1)
-    # the flag is sticky: dropping the view does not restore mutability
-    view.refs -= 1
+    assert o.snapshot() == [0, 0, 0]
+    fresh = o.deep_copy()
+    fresh.set(0, 1)  # exclusive copy is mutable while the view lives
+    assert fresh.get(0) == 1 and fresh.refs == 1
     with pytest.raises(SharedMutationError):
         o.set(0, 1)
-    fresh = o.deep_copy()
-    fresh.set(0, 1)  # exclusive copy is mutable
-    assert fresh.get(0) == 1
 
 
 def test_share_count_tracking():
@@ -159,37 +158,35 @@ def test_newer_in_prefix_filters_prefix(mutations, other_mutations, k):
 
 def test_unshare_waits_for_the_last_view():
     o = OrderedList(3)
-    assert o.unshare()  # never shared: nothing to do
+    o.set(1, 2)  # never shared: mutable
     v1, v2 = o.shallow_copy(), o.shallow_copy()
-    assert not o.unshare()
     v1.refs -= 1
-    assert not o.unshare()
-    assert o.shared
+    with pytest.raises(SharedMutationError):
+        o.set(0, 4)  # one view is still live
     v2.refs -= 1
-    assert o.unshare()
-    assert not o.shared and o.refs == 1
-    o.set(0, 4)  # mutable in place again
-    assert list(o)[0] == (0, 4)
+    assert o.refs == 1
+    o.set(0, 4)  # mutable in place again, with no copy
+    assert list(o)[:2] == [(0, 4), (1, 2)]
 
 
 WIDTH = 4
 
 
 class OrderedListModel(RuleBasedStateMachine):
-    """Mixed mutations, views, unshares and deep copies against a reference
-    model: a value per thread plus thread ids ordered by recency of update."""
+    """Mixed mutations, views, view drops and deep copies against a reference
+    model: a value per thread plus thread ids ordered by recency of update.
+    The list is shared exactly while it has a live view (``refs > 1``)."""
 
     def __init__(self):
         super().__init__()
         self.lst = OrderedList(WIDTH)
         self.values = [0] * WIDTH
         self.order = list(range(WIDTH))
-        self.shared = False
         self.refs = {id(self.lst): 1}
         self.views = []  # live views, of the current list or of older copies
 
     def _mutate(self, tid, apply):
-        if self.shared:
+        if self.refs[id(self.lst)] > 1:  # a view is live
             with pytest.raises(SharedMutationError):
                 apply()
             return
@@ -216,7 +213,6 @@ class OrderedListModel(RuleBasedStateMachine):
         view = self.lst.shallow_copy()
         assert view is self.lst
         self.views.append(view)
-        self.shared = True
         self.refs[id(self.lst)] += 1
 
     @precondition(lambda self: self.views)
@@ -227,18 +223,10 @@ class OrderedListModel(RuleBasedStateMachine):
         self.refs[id(view)] -= 1
 
     @rule()
-    def unshare(self):
-        ok = self.refs[id(self.lst)] == 1
-        assert self.lst.unshare() == ok
-        if ok:
-            self.shared = False
-
-    @rule()
     def deep_copy(self):
         fresh = self.lst.deep_copy()
         assert fresh is not self.lst
         self.lst = fresh
-        self.shared = False
         self.refs[id(fresh)] = 1
 
     @invariant()
@@ -249,7 +237,6 @@ class OrderedListModel(RuleBasedStateMachine):
         assert list(o) == pairs
         for k in range(WIDTH + 2):
             assert o.prefix(k) == pairs[:k]
-        assert o.shared == self.shared
         for target in self.views + [o]:
             assert target.refs == self.refs[id(target)]
 
