@@ -18,7 +18,6 @@ import sys
 from typing import List, Optional
 
 from . import metrics as metrics_mod
-from .differential import diff_report
 from .engines import ENGINE_TOKENS, create_engine
 from .history import EXTENDED, SAMPLED_ONLY, render_reports
 from .trace import (
@@ -30,10 +29,20 @@ from .trace import (
     dump_trace,
     generate_trace,
     load_trace,
-    serialize_trace,
+    write_trace,
 )
 
 DEFAULT_RATES = (0.003, 0.03, 0.1, 1.0)
+
+
+def __getattr__(name: str):
+    # ``diff_report`` is imported on first use, so that only ``diff`` loads
+    # the differential stack (``racelab.differential`` and ``racelab.oracle``).
+    if name == "diff_report":
+        from .differential import diff_report
+
+        return diff_report
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _write(path: Optional[str], text: str) -> None:
@@ -66,7 +75,7 @@ def _gen_config(args) -> GenConfig:
 def cmd_gen(args) -> int:
     tr = generate_trace(_gen_config(args), args.seed)
     if args.out is None or args.out == "-":
-        sys.stdout.write(serialize_trace(tr))
+        write_trace(tr, sys.stdout)
     else:
         dump_trace(tr, args.out)
     accesses = sum(1 for k in tr.kinds if k >= READ)
@@ -96,6 +105,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_diff(args) -> int:
+    from .differential import diff_report
+
     tr = apply_sampling(load_trace(args.trace), _policy(args))
     report = diff_report(tr, args.mode)
     _write(args.out, json.dumps(report, sort_keys=False) + "\n")

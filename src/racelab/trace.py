@@ -14,12 +14,16 @@ are assigned by order of first appearance.  Every trace is validated against
 the locking discipline: a lock is held by at most one thread, is released only
 by its holder, and re-entrant acquires are rejected.
 
-There is one way into a trace: a line loop reads the text a line at a time
-(a file's bytes are decoded line by line), fills the columns, and hands them
-to ``_validate_columns``, the one check of ids, marks and lock discipline,
-which also guards ``Trace(events)`` and the generator.  A syntax error on any
-line therefore beats a discipline error, and ``load_trace`` never holds the
-whole file, its text or a list of its lines.
+There is one way into a trace.  The parser reads the text in chunks of
+``_CHUNK_LINES`` lines; each chunk is decoded once and scanned with one
+``_SPLIT_ROWS`` call.  If every line of the chunk is an event line, the
+columns grow by C-level passes over the matches; any other chunk goes
+through the line loop, which decodes and parses one line at a time and is
+the only source of syntax errors.  The filled columns go to
+``_validate_columns``, the one check of ids, marks and lock discipline,
+which also guards ``Trace(events)`` and the generator.  A syntax error on
+any line therefore beats a discipline error, and ``load_trace`` never holds
+the whole file, its text or a list of its lines.
 
 In memory a trace is a set of columns, one entry per event: ``threads`` and
 ``targets`` are ``array('i')`` of dense ids, ``kinds`` is an ``array('b')``
@@ -266,21 +270,110 @@ _LINE_RE = re.compile(
     r"^(?P<thread>[^|\s]+)\|(?P<op>acq|rel|r|w)\((?P<obj>[^()|\s]+)\)(?P<mark>\|\*)?$"
 )
 
+# An event line: ``_LINE_RE`` anchored at each line of a chunk, minus lines
+# that start with "#" and marks on acq/rel.  Splitting a chunk by it gives
+# the text between matches followed by each match's thread, "op(obj" and
+# mark ("|*" or None), a flat list of 4 entries per match plus one.  No token
+# holds a newline and a match spans its whole line, so a chunk of n lines
+# has n matches only if every line is an event line.
+_SPLIT_ROWS = re.compile(
+    r"^([^|\s#][^|\s]*)\|((?:acq|rel)\([^()|\s]+(?=\)$)|[rw]\([^()|\s]+)\)(\|\*)?$",
+    re.MULTILINE,
+).split
+
+# Enough lines to amortise the per-chunk calls; few enough that a chunk's
+# temporaries stay small next to the columns (``load_trace`` peaks within 2x).
+_CHUNK_LINES = 192
+
+
+class _Ids(dict):
+    """Dense ids by first appearance: a missing name gets the next id."""
+
+    def __missing__(self, name):
+        self[name] = n = len(self)
+        return n
+
+
+class _Targets(dict):
+    """``"op(obj"`` -> the lock or var id of ``obj``; ``kinds`` maps the same
+    keys to their kind code.  Ids come from the parser's lock and var tables."""
+
+    def __init__(self, lock_ids: _Ids, var_ids: _Ids):
+        super().__init__()
+        self.kinds = {}
+        self.tables = (lock_ids, var_ids)
+
+    def __missing__(self, key):
+        op, obj = key.split("(")
+        kind = self.kinds[key] = _CODE_OF_TOKEN[op]
+        self[key] = target = self.tables[kind >= READ][obj]
+        return target
+
 
 def _parse_lines(lines, binary: bool) -> Trace:
     """Fill the columns from ``lines`` (``bytes`` when ``binary``, else
-    ``str``), one line at a time, then validate them.
+    ``str``) with ``_fill_columns``, then validate them.
 
     Dense ids are the insertion order of the name dicts.  The discipline
     check runs only after the last line has parsed, so a syntax error on any
     line takes precedence over it.
     """
-    thread_ids, lock_ids, var_ids = {}, {}, {}
-    tcol, kcol, xcol = array("i"), array("b"), array("i")
-    marks = bytearray()
+    cols = tcol, kcol, xcol, marks = array("i"), array("b"), array("i"), bytearray()
+    tables = thread_ids, lock_ids, var_ids = _Ids(), _Ids(), _Ids()
+    _fill_columns(lines, binary, cols, tables)
+    marks = bytes(marks)
+    _validate_columns(tcol, kcol, xcol, marks, len(thread_ids), len(lock_ids), len(var_ids))
+    return Trace._from_columns(
+        tcol, kcol, xcol, marks, len(thread_ids), len(lock_ids), len(var_ids),
+        tuple(thread_ids), tuple(lock_ids), tuple(var_ids),
+    )
+
+
+def _fill_columns(lines, binary: bool, cols, tables) -> None:
+    """Parse ``lines`` into ``cols``, ``_CHUNK_LINES`` at a time.
+
+    Each chunk goes through ``_scan_chunk`` and, if that declines it,
+    through ``_parse_chunk``, the line loop and the only code that raises a
+    syntax error.  The last chunk and its matches are freed before the
+    caller validates the columns.
+    """
+    thread_ids, lock_ids, var_ids = tables
+    targets = _Targets(lock_ids, var_ids)
+    join = b"".join if binary else "\n".join
+    lines = iter(lines)
+    line_no = 0
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        if not _scan_chunk(join(chunk), len(chunk), binary, cols, thread_ids, targets):
+            _parse_chunk(chunk, line_no, binary, cols, tables)
+        line_no += len(chunk)
+
+
+def _scan_chunk(text, n: int, binary: bool, cols, thread_ids: _Ids, targets: _Targets) -> bool:
+    """Append the ``n`` lines joined in ``text`` to ``cols`` if every one is
+    an event line: one decode, one ``_SPLIT_ROWS`` call and C-level passes
+    over the matches.  Otherwise change nothing and return False."""
+    try:
+        parts = _SPLIT_ROWS(text.decode("utf-8") if binary else text)
+    except UnicodeDecodeError:
+        return False
+    if len(parts) != 4 * n + 1:
+        return False
+    tcol, kcol, xcol, marks = cols
+    tcol.extend(map(thread_ids.__getitem__, islice(parts, 1, None, 4)))
+    xcol.extend(map(targets.__getitem__, islice(parts, 2, None, 4)))
+    kcol.extend(map(targets.kinds.__getitem__, islice(parts, 2, None, 4)))
+    marks.extend(map(bool, islice(parts, 3, None, 4)))
+    return True
+
+
+def _parse_chunk(chunk, line_no: int, binary: bool, cols, tables) -> None:
+    """The line loop: parse ``chunk``, whose first line is ``line_no + 1``,
+    one line at a time into ``cols``; raise on its first malformed line."""
+    tcol, kcol, xcol, marks = cols
+    thread_ids, lock_ids, var_ids = tables
     match = _LINE_RE.match
     codes = _CODE_OF_TOKEN
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(chunk, start=line_no + 1):
         if binary:
             try:
                 line = line.decode("utf-8")
@@ -295,21 +388,15 @@ def _parse_lines(lines, binary: bool) -> Trace:
         name, op, obj, mark = m.groups()
         kind = codes[op]
         if kind >= READ:
-            target = var_ids.setdefault(obj, len(var_ids))
+            target = var_ids[obj]
         elif mark:
             raise TraceSyntaxError(line_no, "mark on non-access event")
         else:
-            target = lock_ids.setdefault(obj, len(lock_ids))
-        tcol.append(thread_ids.setdefault(name, len(thread_ids)))
+            target = lock_ids[obj]
+        tcol.append(thread_ids[name])
         kcol.append(kind)
         xcol.append(target)
         marks.append(1 if mark else 0)
-    marks = bytes(marks)
-    _validate_columns(tcol, kcol, xcol, marks, len(thread_ids), len(lock_ids), len(var_ids))
-    return Trace._from_columns(
-        tcol, kcol, xcol, marks, len(thread_ids), len(lock_ids), len(var_ids),
-        tuple(thread_ids), tuple(lock_ids), tuple(var_ids),
-    )
 
 
 def parse_trace(data) -> Trace:
@@ -348,13 +435,19 @@ def load_trace(path) -> Trace:
         return _parse_lines(fh, binary=True)
 
 
-def dump_trace(tr: Trace, path) -> None:
-    """Write ``tr`` to ``path`` as ``serialize_trace`` renders it, a few
-    thousand lines at a time, so the whole text is never built."""
+def write_trace(tr: Trace, fh) -> None:
+    """Write ``tr`` to the open text file ``fh`` as ``serialize_trace``
+    renders it, a few thousand lines at a time, so the whole text is never
+    built."""
     lines = _lines(tr)
+    while chunk := "".join(islice(lines, 4096)):
+        fh.write(chunk)
+
+
+def dump_trace(tr: Trace, path) -> None:
+    """Write ``tr`` to the file ``path`` with ``write_trace``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        while chunk := "".join(islice(lines, 4096)):
-            fh.write(chunk)
+        write_trace(tr, fh)
 
 
 # --- sampling -------------------------------------------------------------
@@ -507,9 +600,7 @@ def generate_trace(cfg: GenConfig, seed: int) -> Trace:
     lock_used = [False] * cfg.locks
     last_released: Optional[int] = None
     open_total = 0
-    threads: List[int] = []
-    kinds: List[int] = []
-    targets: List[int] = []
+    threads, kinds, targets = array("i"), array("b"), array("i")
 
     def emit(thread: int, kind: int, target: int) -> None:
         threads.append(thread)
@@ -585,27 +676,21 @@ def generate_trace(cfg: GenConfig, seed: int) -> Trace:
     return _relabel_by_first_appearance(threads, kinds, targets)
 
 
-def _relabel_by_first_appearance(
-    threads: Sequence[int], kinds: Sequence[int], targets: Sequence[int]
-) -> Trace:
-    """Renumber thread/lock/var ids densely by first appearance.
+def _relabel_by_first_appearance(threads: array, kinds: array, targets: array) -> Trace:
+    """Renumber thread/lock/var ids densely by first appearance, in place.
 
     Keeps the dense-id invariant that parse_trace establishes, so generated
     traces round-trip through the text format event-for-event; ids that never
-    appear are dropped.
+    appear are dropped.  The columns become the trace's own.
     """
-    thread_ids: dict = {}
-    lock_ids: dict = {}
-    var_ids: dict = {}
-    tcol = [thread_ids.setdefault(t, len(thread_ids)) for t in threads]
-    xcol = []
-    for k, x in zip(kinds, targets):
-        table = var_ids if k >= READ else lock_ids
-        xcol.append(table.setdefault(x, len(table)))
+    thread_ids, lock_ids, var_ids = _Ids(), _Ids(), _Ids()
+    tables = (lock_ids, var_ids)
+    for pos, (t, k, x) in enumerate(zip(threads, kinds, targets)):
+        threads[pos] = thread_ids[t]
+        targets[pos] = tables[k >= READ][x]
     num_threads = max(len(thread_ids), 1)
     marks = bytes(len(kinds))
-    _validate_columns(tcol, kinds, xcol, marks, num_threads, len(lock_ids), len(var_ids))
+    _validate_columns(threads, kinds, targets, marks, num_threads, len(lock_ids), len(var_ids))
     return Trace._from_columns(
-        array("i", tcol), array("b", kinds), array("i", xcol), marks,
-        num_threads, len(lock_ids), len(var_ids),
+        threads, kinds, targets, marks, num_threads, len(lock_ids), len(var_ids),
     )

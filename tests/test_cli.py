@@ -31,6 +31,16 @@ def test_gen_then_analyze_round_trip(tmp_path, capsys):
     assert metrics["events_total"] == 60
 
 
+def test_gen_writes_the_same_bytes_to_stdout_and_to_a_file(tmp_path, capsys):
+    flags = ["gen", "--threads", "5", "--locks", "3", "--vars", "7",
+             "--events", "9000", "--seed", "2"]  # more than one 4096-line chunk
+    out = tmp_path / "t.trace"
+    assert main(flags + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(flags) == 0
+    assert capsys.readouterr().out.encode("utf-8") == out.read_bytes()
+
+
 def test_gen_infeasible_config_exits_2(tmp_path, capsys):
     rc = main(["gen", "--threads", "1", "--locks", "1", "--vars", "1",
                "--events", "5", "--p-sync", "1.0"])
@@ -158,6 +168,27 @@ def test_cli_module_subprocess_smoke(tmp_path):
     )
     assert res.returncode == 1
     assert "RACE write-write at e2 on x" in res.stdout
+
+
+def test_analyze_does_not_load_the_differential_stack(tmp_path):
+    import subprocess
+    import sys
+
+    trace = write(tmp_path, "two.trace", "T1|w(x)|*\nT2|w(x)|*\n")
+    script = (
+        "import sys\n"
+        "from racelab.cli import main\n"
+        f"rc = main(['analyze', '--trace', {trace!r}, '--engine', 'sampling',\n"
+        f"           '--out-races', {str(tmp_path / 'r.txt')!r},\n"
+        f"           '--out-metrics', {str(tmp_path / 'm.json')!r}])\n"
+        "assert rc == 1, rc\n"
+        "loaded = {'racelab.differential', 'racelab.oracle'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+        "from racelab.cli import diff_report\n"
+        "assert diff_report.__module__ == 'racelab.differential'\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
 
 
 def test_bench_generated_traces(tmp_path):

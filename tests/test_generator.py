@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 
 import pytest
 
@@ -113,3 +114,19 @@ _BENCHMARK_SHAPES = {
 def test_benchmark_traces_are_pinned_byte_for_byte(shape, seed, digest):
     text = serialize_trace(generate_trace(_BENCHMARK_SHAPES[shape], seed))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_generate_trace_peaks_at_most_twice_the_retained_bytes():
+    # The generator emits into the array columns and relabels them in place,
+    # so no list of events or second copy of a column is ever alive.
+    cfg = GenConfig(threads=8, locks=8, vars=64, events=20_000)
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        tr = generate_trace(cfg, 4)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tr) == 20_000
+    assert peak - base <= 2 * (retained - base)
