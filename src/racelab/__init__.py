@@ -1,18 +1,31 @@
 """racelab: offline laboratory for sampling-based happens-before race detection."""
 
+from importlib import import_module
+
 from .history import EXTENDED, SAMPLED_ONLY, RaceReport
-from .olist import OrderedList
 from .trace import (
     Event,
-    GenConfig,
     OpKind,
     SamplingPolicy,
     Trace,
     apply_sampling,
-    generate_trace,
     parse_trace,
     serialize_trace,
 )
+
+# Loaded on first use, so that ``racelab analyze`` never compiles them.
+_LAZY = {
+    "OrderedList": "olist",
+    "GenConfig": "gen",
+    "generate_trace": "gen",
+}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "OrderedList",

@@ -21,13 +21,12 @@ from . import metrics as metrics_mod
 from .engines import ENGINE_TOKENS, create_engine
 from .history import EXTENDED, SAMPLED_ONLY, render_reports
 from .trace import (
-    READ,
-    GenConfig,
+    ACQ,
+    REL,
     SamplingPolicy,
     TraceError,
     apply_sampling,
     dump_trace,
-    generate_trace,
     load_trace,
     write_trace,
 )
@@ -59,8 +58,10 @@ def _policy(args) -> SamplingPolicy:
     return SamplingPolicy.bernoulli(args.rate, args.seed)
 
 
-def _gen_config(args) -> GenConfig:
-    """The generator settings of ``gen`` and ``bench`` (see ``_add_gen_flags``)."""
+def _gen_config(args):
+    """The ``GenConfig`` of ``gen`` and ``bench`` (see ``_add_gen_flags``)."""
+    from .gen import GenConfig
+
     return GenConfig(
         threads=args.threads,
         locks=args.locks,
@@ -73,12 +74,14 @@ def _gen_config(args) -> GenConfig:
 
 
 def cmd_gen(args) -> int:
+    from .gen import generate_trace
+
     tr = generate_trace(_gen_config(args), args.seed)
     if args.out is None or args.out == "-":
         write_trace(tr, sys.stdout)
     else:
         dump_trace(tr, args.out)
-    accesses = sum(1 for k in tr.kinds if k >= READ)
+    accesses = len(tr) - tr.kinds.count(ACQ) - tr.kinds.count(REL)
     print(
         f"generated {len(tr)} events: {tr.num_threads} threads, "
         f"{tr.num_locks} locks, {tr.num_vars} vars, {accesses} accesses",
@@ -119,6 +122,8 @@ def cmd_bench(args) -> int:
         for path in args.trace:
             traces.append((path, load_trace(path)))
     else:
+        from .gen import generate_trace
+
         cfg = _gen_config(args)
         for i in range(args.gen_count):
             traces.append((f"gen-{i}", generate_trace(cfg, args.seed + i)))

@@ -1,41 +1,37 @@
-"""Analysis engines and the token registry used by the CLI."""
+"""Analysis engines and the token registry used by the CLI.
+
+Each engine lives in the module named by its token; ``create_engine``
+imports only the module of the engine it builds.
+"""
 
 from __future__ import annotations
 
+from importlib import import_module
+
 from ..trace import Trace
 from .base import Engine
-from .djitp import DjitpEngine
-from .orderedlist import OrderedListEngine
-from .sampling import SamplingEngine
-from .uclock import UclockEngine
 
 ENGINE_TOKENS = ("djitp", "sampling", "uclock", "orderedlist")
 
-_CLASSES = {
-    "djitp": DjitpEngine,
-    "sampling": SamplingEngine,
-    "uclock": UclockEngine,
-    "orderedlist": OrderedListEngine,
+# token -> class name in module ``racelab.engines.<token>``
+_CLASS_NAMES = {
+    "djitp": "DjitpEngine",
+    "sampling": "SamplingEngine",
+    "uclock": "UclockEngine",
+    "orderedlist": "OrderedListEngine",
 }
 
 
 def create_engine(token: str, tr: Trace, *, local_epoch_opt: bool = True, **kwargs) -> Engine:
     """Instantiate the engine named by ``token``, sized for ``tr``."""
     try:
-        cls = _CLASSES[token]
+        name = _CLASS_NAMES[token]
     except KeyError:
         raise ValueError(f"unknown engine token {token!r}") from None
+    cls = getattr(import_module(f".{token}", __name__), name)
     if token == "orderedlist":
         kwargs["local_epoch_opt"] = local_epoch_opt
     return cls(tr.num_threads, tr.num_locks, tr.num_vars, **kwargs)
 
 
-__all__ = [
-    "ENGINE_TOKENS",
-    "Engine",
-    "DjitpEngine",
-    "SamplingEngine",
-    "UclockEngine",
-    "OrderedListEngine",
-    "create_engine",
-]
+__all__ = ["ENGINE_TOKENS", "Engine", "create_engine"]

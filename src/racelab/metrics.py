@@ -19,31 +19,54 @@ Counting conventions:
 
 from __future__ import annotations
 
-import csv
 import io
 import json
-from dataclasses import dataclass, fields
 from typing import Mapping, Optional
 
+# Every counter, in emission order; ``RunMetrics`` also keeps ``num_threads``.
+_COUNTER_FIELDS = (
+    "events_total",
+    "accesses_total",
+    "accesses_sampled",
+    "acquires_total",
+    "acquires_skipped",
+    "releases_total",
+    "releases_copied",
+    "deep_copies",
+    "shallow_copies",
+    "nodes_visited",
+    "full_traversals",
+    "entries_saved",
+    "race_count",
+    "epoch_increments",
+    "race_checks",
+)
 
-@dataclass
+
 class RunMetrics:
-    events_total: int = 0
-    accesses_total: int = 0
-    accesses_sampled: int = 0
-    acquires_total: int = 0
-    acquires_skipped: int = 0
-    releases_total: int = 0
-    releases_copied: int = 0
-    deep_copies: int = 0
-    shallow_copies: int = 0
-    nodes_visited: int = 0
-    full_traversals: int = 0
-    entries_saved: int = 0
-    race_count: int = 0
-    epoch_increments: int = 0
-    race_checks: int = 0
-    num_threads: int = 0
+    """The counters of one run, all 0 unless given; compared by value."""
+
+    __slots__ = _COUNTER_FIELDS + ("num_threads",)
+
+    def __init__(self, **values: int):
+        for name in self.__slots__:
+            setattr(self, name, values.pop(name, 0))
+        if values:
+            raise TypeError(f"unknown RunMetrics fields: {', '.join(values)}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"RunMetrics({fields})"
 
     @property
     def skip_ratio(self) -> float:
@@ -68,10 +91,6 @@ class RunMetrics:
         return row
 
 
-# Every field but ``num_threads`` is a counter, emitted in declaration order.
-_COUNTER_FIELDS = tuple(f.name for f in fields(RunMetrics) if f.name != "num_threads")
-
-
 def emit(
     metrics: RunMetrics,
     fmt: str = "json",
@@ -88,6 +107,8 @@ def emit(
 
 def emit_csv_rows(rows) -> str:
     """CSV with a mandatory header row; field order follows the first row."""
+    import csv
+
     rows = list(rows)
     if not rows:
         return ""

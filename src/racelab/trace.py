@@ -1,4 +1,6 @@
-"""Trace data model, text format, validation, sampling and generation.
+"""Trace data model, text format, validation and sampling.
+
+The synthetic generator lives in ``racelab.gen``.
 
 Trace file format (UTF-8 text, LF line endings)::
 
@@ -21,7 +23,7 @@ columns grow by C-level passes over the matches; any other chunk goes
 through the line loop, which decodes and parses one line at a time and is
 the only source of syntax errors.  The filled columns go to
 ``_validate_columns``, the one check of ids, marks and lock discipline,
-which also guards ``Trace(events)`` and the generator.  A syntax error on
+which also guards ``Trace(events)`` and ``racelab.gen``.  A syntax error on
 any line therefore beats a discipline error, and ``load_trace`` never holds
 the whole file, its text or a list of its lines.
 
@@ -39,13 +41,12 @@ serializer and ``Engine.run`` never build it.
 from __future__ import annotations
 
 import io
-import random
 import re
 from array import array
-from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import count, islice
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, NamedTuple, Sequence, Tuple
 
 
 class TraceError(ValueError):
@@ -94,8 +95,7 @@ _KIND_OF_CODE = (OpKind.ACQUIRE, OpKind.RELEASE, OpKind.READ, OpKind.WRITE)
 _CODE_OF_TOKEN = {kind.value: kind.code for kind in OpKind}
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One trace event.  ``target`` is a dense lock id (acq/rel) or var id (r/w)."""
 
     index: int  # 1-based position in the trace
@@ -477,43 +477,98 @@ def bernoulli_hit(seed: int, event_index: int, rate: float) -> bool:
     return z < int(rate * (1 << 64))
 
 
+# ``bytes(kinds).translate(_ACCESS_MASK)``: 1 for each access event, 0 for
+# each sync event.
+_ACCESS_MASK = bytes(k in (READ, WRITE) for k in range(256))
+
+# ``bernoulli_marks`` decides ``_LANES`` consecutive events at once, each in
+# a 128-bit lane of one int: a lane holds a 64-bit value and has room for its
+# product with a 64-bit constant, so no carry crosses into the next lane.
+_LANES = 4096  # a power of two; an int of them is 64 KiB
+
+
+@cache
+def _lane_constants() -> Tuple[int, int, int]:
+    """Ints of ``_LANES`` lanes: 1 in every lane, 2**64 - 1 in every lane,
+    and ``j * GOLDEN`` in lane j."""
+    ones, steps, k = 1, 0, 1  # k lanes so far
+    while k < _LANES:
+        steps |= (steps + k * ones) << (128 * k)  # lanes k..2k-1 hold k..2k-1
+        ones |= ones << (128 * k)
+        k *= 2
+    return ones, ones * _MASK64, steps * _GOLDEN
+
+
 def bernoulli_marks(kinds: Sequence[int], seed: int, rate: float) -> bytes:
     """The mark vector ``bernoulli_hit(seed, i, rate)`` gives each access event i.
 
-    One pass with the splitmix64 finalizer inlined; sync events stay unmarked.
+    Sync events stay unmarked.  Lane j of a chunk starts as ``seed + i *
+    GOLDEN`` (mod 2**64) for the chunk's j-th event i, and ``mix64`` runs on
+    all lanes at once: each shift-XOR and each multiply is one int operation
+    followed by a mask back to 64 bits per lane.  A lane holding z hits when
+    ``2**64 - 1 + threshold - z`` reaches 2**64, so byte 8 of the lane (its
+    bit 64, little-endian) is 1 exactly for the hits, and one
+    ``to_bytes(...)[8::16]`` reads them all.  The hits are ANDed with the
+    access mask.  Bit-identical to ``bernoulli_hit`` at every index; the
+    temporaries are a few ints of ``_LANES`` lanes whatever the trace length.
     """
     n = len(kinds)
     threshold = int(rate * (1 << 64))
-    if threshold == 0:
+    if threshold <= 0:
         return bytes(n)
+    access = bytes(kinds).translate(_ACCESS_MASK)
     if threshold > _MASK64:  # every 64-bit value is below it
-        return bytes(1 if k >= READ else 0 for k in kinds)
-    out = bytearray(n)
-    mask, golden, mix1, mix2 = _MASK64, _GOLDEN, _MIX1, _MIX2
-    z = seed & mask
-    for pos, k in enumerate(kinds):
-        z = (z + golden) & mask  # seed + (pos + 1) * GOLDEN
-        if k >= READ:
-            y = ((z ^ (z >> 30)) * mix1) & mask
-            y = ((y ^ (y >> 27)) * mix2) & mask
-            if y ^ (y >> 31) < threshold:
-                out[pos] = 1
+        return access
+    ones, mask, steps = _lane_constants()
+    limit = mask + threshold * ones
+    out = bytearray()
+    for lo in range(0, n, _LANES):
+        z = ((seed + (lo + 1) * _GOLDEN & _MASK64) * ones + steps) & mask
+        z = ((z ^ z >> 30) & mask) * _MIX1 & mask
+        z = ((z ^ z >> 27) & mask) * _MIX2 & mask
+        z = limit - ((z ^ z >> 31) & mask)
+        chunk = access[lo:lo + _LANES]
+        hits = z.to_bytes(16 * _LANES, "little")[8:16 * len(chunk):16]
+        out += (
+            int.from_bytes(hits, "little") & int.from_bytes(chunk, "little")
+        ).to_bytes(len(chunk), "little")
     return bytes(out)
 
 
-@dataclass(frozen=True)
 class SamplingPolicy:
-    """How the sample set is chosen: none, premarked, or Bernoulli(rate)."""
+    """How the sample set is chosen: ``mode`` is "none", "premarked" or
+    "bernoulli" (with ``rate`` and ``seed``).  Immutable; policies are equal
+    when their mode, rate and seed are."""
 
-    mode: str  # "none" | "premarked" | "bernoulli"
-    rate: float = 0.0
-    seed: int = 0
+    __slots__ = ("mode", "rate", "seed")
 
-    def __post_init__(self):
-        if self.mode not in ("none", "premarked", "bernoulli"):
-            raise ValueError(f"unknown sampling mode {self.mode!r}")
-        if not 0.0 <= self.rate <= 1.0:
+    def __init__(self, mode: str, rate: float = 0.0, seed: int = 0):
+        if mode not in ("none", "premarked", "bernoulli"):
+            raise ValueError(f"unknown sampling mode {mode!r}")
+        if not 0.0 <= rate <= 1.0:
             raise ValueError("rate must lie in [0, 1]")
+        for name, value in zip(self.__slots__, (mode, rate, seed)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return (self.mode, self.rate, self.seed)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"SamplingPolicy(mode={self.mode!r}, rate={self.rate!r}, seed={self.seed!r})"
 
     @classmethod
     def none(cls) -> "SamplingPolicy":
@@ -541,156 +596,3 @@ def apply_sampling(tr: Trace, policy: SamplingPolicy) -> Trace:
     if policy.mode == "none":
         return tr._with_marks(bytes(len(tr)))
     return tr._with_marks(bernoulli_marks(tr.kinds, policy.seed, policy.rate))
-
-
-# --- synthetic trace generation -------------------------------------------
-
-
-@dataclass(frozen=True)
-class GenConfig:
-    """Knobs for the synthetic generator.
-
-    ``p_sync`` is the probability that an idle thread starts a critical
-    section instead of issuing a bare access; ``contention`` is the
-    probability that a new critical section tries to reuse the most recently
-    released lock; ``accesses_per_cs`` is the mean number of accesses inside
-    a critical section (geometric).
-    """
-
-    threads: int
-    locks: int
-    vars: int
-    events: int
-    p_sync: float = 0.3
-    contention: float = 0.0
-    accesses_per_cs: float = 2.0
-
-    def __post_init__(self):
-        for name in ("threads", "locks", "vars", "events"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        for name in ("p_sync", "contention"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if self.accesses_per_cs < 0:
-            raise ValueError("accesses_per_cs must be non-negative")
-
-
-_NEST_PROB = 0.15
-_MAX_DEPTH = 3
-
-
-def generate_trace(cfg: GenConfig, seed: int) -> Trace:
-    """Generate a valid trace; deterministic in (cfg, seed).
-
-    Lock discipline holds by construction: each thread tracks the stack of
-    locks it holds and all open critical sections are closed before the event
-    budget runs out.  Raises InfeasibleConfigError when that is impossible
-    (an odd event budget with p_sync >= 1, which admits no access padding).
-    """
-    if cfg.p_sync >= 1.0 and cfg.events % 2 == 1:
-        raise InfeasibleConfigError(
-            "events too small to close open critical sections: "
-            "odd event budget with p_sync = 1"
-        )
-    rng = random.Random(seed)
-    p_close = 1.0 / (1.0 + cfg.accesses_per_cs)
-    held: List[List[int]] = [[] for _ in range(cfg.threads)]  # per-thread lock stack
-    lock_free = [True] * cfg.locks
-    lock_used = [False] * cfg.locks
-    last_released: Optional[int] = None
-    open_total = 0
-    threads, kinds, targets = array("i"), array("b"), array("i")
-
-    def emit(thread: int, kind: int, target: int) -> None:
-        threads.append(thread)
-        kinds.append(kind)
-        targets.append(target)
-
-    def pick_lock() -> Optional[int]:
-        # Contention first, then never-acquired locks, then any free lock.
-        if (
-            last_released is not None
-            and lock_free[last_released]
-            and rng.random() < cfg.contention
-        ):
-            return last_released
-        fresh = [l for l in range(cfg.locks) if lock_free[l] and not lock_used[l]]
-        if fresh:
-            return rng.choice(fresh)
-        free = [l for l in range(cfg.locks) if lock_free[l]]
-        return rng.choice(free) if free else None
-
-    def release(thread: int) -> None:
-        nonlocal last_released, open_total
-        lock = held[thread].pop()
-        emit(thread, REL, lock)
-        lock_free[lock] = True
-        last_released = lock
-        open_total -= 1
-
-    def acquire(thread: int, lock: int) -> None:
-        nonlocal open_total
-        emit(thread, ACQ, lock)
-        held[thread].append(lock)
-        lock_free[lock] = False
-        lock_used[lock] = True
-        open_total += 1
-
-    def access(thread: int) -> None:
-        kind = WRITE if rng.random() < 0.5 else READ
-        emit(thread, kind, rng.randrange(cfg.vars))
-
-    while len(kinds) < cfg.events:
-        remaining = cfg.events - len(kinds)
-        if remaining <= open_total:
-            # Out of slack: close open critical sections, innermost first.
-            release(rng.choice([t for t in range(cfg.threads) if held[t]]))
-            continue
-        thread = rng.randrange(cfg.threads)
-        depth = len(held[thread])
-        if depth > 0:
-            if rng.random() < p_close:
-                release(thread)
-            elif (
-                depth < _MAX_DEPTH
-                and remaining - 1 > open_total
-                and rng.random() < _NEST_PROB * cfg.p_sync
-                and (lock := pick_lock()) is not None
-            ):
-                acquire(thread, lock)
-            elif cfg.p_sync >= 1.0:
-                release(thread)
-            else:
-                access(thread)
-        else:
-            start = rng.random() < cfg.p_sync
-            lock = pick_lock() if start else None
-            if start and lock is not None and remaining - 1 > open_total:
-                acquire(thread, lock)
-            elif cfg.p_sync >= 1.0:
-                continue  # all-sync config and no lock available right now
-            else:
-                access(thread)
-
-    return _relabel_by_first_appearance(threads, kinds, targets)
-
-
-def _relabel_by_first_appearance(threads: array, kinds: array, targets: array) -> Trace:
-    """Renumber thread/lock/var ids densely by first appearance, in place.
-
-    Keeps the dense-id invariant that parse_trace establishes, so generated
-    traces round-trip through the text format event-for-event; ids that never
-    appear are dropped.  The columns become the trace's own.
-    """
-    thread_ids, lock_ids, var_ids = _Ids(), _Ids(), _Ids()
-    tables = (lock_ids, var_ids)
-    for pos, (t, k, x) in enumerate(zip(threads, kinds, targets)):
-        threads[pos] = thread_ids[t]
-        targets[pos] = tables[k >= READ][x]
-    num_threads = max(len(thread_ids), 1)
-    marks = bytes(len(kinds))
-    _validate_columns(threads, kinds, targets, marks, num_threads, len(lock_ids), len(var_ids))
-    return Trace._from_columns(
-        threads, kinds, targets, marks, num_threads, len(lock_ids), len(var_ids),
-    )

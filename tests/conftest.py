@@ -7,13 +7,12 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from racelab.gen import GenConfig, generate_trace
 from racelab.trace import (
     Event,
-    GenConfig,
     OpKind,
     SamplingPolicy,
     apply_sampling,
-    generate_trace,
     parse_trace,
 )
 

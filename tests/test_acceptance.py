@@ -17,16 +17,15 @@ import pytest
 from conftest import handoff_trace
 from racelab import differential, oracle
 from racelab.engines import create_engine
+from racelab.gen import GenConfig, generate_trace
 from racelab.history import EXTENDED, SAMPLED_ONLY
 from racelab.olist import OrderedList
 from racelab.trace import (
     Event,
-    GenConfig,
     OpKind,
     SamplingPolicy,
     Trace,
     apply_sampling,
-    generate_trace,
 )
 
 RATES = (0.0, 0.003, 0.03, 0.1, 1.0)

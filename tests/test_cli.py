@@ -174,18 +174,27 @@ def test_analyze_does_not_load_the_differential_stack(tmp_path):
     import subprocess
     import sys
 
+    # Nor anything else it does not run.  Modules a site hook loaded before
+    # racelab was imported do not count.
     trace = write(tmp_path, "two.trace", "T1|w(x)|*\nT2|w(x)|*\n")
     script = (
         "import sys\n"
+        "before = set(sys.modules)\n"
         "from racelab.cli import main\n"
         f"rc = main(['analyze', '--trace', {trace!r}, '--engine', 'sampling',\n"
         f"           '--out-races', {str(tmp_path / 'r.txt')!r},\n"
         f"           '--out-metrics', {str(tmp_path / 'm.json')!r}])\n"
         "assert rc == 1, rc\n"
-        "loaded = {'racelab.differential', 'racelab.oracle'} & set(sys.modules)\n"
+        "unused = {'racelab.differential', 'racelab.oracle', 'dataclasses', 'csv',\n"
+        "          'racelab.gen', 'racelab.olist', 'racelab.engines.uclock',\n"
+        "          'racelab.engines.orderedlist', 'racelab.engines.djitp'}\n"
+        "loaded = unused & (set(sys.modules) - before)\n"
         "assert not loaded, loaded\n"
         "from racelab.cli import diff_report\n"
         "assert diff_report.__module__ == 'racelab.differential'\n"
+        "import racelab\n"
+        "assert racelab.GenConfig.__module__ == 'racelab.gen'\n"
+        "assert racelab.OrderedList.__module__ == 'racelab.olist'\n"
     )
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr

@@ -1,12 +1,14 @@
 """The columnar trace core: columns, mark vectors, Event views, retained size."""
 
 import tracemalloc
+from fractions import Fraction
 from itertools import product
 
 import pytest
 
 from conftest import LADDER_TEXT
 from racelab.engines import ENGINE_TOKENS, create_engine
+from racelab.gen import GenConfig, generate_trace
 from racelab.history import EXTENDED, SAMPLED_ONLY
 from racelab.olist import OrderedList
 from racelab.trace import (
@@ -15,7 +17,6 @@ from racelab.trace import (
     REL,
     WRITE,
     Event,
-    GenConfig,
     OpKind,
     SamplingPolicy,
     Trace,
@@ -24,8 +25,8 @@ from racelab.trace import (
     apply_sampling,
     bernoulli_hit,
     dump_trace,
-    generate_trace,
     load_trace,
+    mix64,
     parse_trace,
     serialize_trace,
 )
@@ -92,10 +93,30 @@ def test_premarked_policy_returns_the_trace_itself(ladder_trace):
     assert apply_sampling(ladder_trace, SamplingPolicy.premarked()) is ladder_trace
 
 
-@pytest.mark.parametrize("seed", [0, 31, 2**64 - 1])
-@pytest.mark.parametrize("rate", [0.0, 0.003, 0.03, 1.0])
-def test_mark_vector_equals_bernoulli_hit_at_every_index(seed, rate):
-    tr = generate_trace(GenConfig(threads=4, locks=3, vars=6, events=4000), 8)
+# The mark kernel decides 4096 events per chunk: lengths on both sides of one
+# and two chunk boundaries, seeds that wrap, the largest threshold below 2**64
+# (no float rate reaches it), and thresholds at and just above the mix of
+# event 5001, a write of the 10001-event trace: unmarked, then marked.
+_MAX_THRESHOLD_RATE = Fraction(2**64 - 1, 2**64)
+_MIX_5001 = mix64(31 + 5001 * 0x9E3779B97F4A7C15)
+_MARK_CASES = [
+    pytest.param(rate, seed, 4000, id=f"{rate}-{seed}")
+    for rate in (0.0, 0.003, 0.03, 1.0)
+    for seed in (0, 31, 2**64 - 1, -1)
+] + [
+    pytest.param(rate, seed, events, id=f"{rate_id}-{seed}-{events}ev")
+    for rate, rate_id in ((0.03, "0.03"), (0.5, "0.5"), (_MAX_THRESHOLD_RATE, "max"))
+    for seed in (31, -1, 2**64 - 1)
+    for events in (4095, 4096, 4097, 10_001)
+] + [
+    pytest.param(Fraction(_MIX_5001 + above, 2**64), 31, 10_001, id=f"mix5001+{above}-31-10001ev")
+    for above in (0, 1)
+]
+
+
+@pytest.mark.parametrize("rate, seed, events", _MARK_CASES)
+def test_mark_vector_equals_bernoulli_hit_at_every_index(rate, seed, events):
+    tr = generate_trace(GenConfig(threads=4, locks=3, vars=6, events=events), 8)
     marks = apply_sampling(tr, SamplingPolicy.bernoulli(rate, seed)).marks
     for i, kind in enumerate(tr.kinds, start=1):
         want = kind >= READ and bernoulli_hit(seed, i, rate)

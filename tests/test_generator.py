@@ -5,14 +5,8 @@ import tracemalloc
 import pytest
 
 from conftest import random_config
-from racelab.trace import (
-    GenConfig,
-    InfeasibleConfigError,
-    OpKind,
-    generate_trace,
-    parse_trace,
-    serialize_trace,
-)
+from racelab.gen import GenConfig, generate_trace
+from racelab.trace import InfeasibleConfigError, OpKind, parse_trace, serialize_trace
 
 
 def test_single_thread_single_lock_validates():

@@ -157,7 +157,8 @@ def test_rendered_race_list_is_pinned_on_a_multi_race_trace():
 def test_rendered_race_list_is_pinned_on_a_generated_trace():
     import hashlib
 
-    from racelab.trace import GenConfig, SamplingPolicy, apply_sampling, generate_trace
+    from racelab.gen import GenConfig, generate_trace
+    from racelab.trace import SamplingPolicy, apply_sampling
 
     cfg = GenConfig(threads=6, locks=3, vars=5, events=3000)
     tr = apply_sampling(generate_trace(cfg, 17), SamplingPolicy.bernoulli(1.0, 0))

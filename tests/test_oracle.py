@@ -8,7 +8,8 @@ import pytest
 from conftest import random_config, random_traces
 from racelab import oracle
 from racelab.history import EXTENDED, SAMPLED_ONLY, WRITE_WRITE
-from racelab.trace import OpKind, SamplingPolicy, apply_sampling, generate_trace, parse_trace
+from racelab.gen import generate_trace
+from racelab.trace import OpKind, SamplingPolicy, apply_sampling, parse_trace
 
 
 def floyd_warshall_hb(tr):

@@ -4,15 +4,14 @@ import random
 import pytest
 
 from conftest import LADDER_TEXT, random_config
+from racelab.gen import GenConfig, generate_trace
 from racelab.trace import (
-    GenConfig,
     LockDisciplineError,
     OpKind,
     SamplingPolicy,
     TraceSyntaxError,
     apply_sampling,
     bernoulli_hit,
-    generate_trace,
     parse_trace,
     serialize_trace,
 )
