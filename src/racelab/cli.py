@@ -146,6 +146,14 @@ def cmd_bench(args) -> int:
     return 0
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type: an int of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common_analysis_flags(p) -> None:
     p.add_argument("--trace", required=True, help="trace file path")
     p.add_argument("--rate", type=float, default=None,
@@ -196,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--mode", choices=[SAMPLED_ONLY, EXTENDED], default=SAMPLED_ONLY)
     p_bench.add_argument("--local-epoch-opt", choices=["on", "off"], default="on")
-    p_bench.add_argument("--gen-count", type=int, default=1)
+    p_bench.add_argument("--gen-count", type=_at_least_one, default=1)
     _add_gen_flags(p_bench, required=False)
     p_bench.add_argument("--out", default="-")
     p_bench.set_defaults(func=cmd_bench)

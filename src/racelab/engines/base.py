@@ -4,17 +4,19 @@ Engines process one validated trace in order, one instance per analysis
 stream.  ``Engine.run`` walks the trace's columns and dispatches on the int
 kind code to four handlers, ``_acquire``, ``_release``, ``_read`` and
 ``_write``, each called as ``(index, thread, target, marked)``; no ``Event``
-is built.  ``Engine.process(ev)`` feeds one ``Event`` through the same loop.
+is built.  ``Engine.process(ev)`` is a one-event adapter: it feeds one
+``Event`` through the same loop and the same tally of the run's counters.
 
 Every engine is the paper's sampling algorithm and differs only in how it
-timestamps.  ``Engine`` owns the per-thread epochs, the new-sample flags,
-the one access path and the release skeleton; a subclass supplies
-``_acquire``, ``_row`` (the thread's live clock, read in place by the race
-checks and copied only for the snapshot hook), ``_fold`` (write the epoch
-into the clock at a sample-consuming release) and ``_publish`` (hand the
-clock to the lock at every release).  An access is handed to the histories
-only if ``AccessHistories.will_check`` says it will be checked, so an
-unchecked access costs O(1); a checked one reads the live row and builds no
+timestamps.  ``Engine`` keeps only what every engine shares: the per-thread
+epochs, the new-sample flags, the one access path, the release skeleton,
+the driver loop and its tally.  A subclass supplies ``_acquire``, ``_row``
+(the thread's live clock, read in place by the race checks and copied only
+for the snapshot hook), ``_fold`` (write the epoch into the clock at a
+sample-consuming release) and ``_publish`` (hand the clock to the lock at
+every release).  An access is handed to the histories only if it is marked
+or ``AccessHistories.will_check`` says it will be checked, so an unchecked
+access costs O(1); a checked one reads the live row and builds no
 timestamp.  With ``sample_all`` set (Djit+), every access is sampled and
 every release ends an epoch.
 
@@ -56,9 +58,6 @@ class Engine:
         debug: bool = False,
     ):
         self.num_threads = num_threads
-        self.num_locks = num_locks
-        self.num_vars = num_vars
-        self.mode = mode
         self.on_event = on_event
         self.debug = debug
         self.histories = AccessHistories(num_vars, num_threads, mode)
@@ -94,11 +93,11 @@ class Engine:
     # -- the access path and the release skeleton ------------------------------
 
     def _read(self, index, thread, var, marked):
-        if marked or self.histories.will_check(thread, var, False, False):
+        if marked or self.histories.will_check(thread, var, False):
             self._check(index, thread, var, False, marked)
 
     def _write(self, index, thread, var, marked):
-        if marked or self.histories.will_check(thread, var, True, False):
+        if marked or self.histories.will_check(thread, var, True):
             self._check(index, thread, var, True, marked)
 
     def _check(self, index, thread, var, is_write, marked) -> None:
@@ -137,39 +136,30 @@ class Engine:
             if hook is not None and k != REL:
                 hook(i, self._effective(t))
 
+    def _tally(self, before: int, events: int, acquires: int, releases: int, sampled: int) -> None:
+        """Count walked events and the races reported since ``before``."""
+        m = self.metrics
+        m.events_total += events
+        m.acquires_total += acquires
+        m.releases_total += releases
+        m.accesses_total += events - acquires - releases
+        m.accesses_sampled += sampled
+        m.race_count += len(self.reports) - before
+        m.race_checks = self.histories.race_checks
+
     def process(self, ev: Event) -> List[RaceReport]:
         """Handle one event; returns the races it reports."""
-        m = self.metrics
         code = ev.kind.code
-        m.events_total += 1
-        if code == ACQ:
-            m.acquires_total += 1
-        elif code == REL:
-            m.releases_total += 1
-        else:
-            m.accesses_total += 1
-            if ev.marked:
-                m.accesses_sampled += 1
         before = len(self.reports)
         self._walk(((ev.index, code, ev.thread, ev.target, ev.marked or self.sample_all),))
-        new_reports = self.reports[before:]
-        m.race_count += len(new_reports)
-        m.race_checks = self.histories.race_checks
-        return new_reports
+        self._tally(before, 1, code == ACQ, code == REL, ev.marked and ev.is_access)
+        return self.reports[before:]
 
     def run(self, tr: Trace) -> List[RaceReport]:
         before = len(self.reports)
         marks = repeat(True) if self.sample_all else tr.marks
         self._walk(zip(count(1), tr.kinds, tr.threads, tr.targets, marks))
-        m = self.metrics
-        n, acquires, releases = len(tr), tr.kinds.count(ACQ), tr.kinds.count(REL)
-        m.events_total += n
-        m.acquires_total += acquires
-        m.releases_total += releases
-        m.accesses_total += n - acquires - releases
-        m.accesses_sampled += tr.sample_size
-        m.race_count += len(self.reports) - before
-        m.race_checks = self.histories.race_checks
+        self._tally(before, len(tr), tr.kinds.count(ACQ), tr.kinds.count(REL), tr.sample_size)
         return self.reports
 
     def racy_set(self) -> set:

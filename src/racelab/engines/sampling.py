@@ -9,7 +9,6 @@ copies the thread clock to the lock and every acquire still joins.
 
 from __future__ import annotations
 
-from ..clocks import bottom, join_into
 from .base import Engine, check_monotone
 
 
@@ -18,8 +17,8 @@ class SamplingEngine(Engine):
 
     def __init__(self, num_threads, num_locks, num_vars, **kwargs):
         super().__init__(num_threads, num_locks, num_vars, **kwargs)
-        self.c_threads = [bottom(num_threads) for _ in range(num_threads)]
-        self.c_locks = [bottom(num_threads) for _ in range(num_locks)]
+        self.c_threads = [[0] * num_threads for _ in range(num_threads)]
+        self.c_locks = [[0] * num_threads for _ in range(num_locks)]
 
     def _row(self, thread):
         return self.c_threads[thread]
@@ -27,7 +26,9 @@ class SamplingEngine(Engine):
     def _acquire(self, index, thread, lock, marked):
         ct = self.c_threads[thread]
         old = list(ct) if self.debug else None
-        join_into(ct, self.c_locks[lock])
+        for s, c in enumerate(self.c_locks[lock]):
+            if c > ct[s]:
+                ct[s] = c
         self.metrics.full_traversals += 1
         if self.debug:
             check_monotone(old, ct, "thread")

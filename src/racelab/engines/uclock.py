@@ -12,7 +12,6 @@ all-zero freshness clock, so the same guard skips its acquires.
 
 from __future__ import annotations
 
-from ..clocks import bottom
 from .base import check_monotone
 from .sampling import SamplingEngine
 
@@ -22,8 +21,8 @@ class UclockEngine(SamplingEngine):
 
     def __init__(self, num_threads, num_locks, num_vars, **kwargs):
         super().__init__(num_threads, num_locks, num_vars, **kwargs)
-        self.u_threads = [bottom(num_threads) for _ in range(num_threads)]
-        self.u_locks = [bottom(num_threads) for _ in range(num_locks)]
+        self.u_threads = [[0] * num_threads for _ in range(num_threads)]
+        self.u_locks = [[0] * num_threads for _ in range(num_locks)]
         self.last_releaser = [0] * num_locks
 
     def _acquire(self, index, t, lock, marked):

@@ -38,9 +38,9 @@ Two modes:
   watermarks).  Unmarked events never update the summaries.  The total
   number of checked events is bounded by |S| + 2|S|T.
 
-``AccessHistories.will_check`` is the one predicate for "this access is
-checked"; a marked access always is.  Engines call ``check_and_update``
-only when it holds, and neither builds a timestamp.
+An access is checked when it is marked or ``AccessHistories.will_check``
+holds for it.  Engines call ``check_and_update`` only then, and neither
+builds a timestamp.
 """
 
 from __future__ import annotations
@@ -95,25 +95,23 @@ class VarHistory:
 class AccessHistories:
     """All per-variable histories of one engine plus the check-invocation counter."""
 
-    __slots__ = ("mode", "extended", "histories", "race_checks")
+    __slots__ = ("extended", "histories", "race_checks")
 
     def __init__(self, num_vars: int, width: int, mode: str = SAMPLED_ONLY):
         if mode not in (SAMPLED_ONLY, EXTENDED):
             raise ValueError(f"unknown history mode {mode!r}")
-        self.mode = mode
         self.extended = mode == EXTENDED
         self.histories = [VarHistory(width, self.extended) for _ in range(num_vars)]
         self.race_checks = 0
 
-    def will_check(self, thread: int, var: int, is_write: bool, marked: bool) -> bool:
-        """Whether this access runs a race check: it is marked, or, in extended
-        mode, it is the thread's first access to ``var`` since the history
-        gained a marked event it could race with (the watermark test).
+    def will_check(self, thread: int, var: int, is_write: bool) -> bool:
+        """Whether this unmarked access runs a race check: in extended mode,
+        it is the thread's first access to ``var`` since the history gained a
+        marked event it could race with (the watermark test).  A marked
+        access is always checked, so callers test ``marked`` first.
 
         O(1), and it needs no timestamp.
         """
-        if marked:
-            return True
         if not self.extended:
             return False
         h = self.histories[var]
@@ -132,9 +130,9 @@ class AccessHistories:
         epoch: int,
         marked: bool,
     ) -> List[RaceReport]:
-        """Check and record one access that ``will_check`` said is checked.
+        """Check and record one access that is marked or passed ``will_check``.
 
-        Callers ask ``will_check`` first; this method counts the check in
+        Callers test that first; this method counts the check in
         ``race_checks`` and runs it unconditionally.  ``row`` is the thread's
         live clock, read but never kept or mutated; its own component is
         ignored, ``epoch`` stands for it.  A read check is O(1) and a write

@@ -2,8 +2,13 @@
 
 An OrderedList stores a vector timestamp as a doubly linked sequence of
 (tid, time) entries, exactly one per thread, ordered by recency of update:
-every set/increment moves the touched entry to the head.  The d most recently
-changed entries are therefore always a prefix.
+every set moves the touched entry to the head.  The d most recently changed
+entries are therefore always a prefix.
+
+The list keeps only what the orderedlist engine calls: O(1) ``get`` and
+``set``, ``newer_in_prefix`` (the entries among the first k that are newer
+than another list), the dense views ``times`` and ``snapshot``, and the two
+copies.
 
 The list is array-backed: ``_time[t]`` is thread t's component, and
 ``_next[t]``/``_prev[t]`` are the neighbouring thread ids in list order, with
@@ -21,40 +26,32 @@ once the last view is dropped the owner mutates it in place again, and
 
 from __future__ import annotations
 
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 
 class SharedMutationError(RuntimeError):
-    """A set/increment was attempted through a shared (published) list."""
+    """A set was attempted through a shared (published) list."""
 
 
 class OrderedList:
-    """Array-backed doubly linked (tid, time) list with O(1) get/set/increment.
+    """Array-backed doubly linked (tid, time) list with O(1) get/set."""
 
-    ``op_steps`` counts entry touches inside the constant-time operations so
-    tests can assert the bound; prefix traversal is charged to the caller.
-    """
-
-    __slots__ = ("width", "_time", "_next", "_prev", "_head", "refs", "op_steps")
+    __slots__ = ("_time", "_next", "_prev", "_head", "refs")
 
     def __init__(self, width: int):
-        self.width = width
         self._time = [0] * width
         self._next = list(range(1, width)) + [-1] if width else []
         self._prev = list(range(-1, width - 1))
         self._head = 0 if width else -1
         self.refs = 1  # owning thread; shallow copies add views
-        self.op_steps = 0
 
     def get(self, tid: int) -> int:
-        self.op_steps += 1
         return self._time[tid]
 
     def _move_to_head(self, tid: int) -> None:
         head = self._head
         if tid == head:
             return
-        self.op_steps += 2
         nxt, prev = self._next, self._prev
         before, after = prev[tid], nxt[tid]
         nxt[before] = after  # tid is not the head, so it has a predecessor
@@ -68,25 +65,8 @@ class OrderedList:
     def set(self, tid: int, time: int) -> None:
         if self.refs > 1:
             raise SharedMutationError("set() on a shared ordered list")
-        self.op_steps += 1
         self._time[tid] = time
         self._move_to_head(tid)
-
-    def increment(self, tid: int, k: int = 1) -> None:
-        if self.refs > 1:
-            raise SharedMutationError("increment() on a shared ordered list")
-        self.op_steps += 1
-        self._time[tid] += k
-        self._move_to_head(tid)
-
-    def prefix(self, k: int) -> List[Tuple[int, int]]:
-        """First min(k, width) (tid, time) pairs in list order; read-only."""
-        out: List[Tuple[int, int]] = []
-        tid = self._head
-        while tid != -1 and len(out) < k:
-            out.append((tid, self._time[tid]))
-            tid = self._next[tid]
-        return out
 
     def newer_in_prefix(self, k: int, other: "OrderedList") -> List[Tuple[int, int]]:
         """The (tid, time) pairs among the first k entries whose time exceeds
@@ -101,18 +81,11 @@ class OrderedList:
             k -= 1
         return out
 
-    def __iter__(self) -> Iterator[Tuple[int, int]]:
-        tid = self._head
-        while tid != -1:
-            yield (tid, self._time[tid])
-            tid = self._next[tid]
-
     @property
     def times(self) -> Sequence[int]:
         """The live dense clock, not copied: component t = get(t).
 
         Read-only for callers; it changes with the list, so read it at once.
-        Uncounted in ``op_steps``, like ``snapshot``.
         """
         return self._time
 
@@ -128,21 +101,9 @@ class OrderedList:
     def deep_copy(self) -> "OrderedList":
         """Structurally identical, exclusively owned copy (same values, same order)."""
         out = OrderedList.__new__(OrderedList)
-        out.width = self.width
         out._time = self._time[:]
         out._next = self._next[:]
         out._prev = self._prev[:]
         out._head = self._head
         out.refs = 1
-        out.op_steps = 0
         return out
-
-    def render(self) -> str:
-        """Debug rendering, head first: ``(tid:time) -> (tid:time) -> ...``."""
-        return " -> ".join(f"({tid}:{time})" for tid, time in self)
-
-    __str__ = render
-
-    def __repr__(self) -> str:
-        return f"OrderedList<{self.render()}>"
-

@@ -108,10 +108,6 @@ class Event(NamedTuple):
     def is_access(self) -> bool:
         return self.kind is OpKind.READ or self.kind is OpKind.WRITE
 
-    @property
-    def is_sync(self) -> bool:
-        return not self.is_access
-
 
 class Trace:
     """A validated, immutable trace held as columns (see the module docstring).
@@ -219,10 +215,6 @@ class Trace:
             f"Trace({len(self)} events, {self.num_threads} threads, {self.num_locks} locks, "
             f"{self.num_vars} vars, {self.sample_size} marked)"
         )
-
-    @property
-    def sampled_indices(self) -> Tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.marks, start=1) if m)
 
     @property
     def sample_size(self) -> int:

@@ -319,7 +319,7 @@ def test_criterion_10_golden_worked_examples(ladder_trace):
     assert o.get(2) == 8
     assert o.snapshot() == [6, 20, 8, 0, 1]
     o.set(3, 6)
-    assert list(o)[0] == (3, 6)
-    o.increment(0, 1)
-    assert o.prefix(2) == [(0, 7), (3, 6)]
+    assert o.newer_in_prefix(1, OrderedList(5)) == [(3, 6)]
+    o.set(0, o.get(0) + 1)
+    assert o.newer_in_prefix(2, OrderedList(5)) == [(0, 7), (3, 6)]
     print("CRITERION 10 (golden worked examples): PASS")

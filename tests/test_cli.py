@@ -210,6 +210,17 @@ def test_bench_generated_traces(tmp_path):
     assert len(rows) == 2 * 2 * 4
 
 
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_bench_gen_count_below_one_exits_2(tmp_path, capsys, count):
+    # With no trace there would be no row, and the CSV header is mandatory.
+    out = tmp_path / "g.csv"
+    with pytest.raises(SystemExit) as err:
+        main(["bench", "--gen-count", count, "--out", str(out)])
+    assert err.value.code == 2
+    assert "--gen-count: must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _budget_trace(tmp_path):
     out = str(tmp_path / "b.trace")
     assert main(["gen", "--threads", "6", "--locks", "3", "--vars", "5",

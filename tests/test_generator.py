@@ -81,7 +81,7 @@ def test_infeasible_config_raises():
 def test_pure_sync_config_generates_lock_pairs():
     tr = generate_trace(GenConfig(threads=2, locks=2, vars=1, events=40, p_sync=1.0), 1)
     assert len(tr) == 40
-    assert all(e.is_sync for e in tr.events)
+    assert not any(e.is_access for e in tr.events)
 
 
 # The three benchmark trace shapes (the `racelab gen` flags of perfbench's

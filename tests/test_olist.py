@@ -1,9 +1,57 @@
+import random
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
+from racelab import olist
 from racelab.olist import OrderedList, SharedMutationError
+
+
+def order(o):
+    """The list's (tid, time) entries, head first, read off its links."""
+    out, tid = [], o._head
+    while tid != -1:
+        out.append((tid, o.get(tid)))
+        tid = o._next[tid]
+    return out
+
+
+def bump(o, tid, k):
+    """Add ``k`` to thread ``tid``'s component; moves it to the head."""
+    o.set(tid, o.get(tid) + k)
+
+
+def mutate(o, op, tid, val):
+    """Apply one drawn ``("set" | "inc", tid, val)`` mutation."""
+    if op == "set":
+        o.set(tid, val)
+    else:
+        bump(o, tid, val)
+
+
+def olist_lines(call, *args):
+    """Lines of ``olist.py`` executed by ``call(*args)``."""
+    lines = 0
+
+    def local(frame, event, arg):
+        nonlocal lines
+        if event == "line":
+            lines += 1
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename == olist.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        call(*args)
+    finally:
+        sys.settrace(previous)
+    return lines
 
 
 def five_thread_list():
@@ -19,7 +67,7 @@ def five_thread_list():
 def test_fresh_list_is_bottom_in_tid_order():
     o = OrderedList(4)
     assert all(o.get(t) == 0 for t in range(4))
-    assert list(o) == [(0, 0), (1, 0), (2, 0), (3, 0)]
+    assert order(o) == [(0, 0), (1, 0), (2, 0), (3, 0)]
     assert o.snapshot() == [0, 0, 0, 0]
 
 
@@ -27,17 +75,17 @@ def test_five_thread_list_values_and_get():
     o = five_thread_list()
     assert o.get(2) == 8  # t3 maps to 8
     assert o.snapshot() == [6, 20, 8, 0, 1]
-    assert list(o) == [(0, 6), (1, 20), (4, 1), (2, 8), (3, 0)]
+    assert order(o) == [(0, 6), (1, 20), (4, 1), (2, 8), (3, 0)]
 
 
 def test_example_list_mutations():
     o = five_thread_list()
     o.set(3, 6)  # t4 <- 6 moves to head
-    assert list(o)[0] == (3, 6)
-    o.increment(0, 1)  # t1 +1 -> 7, moves to head
-    assert list(o)[0] == (0, 7)
-    assert o.prefix(2) == [(0, 7), (3, 6)]
-    assert o.render() == "(0:7) -> (3:6) -> (1:20) -> (4:1) -> (2:8)"
+    assert order(o)[0] == (3, 6)
+    o.set(0, o.get(0) + 1)  # t1 +1 -> 7, moves to head
+    assert order(o)[0] == (0, 7)
+    assert o.newer_in_prefix(2, OrderedList(5)) == [(0, 7), (3, 6)]
+    assert order(o) == [(0, 7), (3, 6), (1, 20), (4, 1), (2, 8)]
 
 
 def test_get_after_set_and_head_stability():
@@ -45,21 +93,20 @@ def test_get_after_set_and_head_stability():
     o.set(1, 5)
     assert o.get(1) == 5
     o.set(1, 6)  # head thread stays at head
-    assert list(o)[0] == (1, 6)
+    assert order(o)[0] == (1, 6)
 
 
-def test_prefix_bounds():
-    o = five_thread_list()
-    assert o.prefix(0) == []
-    assert len(o.prefix(5 + 5)) == 5  # k > T yields all elements
+def test_newer_in_prefix_bounds():
+    o, bottom = five_thread_list(), OrderedList(5)
+    assert o.newer_in_prefix(0, bottom) == []
+    # k > T reads the whole list and stops at its end
+    assert o.newer_in_prefix(5 + 5, bottom) == [(0, 6), (1, 20), (4, 1), (2, 8)]
 
 
 def test_deep_copy_isolation_and_structure():
     o = five_thread_list()
     c = o.deep_copy()
-    assert c.render() == o.render()
-    for k in range(7):
-        assert c.prefix(k) == o.prefix(k)
+    assert order(c) == order(o)
     c.set(2, 99)
     assert o.get(2) == 8
 
@@ -72,7 +119,7 @@ def test_shared_view_blocks_mutation():
     with pytest.raises(SharedMutationError):
         o.set(0, 1)
     with pytest.raises(SharedMutationError):
-        o.increment(1, 1)
+        bump(o, 1, 1)
     assert o.snapshot() == [0, 0, 0]
     fresh = o.deep_copy()
     fresh.set(0, 1)  # exclusive copy is mutable while the view lives
@@ -98,7 +145,7 @@ def test_snapshot_ignores_order():
     b.set(2, 4)
     b.set(0, 1)
     assert a.snapshot() == b.snapshot()
-    assert list(a) != list(b)
+    assert order(a) != order(b)
 
 
 ops = st.lists(
@@ -112,37 +159,36 @@ def test_order_is_reverse_of_last_mutation_times(mutations):
     o = OrderedList(5)
     last_touch = {}
     for step, (op, tid, val) in enumerate(mutations):
-        if op == "set":
-            o.set(tid, val)
-        else:
-            o.increment(tid, val)
+        mutate(o, op, tid, val)
         last_touch[tid] = step
     touched = sorted(last_touch, key=lambda t: last_touch[t], reverse=True)
     untouched = [t for t in range(5) if t not in last_touch]
-    assert [tid for tid, _ in o] == touched + untouched
+    assert [tid for tid, _ in order(o)] == touched + untouched
 
 
-@given(ops)
-def test_constant_work_per_operation(mutations):
-    o = OrderedList(5)
-    for op, tid, val in mutations:
-        before = o.op_steps
-        if op == "set":
-            o.set(tid, val)
-        else:
-            o.increment(tid, val)
-        assert o.op_steps - before <= 8
-    before = o.op_steps
-    o.get(3)
-    assert o.op_steps - before <= 2
+def test_constant_work_per_operation():
+    """A get or set runs as many lines of ``olist.py`` at 4096 threads as
+    at 5: the worst case over 600 random calls is the same at both widths."""
+    worst = {}
+    for width in (5, 4096):
+        rng, o = random.Random(width), OrderedList(width)
+        for _ in range(600):
+            tid = rng.randrange(width)
+            if rng.random() < 0.5:
+                key, lines = "get", olist_lines(o.get, tid)
+            else:
+                key, lines = "set", olist_lines(o.set, tid, rng.randrange(10))
+            worst[width, key] = max(worst.get((width, key), 0), lines)
+    assert worst[5, "get"] == worst[4096, "get"] > 0
+    assert worst[5, "set"] == worst[4096, "set"] > worst[5, "get"]
 
 
 @given(ops)
 def test_deep_copy_preserves_structure(mutations):
     o = OrderedList(5)
     for op, tid, val in mutations:
-        (o.set if op == "set" else o.increment)(tid, val)
-    assert list(o.deep_copy()) == list(o)
+        mutate(o, op, tid, val)
+    assert order(o.deep_copy()) == order(o)
 
 
 @given(ops, ops, st.integers(0, 7))
@@ -150,8 +196,8 @@ def test_newer_in_prefix_filters_prefix(mutations, other_mutations, k):
     o, other = OrderedList(5), OrderedList(5)
     for lst, muts in ((o, mutations), (other, other_mutations)):
         for op, tid, val in muts:
-            (lst.set if op == "set" else lst.increment)(tid, val)
-    want = [(tid, n) for tid, n in o.prefix(k) if n > other.get(tid)]
+            mutate(lst, op, tid, val)
+    want = [(tid, n) for tid, n in order(o)[:k] if n > other.get(tid)]
     assert o.newer_in_prefix(k, other) == want
     assert o.shallow_copy().newer_in_prefix(k, other) == want
 
@@ -166,7 +212,7 @@ def test_unshare_waits_for_the_last_view():
     v2.refs -= 1
     assert o.refs == 1
     o.set(0, 4)  # mutable in place again, with no copy
-    assert list(o)[:2] == [(0, 4), (1, 2)]
+    assert order(o)[:2] == [(0, 4), (1, 2)]
 
 
 WIDTH = 4
@@ -204,7 +250,7 @@ class OrderedListModel(RuleBasedStateMachine):
     @rule(tid=st.integers(0, WIDTH - 1), k=st.integers(0, 9))
     def increment(self, tid, k):
         def apply():
-            self.lst.increment(tid, k)
+            bump(self.lst, tid, k)
             self.values[tid] += k
         self._mutate(tid, apply)
 
@@ -234,9 +280,9 @@ class OrderedListModel(RuleBasedStateMachine):
         o = self.lst
         assert o.snapshot() == self.values
         pairs = [(tid, self.values[tid]) for tid in self.order]
-        assert list(o) == pairs
+        assert order(o) == pairs
         for k in range(WIDTH + 2):
-            assert o.prefix(k) == pairs[:k]
+            assert o.newer_in_prefix(k, OrderedList(WIDTH)) == [p for p in pairs[:k] if p[1] > 0]
         for target in self.views + [o]:
             assert target.refs == self.refs[id(target)]
 

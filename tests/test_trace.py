@@ -29,7 +29,7 @@ def test_parse_ladder_example(ladder_trace):
     tr = ladder_trace
     assert len(tr) == 18
     assert (tr.num_threads, tr.num_locks, tr.num_vars) == (2, 4, 1)
-    assert tr.sampled_indices == (5, 15, 16)
+    assert [e.index for e in tr.events if e.marked] == [5, 15, 16]
     # dense ids by first appearance
     assert tr.thread_names == ("T1", "T2")
     assert tr.lock_names == ("l4", "l3", "l2", "l1")
@@ -95,7 +95,7 @@ def test_apply_sampling_rate_edges(ladder_trace):
     assert none.sample_size == 0
     allm = apply_sampling(ladder_trace, SamplingPolicy.bernoulli(1.0, 1))
     assert allm.sample_size == sum(1 for e in ladder_trace.events if e.is_access)
-    assert all(not e.marked for e in allm.events if e.is_sync)
+    assert all(not e.marked for e in allm.events if not e.is_access)
 
 
 def test_apply_sampling_modes(ladder_trace):
