@@ -4,19 +4,26 @@ Used by ``racelab gen``, ``racelab bench`` and the tests; ``racelab analyze``
 never loads this module.  A generated trace is validated by the same
 ``_validate_columns`` as a parsed one and has dense ids by first
 appearance, so it round-trips through the text format event for event.
+
+A trace is a function of (config, seed) alone, pinned byte for byte by the
+tests.  The event loop draws from ``random.Random(seed)`` in a fixed order.
+Its integer draws use CPython's rejection rule behind ``randrange(n)`` and
+``choice`` (``_below``), which consumes the same words and returns the same
+values; the per-event draws inline it, so they make no method call.  The
+free locks and the never-acquired locks are kept as ascending lists,
+updated by bisection at each acquire and release, so a lock pick indexes a
+list instead of scanning all L locks.
 """
 
 from __future__ import annotations
 
 import random
 from array import array
-from dataclasses import dataclass
-from typing import List, Optional
+from bisect import bisect_left, insort
 
 from .trace import ACQ, READ, REL, WRITE, InfeasibleConfigError, Trace, _Ids, _validate_columns
 
 
-@dataclass(frozen=True)
 class GenConfig:
     """Knobs for the synthetic generator.
 
@@ -24,30 +31,74 @@ class GenConfig:
     section instead of issuing a bare access; ``contention`` is the
     probability that a new critical section tries to reuse the most recently
     released lock; ``accesses_per_cs`` is the mean number of accesses inside
-    a critical section (geometric).
+    a critical section (geometric).  Immutable; configs are equal when all
+    their fields are.
     """
 
-    threads: int
-    locks: int
-    vars: int
-    events: int
-    p_sync: float = 0.3
-    contention: float = 0.0
-    accesses_per_cs: float = 2.0
+    __slots__ = ("threads", "locks", "vars", "events", "p_sync", "contention", "accesses_per_cs")
 
-    def __post_init__(self):
-        for name in ("threads", "locks", "vars", "events"):
-            if getattr(self, name) < 1:
+    def __init__(
+        self,
+        threads: int,
+        locks: int,
+        vars: int,
+        events: int,
+        p_sync: float = 0.3,
+        contention: float = 0.0,
+        accesses_per_cs: float = 2.0,
+    ):
+        values = (threads, locks, vars, events, p_sync, contention, accesses_per_cs)
+        for name, value in zip(self.__slots__[:4], values):
+            if value < 1:
                 raise ValueError(f"{name} must be >= 1")
-        for name in ("p_sync", "contention"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
+        for name, value in (("p_sync", p_sync), ("contention", contention)):
+            if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if self.accesses_per_cs < 0:
+        if accesses_per_cs < 0:
             raise ValueError("accesses_per_cs must be non-negative")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return (self.__class__, self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"GenConfig({fields})"
 
 
 _NEST_PROB = 0.15
 _MAX_DEPTH = 3
+_RELABEL_CHUNK = 4096  # events per relabel pass; its temporaries stay small
+
+
+def _below(bits, n: int) -> int:
+    """``randrange(n)`` and the index ``choice`` draws for a sequence of
+    length ``n``, for the ``Random`` whose ``getrandbits`` is ``bits``:
+    CPython's rejection rule, which draws the same words.  The event loop
+    inlines it for its per-event draws."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
 
 
 def generate_trace(cfg: GenConfig, seed: int) -> Trace:
@@ -64,84 +115,94 @@ def generate_trace(cfg: GenConfig, seed: int) -> Trace:
             "odd event budget with p_sync = 1"
         )
     rng = random.Random(seed)
+    uniform, bits = rng.random, rng.getrandbits
+    n_threads, n_vars = cfg.threads, cfg.vars
+    k_threads, k_vars = n_threads.bit_length(), n_vars.bit_length()
+    p_sync, contention = cfg.p_sync, cfg.contention
+    all_sync = p_sync >= 1.0
     p_close = 1.0 / (1.0 + cfg.accesses_per_cs)
-    held: List[List[int]] = [[] for _ in range(cfg.threads)]  # per-thread lock stack
-    lock_free = [True] * cfg.locks
-    lock_used = [False] * cfg.locks
-    last_released: Optional[int] = None
+    p_nest = _NEST_PROB * p_sync
+    held = [[] for _ in range(n_threads)]  # per-thread lock stack
+    lock_free = bytearray(b"\1") * cfg.locks
+    free = list(range(cfg.locks))  # ascending
+    fresh = list(range(cfg.locks))  # never acquired, so free; ascending
+    last_released = None
     open_total = 0
+    remaining = cfg.events
     threads, kinds, targets = array("i"), array("b"), array("i")
+    put_thread, put_kind, put_target = threads.append, kinds.append, targets.append
 
-    def emit(thread: int, kind: int, target: int) -> None:
-        threads.append(thread)
-        kinds.append(kind)
-        targets.append(target)
-
-    def pick_lock() -> Optional[int]:
+    def pick_lock():
         # Contention first, then never-acquired locks, then any free lock.
-        if (
-            last_released is not None
-            and lock_free[last_released]
-            and rng.random() < cfg.contention
-        ):
+        if last_released is not None and lock_free[last_released] and uniform() < contention:
             return last_released
-        fresh = [l for l in range(cfg.locks) if lock_free[l] and not lock_used[l]]
-        if fresh:
-            return rng.choice(fresh)
-        free = [l for l in range(cfg.locks) if lock_free[l]]
-        return rng.choice(free) if free else None
+        pool = fresh or free
+        return pool[_below(bits, len(pool))] if pool else None
 
-    def release(thread: int) -> None:
-        nonlocal last_released, open_total
-        lock = held[thread].pop()
-        emit(thread, REL, lock)
-        lock_free[lock] = True
-        last_released = lock
-        open_total -= 1
-
-    def acquire(thread: int, lock: int) -> None:
-        nonlocal open_total
-        emit(thread, ACQ, lock)
-        held[thread].append(lock)
-        lock_free[lock] = False
-        lock_used[lock] = True
-        open_total += 1
-
-    def access(thread: int) -> None:
-        kind = WRITE if rng.random() < 0.5 else READ
-        emit(thread, kind, rng.randrange(cfg.vars))
-
-    while len(kinds) < cfg.events:
-        remaining = cfg.events - len(kinds)
-        if remaining <= open_total:
-            # Out of slack: close open critical sections, innermost first.
-            release(rng.choice([t for t in range(cfg.threads) if held[t]]))
-            continue
-        thread = rng.randrange(cfg.threads)
-        depth = len(held[thread])
-        if depth > 0:
-            if rng.random() < p_close:
-                release(thread)
+    while remaining > open_total:
+        thread = bits(k_threads)  # _below(bits, n_threads), inlined
+        while thread >= n_threads:
+            thread = bits(k_threads)
+        stack = held[thread]
+        if stack:
+            if uniform() < p_close:
+                kind = REL
             elif (
-                depth < _MAX_DEPTH
+                len(stack) < _MAX_DEPTH
                 and remaining - 1 > open_total
-                and rng.random() < _NEST_PROB * cfg.p_sync
+                and uniform() < p_nest
                 and (lock := pick_lock()) is not None
             ):
-                acquire(thread, lock)
-            elif cfg.p_sync >= 1.0:
-                release(thread)
+                kind = ACQ
             else:
-                access(thread)
+                kind = REL if all_sync else READ  # READ: an access, kind drawn below
+        elif uniform() < p_sync and (lock := pick_lock()) is not None and remaining - 1 > open_total:
+            kind = ACQ
+        elif all_sync:
+            continue  # all-sync config and no lock available right now
         else:
-            start = rng.random() < cfg.p_sync
-            lock = pick_lock() if start else None
-            if start and lock is not None and remaining - 1 > open_total:
-                acquire(thread, lock)
-            elif cfg.p_sync >= 1.0:
-                continue  # all-sync config and no lock available right now
-            else:
-                access(thread)
+            kind = READ
+        put_thread(thread)
+        remaining -= 1
+        if kind == REL:
+            lock = stack.pop()
+            put_kind(REL)
+            put_target(lock)
+            lock_free[lock] = 1
+            insort(free, lock)
+            last_released = lock
+            open_total -= 1
+        elif kind == ACQ:
+            put_kind(ACQ)
+            put_target(lock)
+            stack.append(lock)
+            lock_free[lock] = 0
+            del free[bisect_left(free, lock)]
+            i = bisect_left(fresh, lock)
+            if i < len(fresh) and fresh[i] == lock:  # its first acquire
+                del fresh[i]
+            open_total += 1
+        else:
+            put_kind(WRITE if uniform() < 0.5 else READ)
+            x = bits(k_vars)  # _below(bits, n_vars), inlined
+            while x >= n_vars:
+                x = bits(k_vars)
+            put_target(x)
+
+    # Out of slack (remaining == open_total): close the open critical
+    # sections, innermost first, each on a thread drawn from those holding a
+    # lock.  ``busy`` stays ascending, as the draw requires.
+    busy = [t for t in range(n_threads) if held[t]]
+    while remaining:
+        i = _below(bits, len(busy))
+        thread = busy[i]
+        stack = held[thread]
+        put_thread(thread)
+        put_kind(REL)
+        put_target(stack.pop())
+        if not stack:
+            del busy[i]
+        remaining -= 1
 
     return _relabel_by_first_appearance(threads, kinds, targets)
 
@@ -151,13 +212,18 @@ def _relabel_by_first_appearance(threads: array, kinds: array, targets: array) -
 
     Keeps the dense-id invariant that parse_trace establishes, so generated
     traces round-trip through the text format event-for-event; ids that never
-    appear are dropped.  The columns become the trace's own.
+    appear are dropped.  Each chunk of an id column is rewritten by one
+    C-level ``map`` over the id tables (``_Ids.__missing__`` assigns a new
+    id), so no second copy of a column is ever alive.  The columns become
+    the trace's own.
     """
     thread_ids, lock_ids, var_ids = _Ids(), _Ids(), _Ids()
-    tables = (lock_ids, var_ids)
-    for pos, (t, k, x) in enumerate(zip(threads, kinds, targets)):
-        threads[pos] = thread_ids[t]
-        targets[pos] = tables[k >= READ][x]
+    tables = (lock_ids, lock_ids, var_ids, var_ids)  # by kind code
+    thread_id, table_of, target_id = thread_ids.__getitem__, tables.__getitem__, _Ids.__getitem__
+    for lo in range(0, len(kinds), _RELABEL_CHUNK):
+        hi = lo + _RELABEL_CHUNK
+        threads[lo:hi] = array("i", map(thread_id, threads[lo:hi]))
+        targets[lo:hi] = array("i", map(target_id, map(table_of, kinds[lo:hi]), targets[lo:hi]))
     num_threads = max(len(thread_ids), 1)
     marks = bytes(len(kinds))
     _validate_columns(threads, kinds, targets, marks, num_threads, len(lock_ids), len(var_ids))

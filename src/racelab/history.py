@@ -33,9 +33,15 @@ Two modes:
 * ``sampled-only``: only marked accesses are checked and only marked accesses
   update the summaries.  The histories keep no watermarks.
 * ``extended``: additionally, the first unmarked access of each thread after
-  a history gained a new marked event runs the same checks (generation
-  counters ``gen_r``/``gen_w`` against per-thread ``seen_r``/``seen_w``
-  watermarks).  Unmarked events never update the summaries.  The total
+  a history gained a new marked event it could race with runs the same
+  checks.  ``gen_r``/``gen_w`` count a variable's marked reads and writes.
+  A read may race only with writes, so its watermark ``seen_r`` is the
+  ``gen_w`` it last saw; a write may race with both, so ``seen_w`` is the
+  ``gen_r + gen_w`` it last saw.  A sum, not the larger of the two: that
+  stays put when a new marked event leaves the maximum unchanged, and the
+  next unmarked write would go unchecked.  Unmarked events never update the
+  summaries.  A thread's unmarked checks on a variable are bounded by the
+  marked events on it, once for reads and once for writes, so the total
   number of checked events is bounded by |S| + 2|S|T.
 
 An access is checked when it is marked or ``AccessHistories.will_check``
@@ -116,8 +122,7 @@ class AccessHistories:
             return False
         h = self.histories[var]
         if is_write:
-            gen_r, gen_w = h.gen_r, h.gen_w
-            return h.seen_w[thread] < (gen_r if gen_r > gen_w else gen_w)
+            return h.seen_w[thread] < h.gen_r + h.gen_w
         return h.seen_r[thread] < h.gen_w
 
     def check_and_update(
@@ -160,8 +165,7 @@ class AccessHistories:
             h.w_epoch = epoch
             h.gen_w += 1
         if self.extended:
-            gen_r, gen_w = h.gen_r, h.gen_w
-            h.seen_w[thread] = gen_r if gen_r > gen_w else gen_w
+            h.seen_w[thread] = h.gen_r + h.gen_w
         reports: List[RaceReport] = []
         if read_races:
             reports.append(RaceReport(event_index, var, READ_WRITE))

@@ -293,7 +293,8 @@ def racy_events(
     thread of each variable, as the engines' histories do; each check decides
     orderedness directly on the happens-before closure.  In extended mode the
     first unmarked access of a thread after a summary gained a new sampled
-    event is checked as well (without updating the summaries).
+    event it could race with (a write, for a read; any, for a write) is
+    checked as well, without updating the summaries.
     """
     if mode not in (SAMPLED_ONLY, EXTENDED):
         raise ValueError(f"unknown mode {mode!r}")
@@ -316,7 +317,7 @@ def racy_events(
         is_write = ev.kind is OpKind.WRITE
         if is_write:
             checked = marked or (
-                mode == EXTENDED and seen_w[x][t] < max(gen_r[x], gen_w[x])
+                mode == EXTENDED and seen_w[x][t] < gen_r[x] + gen_w[x]
             )
             if checked:
                 w = last_write[x]
@@ -330,9 +331,9 @@ def racy_events(
             if marked:
                 last_write[x] = ev.index
                 gen_w[x] += 1
-                seen_w[x][t] = max(gen_r[x], gen_w[x])
+                seen_w[x][t] = gen_r[x] + gen_w[x]
             elif checked:
-                seen_w[x][t] = max(gen_r[x], gen_w[x])
+                seen_w[x][t] = gen_r[x] + gen_w[x]
         else:
             checked = marked or (mode == EXTENDED and seen_r[x][t] < gen_w[x])
             if checked:

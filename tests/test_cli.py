@@ -200,6 +200,39 @@ def test_analyze_does_not_load_the_differential_stack(tmp_path):
     assert res.returncode == 0, res.stderr
 
 
+def test_gen_loads_no_engine_json_or_dataclasses(tmp_path):
+    import subprocess
+    import sys
+
+    # ``gen`` runs the generator and the writer only.  Modules a site hook
+    # loaded before racelab was imported do not count.
+    out = str(tmp_path / "t.trace")
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "from racelab.cli import main\n"
+        "rc = main(['gen', '--threads', '4', '--locks', '3', '--vars', '5',\n"
+        f"           '--events', '200', '--seed', '1', '--out', {out!r}])\n"
+        "assert rc == 0, rc\n"
+        "new = set(sys.modules) - before\n"
+        "assert 'racelab.gen' in new\n"
+        "unused = {'dataclasses', 'inspect', 'json', 'racelab.metrics',\n"
+        "          'racelab.differential', 'racelab.oracle', 'racelab.olist'}\n"
+        "loaded = (unused & new) | {m for m in new if m.startswith('racelab.engines')}\n"
+        "assert not loaded, loaded\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert len(parse_trace(open(out, "rb").read())) == 200
+
+
+def test_engine_choices_are_the_engine_tokens():
+    from racelab import cli
+    from racelab.engines import ENGINE_TOKENS
+
+    assert cli.ENGINE_CHOICES == ENGINE_TOKENS
+
+
 def test_bench_generated_traces(tmp_path):
     out = str(tmp_path / "g.csv")
     rc = main(["bench", "--gen-count", "2", "--threads", "3", "--locks", "2",

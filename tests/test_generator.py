@@ -1,11 +1,12 @@
 import hashlib
+import pickle
 import random
 import tracemalloc
 
 import pytest
 
 from conftest import random_config
-from racelab.gen import GenConfig, generate_trace
+from racelab.gen import GenConfig, _below, generate_trace
 from racelab.trace import InfeasibleConfigError, OpKind, parse_trace, serialize_trace
 
 
@@ -71,6 +72,42 @@ def test_every_lock_acquired_when_events_permit():
         assert len(acquired) == tr.num_locks == 4
 
 
+def test_gen_config_is_an_immutable_value():
+    cfg = GenConfig(4, 3, 2, 100, 0.5)
+    assert cfg == GenConfig(threads=4, locks=3, vars=2, events=100, p_sync=0.5)
+    assert cfg != GenConfig(4, 3, 2, 100, 0.5, contention=0.1)
+    assert hash(cfg) == hash(GenConfig(4, 3, 2, 100, p_sync=0.5))
+    assert repr(cfg) == (
+        "GenConfig(threads=4, locks=3, vars=2, events=100, p_sync=0.5, "
+        "contention=0.0, accesses_per_cs=2.0)"
+    )
+    assert pickle.loads(pickle.dumps(cfg)) == cfg
+    with pytest.raises(AttributeError):
+        cfg.threads = 5
+    with pytest.raises(AttributeError):
+        del cfg.p_sync
+    assert not hasattr(cfg, "__dict__")
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"threads": 0}, "threads must be >= 1"),
+        ({"locks": 0}, "locks must be >= 1"),
+        ({"vars": 0}, "vars must be >= 1"),
+        ({"events": 0}, "events must be >= 1"),
+        ({"p_sync": 1.5}, "p_sync must lie in [0, 1]"),
+        ({"contention": -0.1}, "contention must lie in [0, 1]"),
+        ({"accesses_per_cs": -1.0}, "accesses_per_cs must be non-negative"),
+    ],
+)
+def test_gen_config_rejects_out_of_range_fields(kwargs, message):
+    fields = dict(threads=2, locks=2, vars=2, events=10) | kwargs
+    with pytest.raises(ValueError) as err:
+        GenConfig(**fields)
+    assert str(err.value) == message
+
+
 def test_infeasible_config_raises():
     with pytest.raises(InfeasibleConfigError):
         generate_trace(GenConfig(threads=2, locks=1, vars=1, events=5, p_sync=1.0), 0)
@@ -110,6 +147,70 @@ def test_benchmark_traces_are_pinned_byte_for_byte(shape, seed, digest):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+# Corners of the generator the benchmark shapes never reach, pinned the same
+# way: the contention draw, the all-sync branches, geometric sections of mean
+# zero, nesting with two locks, one of each id, and wide lock tables.
+@pytest.mark.parametrize(
+    "cfg,seed,digest",
+    [
+        pytest.param(
+            GenConfig(16, 8, 32, 6000, p_sync=0.5, contention=0.5, accesses_per_cs=1.0), 3,
+            "bb3ca7f6ef4a8315e69549b0399ac55caaaedd005b9ade0cba222a050922d5dc",
+            id="contention-0.5",
+        ),
+        pytest.param(
+            GenConfig(16, 4, 32, 6000, p_sync=0.6, contention=1.0, accesses_per_cs=2.0), 3,
+            "40440a10cc30bdc03dc81b790edc89a834751dea84f3ad60d0cdb75d07ff03e7",
+            id="contention-1.0",
+        ),
+        pytest.param(
+            GenConfig(8, 4, 8, 4000, p_sync=1.0, contention=0.3), 5,
+            "1f5132fe6624676e926efd976c842d6caa93a8409969a2454c73f0afb369df0e",
+            id="all-sync-even-budget",
+        ),
+        pytest.param(
+            GenConfig(8, 6, 16, 4000, p_sync=0.5, accesses_per_cs=0.0), 5,
+            "9461d43c0d8262dbfc68391666428d61e65b76f63ec2f24a693d19f0b7362094",
+            id="no-accesses-per-cs",
+        ),
+        pytest.param(
+            GenConfig(2, 2, 16, 4000, p_sync=0.9, contention=0.2, accesses_per_cs=4.0), 5,
+            "ed5dd3c976ea3b757362ca3e45b438474bf1a646cef9c636682f693d677dcf10",
+            id="nesting-heavy-two-locks",
+        ),
+        pytest.param(
+            GenConfig(4, 2, 4, 2000, p_sync=1.0, accesses_per_cs=8.0), 5,
+            "9596ee46e0c118d9ecfa90122431e60e30acf9958127a60211b0a331e64a34db",
+            id="nesting-heavy-two-locks-all-sync",
+        ),
+        pytest.param(
+            GenConfig(1, 1, 1, 1000, p_sync=0.5), 5,
+            "1e9a2ede024e98e5c23f9dca68e585f1a4897e7988c186a0b7054949a9200cae",
+            id="one-thread-lock-var",
+        ),
+        pytest.param(
+            GenConfig(1024, 1024, 4096, 20_000, p_sync=0.5, accesses_per_cs=2.0), 5,
+            "bb97bec60371e94a3085a69e6b9f42383f311885f1adc7daff493040bcaf2a87",
+            id="T1024-L1024",
+        ),
+    ],
+)
+def test_generator_corners_are_pinned_byte_for_byte(cfg, seed, digest):
+    text = serialize_trace(generate_trace(cfg, seed))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
+def test_closing_path_traces_are_pinned_byte_for_byte():
+    # Budgets of a few events with long nested sections run out of slack
+    # (hundreds of forced releases over these 160 traces).
+    h = hashlib.sha256()
+    for seed in range(40):
+        for events in (6, 8, 12, 17):
+            cfg = GenConfig(6, 6, 3, events, p_sync=0.9, contention=0.5, accesses_per_cs=6.0)
+            h.update(serialize_trace(generate_trace(cfg, seed)).encode("utf-8"))
+    assert h.hexdigest() == "63196266423c9454a3e5554e436bb6ad77226dcb068afecb7c3fff72983ac2bd"
+
+
 def test_generate_trace_peaks_at_most_twice_the_retained_bytes():
     # The generator emits into the array columns and relabels them in place,
     # so no list of events or second copy of a column is ever alive.
@@ -124,3 +225,15 @@ def test_generate_trace_peaks_at_most_twice_the_retained_bytes():
         tracemalloc.stop()
     assert len(tr) == 20_000
     assert peak - base <= 2 * (retained - base)
+
+
+def test_inlined_draw_matches_randrange_and_choice():
+    # Byte-identity with the traces pinned above rests on ``_below`` drawing
+    # exactly what CPython's ``randrange(n)`` and ``choice`` draw.  A
+    # ``random()`` after each pair checks that both consumed the same words.
+    sizes = list(range(1, 301)) + [1 << k for k in range(9, 63)]  # len(range) < 2**63
+    ours, ref = random.Random(20260), random.Random(20260)
+    for n in sizes:
+        assert _below(ours.getrandbits, n) == ref.randrange(n), n
+        assert _below(ours.getrandbits, n) == ref.choice(range(n)), n
+        assert ours.random() == ref.random(), n

@@ -4,7 +4,7 @@ import random
 import tracemalloc
 
 from conftest import random_traces
-from racelab import oracle
+from racelab import differential, oracle
 from racelab.engines import create_engine
 from racelab.history import (
     EXTENDED,
@@ -90,6 +90,22 @@ def test_extended_mode_never_updates_histories_from_unmarked():
     got = run(text, mode=EXTENDED)
     assert got == {(3, WRITE_WRITE), (6, WRITE_WRITE)}
     assert got == oracle.racy_events(parse_trace(text), EXTENDED)
+
+
+def test_extended_mode_rechecks_a_write_after_a_marked_event_that_keeps_the_max():
+    # T2's unmarked e2 is checked against the one marked event, T1's read.
+    # T3's marked write makes two, but max(gen_r, gen_w) stays 1: a watermark
+    # of the larger count would skip e4, which races both marked events.
+    tr = parse_trace("T1|r(x)|*\nT2|w(x)\nT3|w(x)|*\nT2|w(x)")
+    sampled = {(2, READ_WRITE), (3, READ_WRITE), (4, READ_WRITE), (4, WRITE_WRITE)}
+    assert oracle.racy_events(tr, EXTENDED) == sampled
+    full = oracle.racy_events_full(tr)  # djitp samples every access
+    assert full == sampled | {(3, WRITE_WRITE)}
+    runs = differential.run_configs(tr, EXTENDED)
+    assert list(runs) == list(differential.CONFIGS)
+    for label, run in runs.items():
+        assert run.engine.racy_set() == (full if label == "djitp" else sampled), label
+        assert run.engine.histories.race_checks == 4, label
 
 
 def test_differential_both_modes_on_random_traces():
