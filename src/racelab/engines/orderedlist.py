@@ -25,7 +25,7 @@ that already holds it drops and adds one reference and allocates nothing.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from ..olist import OrderedList
 from .base import Engine
@@ -48,13 +48,6 @@ class OrderedListEngine(Engine):
         self.deep_copies_per_thread = [0] * num_threads
 
     # -- views -------------------------------------------------------------
-
-    def clock_snapshot(self, thread: int) -> List[int]:
-        """The thread's conceptual sampling clock (pending epoch folded in)."""
-        snap = self.o_threads[thread].snapshot()
-        if self.pending_local[thread]:
-            snap[thread] = self.pending_local[thread]
-        return snap
 
     def _row(self, thread: int) -> Sequence[int]:
         # The pending epoch only ever stands for the own component, which

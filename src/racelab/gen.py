@@ -227,6 +227,4 @@ def _relabel_by_first_appearance(threads: array, kinds: array, targets: array) -
     num_threads = max(len(thread_ids), 1)
     marks = bytes(len(kinds))
     _validate_columns(threads, kinds, targets, marks, num_threads, len(lock_ids), len(var_ids))
-    return Trace._from_columns(
-        threads, kinds, targets, marks, num_threads, len(lock_ids), len(var_ids),
-    )
+    return Trace(threads, kinds, targets, marks, num_threads, len(lock_ids), len(var_ids))

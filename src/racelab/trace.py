@@ -16,16 +16,17 @@ are assigned by order of first appearance.  Every trace is validated against
 the locking discipline: a lock is held by at most one thread, is released only
 by its holder, and re-entrant acquires are rejected.
 
-There is one way into a trace.  The parser reads the text in chunks of
-``_CHUNK_LINES`` lines; each chunk is decoded once and scanned with one
-``_SPLIT_ROWS`` call.  If every line of the chunk is an event line, the
-columns grow by C-level passes over the matches; any other chunk goes
-through the line loop, which decodes and parses one line at a time and is
-the only source of syntax errors.  The filled columns go to
+There is one way into a trace.  The parser reads UTF-8 bytes (a ``str``
+is encoded first) in chunks of ``_CHUNK_LINES`` lines; each chunk is decoded
+once and scanned with one ``_SPLIT_ROWS`` call.  If every line of the chunk
+is an event line, the columns grow by C-level passes over the matches; any
+other chunk goes through the line loop, which decodes and parses one line at
+a time and is the only source of syntax errors.  The filled columns go to
 ``_validate_columns``, the one check of ids, marks and lock discipline,
-which also guards ``Trace(events)`` and ``racelab.gen``.  A syntax error on
-any line therefore beats a discipline error, and ``load_trace`` never holds
-the whole file, its text or a list of its lines.
+which also guards ``racelab.gen``; the ``Trace`` constructor itself only
+wraps columns.  A syntax error on any line therefore beats a discipline
+error, and ``load_trace`` never holds the whole file, its text or a list of
+its lines.
 
 In memory a trace is a set of columns, one entry per event: ``threads`` and
 ``targets`` are ``array('i')`` of dense ids, ``kinds`` is an ``array('b')``
@@ -110,12 +111,15 @@ class Event(NamedTuple):
 
 
 class Trace:
-    """A validated, immutable trace held as columns (see the module docstring).
+    """An immutable trace held as columns (see the module docstring).
 
-    ``Trace(events, num_threads, num_locks, num_vars)`` builds the columns
-    from ``Event`` values and validates them.  Safe to share read-only
-    across concurrent analyses.  Name tables keep the original tokens per
-    dense id so serialization round-trips byte-for-byte.
+    ``Trace(threads, kinds, targets, marks, num_threads, num_locks,
+    num_vars)`` keeps the four columns as given, without copying or
+    validating them.  The validated ways in are ``parse_trace``,
+    ``load_trace`` and ``racelab.gen.generate_trace``; ``apply_sampling``
+    wraps a valid trace's columns with a new mark vector.  Safe to share
+    read-only across concurrent analyses.  Name tables keep the original
+    tokens per dense id so serialization round-trips byte-for-byte.
     """
 
     __slots__ = (
@@ -124,42 +128,9 @@ class Trace:
         "thread_names", "lock_names", "var_names", "_events",
     )
 
-    def __init__(
-        self,
-        events: Sequence[Event],
-        num_threads: int,
-        num_locks: int,
-        num_vars: int,
-        thread_names: Tuple[str, ...] = (),
-        lock_names: Tuple[str, ...] = (),
-        var_names: Tuple[str, ...] = (),
-    ):
-        events = tuple(events)
-        for pos, ev in enumerate(events, start=1):
-            if ev.index != pos:
-                raise TraceError(f"event {pos}: index field is {ev.index}, expected {pos}")
-        threads = [ev.thread for ev in events]
-        kinds = [ev.kind.code for ev in events]
-        targets = [ev.target for ev in events]
-        marks = bytes(1 if ev.marked else 0 for ev in events)
-        _validate_columns(threads, kinds, targets, marks, num_threads, num_locks, num_vars)
-        self._fill(
-            array("i", threads), array("b", kinds), array("i", targets), marks,
-            num_threads, num_locks, num_vars, thread_names, lock_names, var_names,
-        )
-        self._events = events
-
-    @classmethod
-    def _from_columns(cls, threads, kinds, targets, marks, num_threads, num_locks, num_vars,
-                      thread_names=(), lock_names=(), var_names=()) -> "Trace":
-        """Wrap already validated columns without copying them."""
-        tr = cls.__new__(cls)
-        tr._fill(threads, kinds, targets, marks, num_threads, num_locks, num_vars,
-                 thread_names, lock_names, var_names)
-        return tr
-
-    def _fill(self, threads, kinds, targets, marks, num_threads, num_locks, num_vars,
-              thread_names, lock_names, var_names) -> None:
+    def __init__(self, threads, kinds, targets, marks, num_threads: int, num_locks: int,
+                 num_vars: int, thread_names: Tuple[str, ...] = (),
+                 lock_names: Tuple[str, ...] = (), var_names: Tuple[str, ...] = ()):
         self.threads = threads
         self.kinds = kinds
         self.targets = targets
@@ -171,15 +142,6 @@ class Trace:
         self.lock_names = tuple(lock_names) or tuple(f"l{i}" for i in range(num_locks))
         self.var_names = tuple(var_names) or tuple(f"x{i}" for i in range(num_vars))
         self._events = None
-
-    def _with_marks(self, marks: bytes) -> "Trace":
-        """The same events under a valid mark vector of the same length; the
-        other columns are shared."""
-        return Trace._from_columns(
-            self.threads, self.kinds, self.targets, bytes(marks),
-            self.num_threads, self.num_locks, self.num_vars,
-            self.thread_names, self.lock_names, self.var_names,
-        )
 
     @property
     def events(self) -> Tuple[Event, ...]:
@@ -302,50 +264,40 @@ class _Targets(dict):
         return target
 
 
-def _parse_lines(lines, binary: bool) -> Trace:
-    """Fill the columns from ``lines`` (``bytes`` when ``binary``, else
-    ``str``) with ``_fill_columns``, then validate them.
+def _parse_lines(lines) -> Trace:
+    """Parse the ``bytes`` ``lines`` into columns, ``_CHUNK_LINES`` at a
+    time, then validate them.
 
-    Dense ids are the insertion order of the name dicts.  The discipline
-    check runs only after the last line has parsed, so a syntax error on any
-    line takes precedence over it.
+    Each chunk goes through ``_scan_chunk`` and, if that declines it,
+    through ``_parse_chunk``, the line loop and the only code that raises a
+    syntax error.  Dense ids are the insertion order of the name dicts.  The
+    discipline check runs only after the last line has parsed, so a syntax
+    error on any line takes precedence over it; by then the loop holds no
+    chunk and no matches.
     """
     cols = tcol, kcol, xcol, marks = array("i"), array("b"), array("i"), bytearray()
     tables = thread_ids, lock_ids, var_ids = _Ids(), _Ids(), _Ids()
-    _fill_columns(lines, binary, cols, tables)
+    targets = _Targets(lock_ids, var_ids)
+    lines = iter(lines)
+    line_no = 0
+    while chunk := list(islice(lines, _CHUNK_LINES)):
+        if not _scan_chunk(b"".join(chunk), len(chunk), cols, thread_ids, targets):
+            _parse_chunk(chunk, line_no, cols, tables)
+        line_no += len(chunk)
     marks = bytes(marks)
     _validate_columns(tcol, kcol, xcol, marks, len(thread_ids), len(lock_ids), len(var_ids))
-    return Trace._from_columns(
+    return Trace(
         tcol, kcol, xcol, marks, len(thread_ids), len(lock_ids), len(var_ids),
         tuple(thread_ids), tuple(lock_ids), tuple(var_ids),
     )
 
 
-def _fill_columns(lines, binary: bool, cols, tables) -> None:
-    """Parse ``lines`` into ``cols``, ``_CHUNK_LINES`` at a time.
-
-    Each chunk goes through ``_scan_chunk`` and, if that declines it,
-    through ``_parse_chunk``, the line loop and the only code that raises a
-    syntax error.  The last chunk and its matches are freed before the
-    caller validates the columns.
-    """
-    thread_ids, lock_ids, var_ids = tables
-    targets = _Targets(lock_ids, var_ids)
-    join = b"".join if binary else "\n".join
-    lines = iter(lines)
-    line_no = 0
-    while chunk := list(islice(lines, _CHUNK_LINES)):
-        if not _scan_chunk(join(chunk), len(chunk), binary, cols, thread_ids, targets):
-            _parse_chunk(chunk, line_no, binary, cols, tables)
-        line_no += len(chunk)
-
-
-def _scan_chunk(text, n: int, binary: bool, cols, thread_ids: _Ids, targets: _Targets) -> bool:
+def _scan_chunk(text: bytes, n: int, cols, thread_ids: _Ids, targets: _Targets) -> bool:
     """Append the ``n`` lines joined in ``text`` to ``cols`` if every one is
     an event line: one decode, one ``_SPLIT_ROWS`` call and C-level passes
     over the matches.  Otherwise change nothing and return False."""
     try:
-        parts = _SPLIT_ROWS(text.decode("utf-8") if binary else text)
+        parts = _SPLIT_ROWS(text.decode("utf-8"))
     except UnicodeDecodeError:
         return False
     if len(parts) != 4 * n + 1:
@@ -358,7 +310,7 @@ def _scan_chunk(text, n: int, binary: bool, cols, thread_ids: _Ids, targets: _Ta
     return True
 
 
-def _parse_chunk(chunk, line_no: int, binary: bool, cols, tables) -> None:
+def _parse_chunk(chunk, line_no: int, cols, tables) -> None:
     """The line loop: parse ``chunk``, whose first line is ``line_no + 1``,
     one line at a time into ``cols``; raise on its first malformed line."""
     tcol, kcol, xcol, marks = cols
@@ -366,12 +318,10 @@ def _parse_chunk(chunk, line_no: int, binary: bool, cols, tables) -> None:
     match = _LINE_RE.match
     codes = _CODE_OF_TOKEN
     for line_no, line in enumerate(chunk, start=line_no + 1):
-        if binary:
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise TraceSyntaxError(line_no, f"invalid UTF-8: {exc.reason}") from None
-        line = line.strip()
+        try:
+            line = line.decode("utf-8").strip()
+        except UnicodeDecodeError as exc:
+            raise TraceSyntaxError(line_no, f"invalid UTF-8: {exc.reason}") from None
         if not line or line[0] == "#":
             continue
         m = match(line)
@@ -392,16 +342,19 @@ def _parse_chunk(chunk, line_no: int, binary: bool, cols, tables) -> None:
 
 
 def parse_trace(data) -> Trace:
-    """Parse the text format, given as ``str`` or ``bytes``, into a validated Trace.
+    """Parse the text format, given as ``str`` or UTF-8 ``bytes``, into a
+    validated Trace.
 
-    Dense ids are assigned by first appearance, independently for threads,
-    locks and variables.  Lines are parsed in order and the first malformed
-    one is reported, undecodable bytes included; the lock discipline is
+    A ``str`` is encoded to UTF-8 and read like ``bytes``, so both take one
+    path; a lone surrogate in it is not UTF-8 and fails at its line like any
+    undecodable byte.  Dense ids are assigned by first appearance,
+    independently for threads, locks and variables.  Lines are parsed in
+    order and the first malformed one is reported; the lock discipline is
     checked after the whole text has parsed.
     """
     if isinstance(data, str):
-        return _parse_lines(data.split("\n"), binary=False)
-    return _parse_lines(io.BytesIO(data), binary=True)
+        data = data.encode("utf-8", "surrogatepass")
+    return _parse_lines(io.BytesIO(data))
 
 
 def _lines(tr: Trace) -> Iterator[str]:
@@ -424,7 +377,7 @@ def serialize_trace(tr: Trace) -> str:
 def load_trace(path) -> Trace:
     """Parse a trace file line by line; the file is never held whole."""
     with open(path, "rb") as fh:
-        return _parse_lines(fh, binary=True)
+        return _parse_lines(fh)
 
 
 def write_trace(tr: Trace, fh) -> None:
@@ -528,14 +481,15 @@ def bernoulli_marks(kinds: Sequence[int], seed: int, rate: float) -> bytes:
 
 
 class SamplingPolicy:
-    """How the sample set is chosen: ``mode`` is "none", "premarked" or
-    "bernoulli" (with ``rate`` and ``seed``).  Immutable; policies are equal
-    when their mode, rate and seed are."""
+    """How the sample set is chosen: ``mode`` is "premarked" (keep the
+    trace's own marks) or "bernoulli" (with ``rate`` and ``seed``; rate 0
+    clears every mark).  Immutable; policies are equal when their mode, rate
+    and seed are."""
 
     __slots__ = ("mode", "rate", "seed")
 
     def __init__(self, mode: str, rate: float = 0.0, seed: int = 0):
-        if mode not in ("none", "premarked", "bernoulli"):
+        if mode not in ("premarked", "bernoulli"):
             raise ValueError(f"unknown sampling mode {mode!r}")
         if not 0.0 <= rate <= 1.0:
             raise ValueError("rate must lie in [0, 1]")
@@ -563,10 +517,6 @@ class SamplingPolicy:
         return f"SamplingPolicy(mode={self.mode!r}, rate={self.rate!r}, seed={self.seed!r})"
 
     @classmethod
-    def none(cls) -> "SamplingPolicy":
-        return cls("none")
-
-    @classmethod
     def premarked(cls) -> "SamplingPolicy":
         return cls("premarked")
 
@@ -579,12 +529,13 @@ def apply_sampling(tr: Trace, policy: SamplingPolicy) -> Trace:
     """Return ``tr`` with the marks ``policy`` chooses.
 
     Synchronization events are never marked.  ``premarked`` returns ``tr``
-    itself, ``none`` clears all marks, ``bernoulli`` re-decides each access
-    event independently from (seed, event index).  Only the mark vector is
-    new; the other columns are shared with ``tr``.
+    itself; ``bernoulli`` re-decides each access event independently from
+    (seed, event index), and at rate 0 clears all marks.  Only the mark
+    vector is new; the other columns are shared with ``tr``.
     """
     if policy.mode == "premarked":
         return tr
-    if policy.mode == "none":
-        return tr._with_marks(bytes(len(tr)))
-    return tr._with_marks(bernoulli_marks(tr.kinds, policy.seed, policy.rate))
+    return Trace(
+        tr.threads, tr.kinds, tr.targets, bernoulli_marks(tr.kinds, policy.seed, policy.rate),
+        tr.num_threads, tr.num_locks, tr.num_vars, tr.thread_names, tr.lock_names, tr.var_names,
+    )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from racelab.trace import (
     Event,
     OpKind,
     SamplingPolicy,
+    Trace,
     apply_sampling,
     parse_trace,
 )
@@ -51,6 +53,11 @@ def ladder_trace():
 @pytest.fixture(scope="session")
 def ladder_all_marked(ladder_trace):
     return apply_sampling(ladder_trace, SamplingPolicy.bernoulli(1.0, 0))
+
+
+def empty_trace(threads: int, locks: int, variables: int) -> Trace:
+    """A trace with no events and the given dimensions, to size an engine."""
+    return Trace(array("i"), array("b"), array("i"), b"", threads, locks, variables)
 
 
 def handoff_trace(k: int = 100):

@@ -14,7 +14,7 @@ import statistics
 import numpy as np
 import pytest
 
-from conftest import handoff_trace
+from conftest import empty_trace, handoff_trace
 from racelab import differential, oracle
 from racelab.engines import create_engine
 from racelab.gen import GenConfig, generate_trace
@@ -24,7 +24,6 @@ from racelab.trace import (
     Event,
     OpKind,
     SamplingPolicy,
-    Trace,
     apply_sampling,
 )
 
@@ -287,7 +286,7 @@ def test_criterion_10_golden_worked_examples(ladder_trace):
         assert skips[12] and skips[14] and not skips[8] and not skips[18], token
 
     # Single-entry update under a freshness gap of one
-    uc = create_engine("uclock", Trace(events=(), num_threads=6, num_locks=1, num_vars=1))
+    uc = create_engine("uclock", empty_trace(6, 1, 1))
     uc.c_threads[0] = [9, 6, 3, 0, 1, 0]
     uc.u_threads[0] = [15, 12, 4, 0, 1, 0]
     uc.c_threads[1] = [8, 18, 3, 0, 1, 0]
@@ -298,7 +297,7 @@ def test_criterion_10_golden_worked_examples(ladder_trace):
     uc.process(Event(1, 1, OpKind.ACQUIRE, 0))
     assert uc.c_threads[1] == [9, 18, 3, 0, 1, 0]
 
-    ol = create_engine("orderedlist", Trace(events=(), num_threads=6, num_locks=1, num_vars=1))
+    ol = create_engine("orderedlist", empty_trace(6, 1, 1))
     donor = OrderedList(6)
     for tid, val in [(4, 1), (2, 3), (1, 6), (0, 9)]:
         donor.set(tid, val)

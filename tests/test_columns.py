@@ -16,12 +16,12 @@ from racelab.trace import (
     READ,
     REL,
     WRITE,
-    Event,
     OpKind,
     SamplingPolicy,
     Trace,
     TraceError,
     TraceSyntaxError,
+    _validate_columns,
     apply_sampling,
     bernoulli_hit,
     dump_trace,
@@ -51,9 +51,12 @@ def test_events_are_views_of_the_columns(ladder_trace):
     assert [int(e.marked) for e in evs] == list(ladder_trace.marks)
 
 
-def test_trace_from_events_round_trips_through_the_columns(ladder_trace):
+def test_trace_from_columns_round_trips_and_shares_them(ladder_trace):
     again = Trace(
-        ladder_trace.events,
+        ladder_trace.threads,
+        ladder_trace.kinds,
+        ladder_trace.targets,
+        ladder_trace.marks,
         ladder_trace.num_threads,
         ladder_trace.num_locks,
         ladder_trace.num_vars,
@@ -63,21 +66,25 @@ def test_trace_from_events_round_trips_through_the_columns(ladder_trace):
     )
     assert again == ladder_trace
     assert serialize_trace(again) == LADDER_TEXT
+    assert again.threads is ladder_trace.threads
+    assert again.kinds is ladder_trace.kinds
+    assert again.targets is ladder_trace.targets
+    assert again.marks is ladder_trace.marks
 
 
 @pytest.mark.parametrize(
-    "events,message",
+    "event,message",
     [
-        ((Event(2, 0, OpKind.READ, 0),), "index field is 2"),
-        ((Event(1, 3, OpKind.READ, 0),), "thread id 3 out of range"),
-        ((Event(1, 0, OpKind.ACQUIRE, 5),), "target id 5 out of range"),
-        ((Event(1, 0, OpKind.ACQUIRE, 0, True),), "mark on non-access event"),
-        ((Event(1, 0, OpKind.RELEASE, 0),), "release-of-free-lock"),
+        ((3, READ, 0, 0), "thread id 3 out of range"),
+        ((0, ACQ, 5, 0), "target id 5 out of range"),
+        ((0, ACQ, 0, 1), "mark on non-access event"),
+        ((0, REL, 0, 0), "release-of-free-lock"),
     ],
 )
-def test_trace_from_events_is_validated(events, message):
+def test_columns_are_validated(event, message):
+    threads, kinds, targets, marks = ([value] for value in event)
     with pytest.raises(TraceError, match=message):
-        Trace(events, num_threads=1, num_locks=1, num_vars=1)
+        _validate_columns(threads, kinds, targets, marks, 1, 1, 1)
 
 
 def test_sampling_shares_all_columns_but_the_marks(ladder_trace):

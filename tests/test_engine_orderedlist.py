@@ -1,14 +1,10 @@
-from conftest import handoff_trace, random_traces
+from conftest import empty_trace, handoff_trace, random_traces
 from racelab import oracle
 from racelab.differential import diff_report
 from racelab.engines import create_engine
 from racelab.history import EXTENDED, SAMPLED_ONLY
 from racelab.olist import OrderedList
-from racelab.trace import Event, OpKind, SamplingPolicy, Trace, apply_sampling, parse_trace
-
-
-def dims(threads, locks, variables):
-    return Trace(events=(), num_threads=threads, num_locks=locks, num_vars=variables)
+from racelab.trace import Event, OpKind, SamplingPolicy, apply_sampling, parse_trace
 
 
 def test_ladder_skip_decisions_match_uclock(ladder_trace):
@@ -31,7 +27,7 @@ def test_ladder_skip_decisions_match_uclock(ladder_trace):
 def test_freshness_gap_one_merge_visits_one_node():
     # Lock list published by t0, head entry (t0 : 9); freshness gap 15-14 = 1
     # so exactly the head is visited and exactly one set lands on t1's list.
-    e = create_engine("orderedlist", dims(6, 1, 1))
+    e = create_engine("orderedlist", empty_trace(6, 1, 1))
     donor = OrderedList(6)
     for tid, val in [(4, 1), (2, 3), (1, 6), (0, 9)]:  # head order: t0, t1, t2, t4
         donor.set(tid, val)
@@ -102,7 +98,11 @@ def test_equivalence_with_sampling_engine_both_opt_settings():
             assert e.racy_set() == ref.racy_set() == oracle.racy_events(marked)
             assert snaps == snaps_ref
             for t in range(marked.num_threads):
-                assert e.clock_snapshot(t) == ref.c_threads[t]
+                # The conceptual clock: the list with the pending epoch folded in.
+                clock = e.o_threads[t].snapshot()
+                if e.pending_local[t]:
+                    clock[t] = e.pending_local[t]
+                assert clock == ref.c_threads[t]
 
 
 def test_local_epoch_opt_never_costs_deep_copies():
@@ -137,7 +137,7 @@ def test_instance_optimality_budget():
 
 
 def test_empty_sample_set_never_merges(ladder_trace):
-    tr = apply_sampling(ladder_trace, SamplingPolicy.none())
+    tr = apply_sampling(ladder_trace, SamplingPolicy.bernoulli(0.0, 0))
     e = create_engine("orderedlist", tr, debug=True)
     e.run(tr)
     assert e.metrics.acquires_skipped == e.metrics.acquires_total

@@ -28,7 +28,7 @@ def test_ladder_sampling_trajectory(ladder_trace):
 
 
 def test_empty_sample_set_everything_stays_bottom(ladder_trace):
-    tr = apply_sampling(ladder_trace, SamplingPolicy.none())
+    tr = apply_sampling(ladder_trace, SamplingPolicy.bernoulli(0.0, 0))
     e = create_engine("sampling", tr)
     assert e.run(tr) == []
     assert all(c == [0, 0] for c in e.c_threads)

@@ -1,4 +1,4 @@
-from conftest import handoff_trace, random_traces
+from conftest import empty_trace, handoff_trace, random_traces
 from racelab import oracle
 from racelab.engines import create_engine
 from racelab.trace import Event, OpKind, SamplingPolicy, apply_sampling
@@ -32,7 +32,7 @@ def test_freshness_gap_one_updates_single_entry():
     # Six-thread pre-state: the lock was last released by t0 whose freshness
     # for itself (15) exceeds t1's knowledge (14), so the join runs but only
     # one component of t1's clock actually updates.
-    e = create_engine("uclock", parse_dims(6, 1, 1))
+    e = create_engine("uclock", empty_trace(6, 1, 1))
     e.c_threads[0] = [9, 6, 3, 0, 1, 0]
     e.u_threads[0] = [15, 12, 4, 0, 1, 0]
     e.c_threads[1] = [8, 18, 3, 0, 1, 0]
@@ -47,14 +47,8 @@ def test_freshness_gap_one_updates_single_entry():
     assert e.u_threads[1][1] == 23  # exactly one component change counted
 
 
-def parse_dims(threads, locks, variables):
-    from racelab.trace import Trace
-
-    return Trace(events=(), num_threads=threads, num_locks=locks, num_vars=variables)
-
-
 def test_empty_sample_set_skips_everything(ladder_trace):
-    tr = apply_sampling(ladder_trace, SamplingPolicy.none())
+    tr = apply_sampling(ladder_trace, SamplingPolicy.bernoulli(0.0, 0))
     e = create_engine("uclock", tr)
     e.run(tr)
     assert e.metrics.acquires_skipped == e.metrics.acquires_total == 8

@@ -1,13 +1,13 @@
 import json
 
-from conftest import random_traces
+from conftest import empty_trace, random_traces
 from racelab.engines import create_engine
 from racelab.metrics import emit
-from racelab.trace import SamplingPolicy, Trace, apply_sampling
+from racelab.trace import SamplingPolicy, apply_sampling
 
 
 def test_empty_trace_all_zero():
-    tr = Trace(events=(), num_threads=1, num_locks=1, num_vars=1)
+    tr = empty_trace(1, 1, 1)
     e = create_engine("uclock", tr)
     e.run(tr)
     m = e.metrics

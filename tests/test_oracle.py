@@ -90,7 +90,7 @@ def test_rel_after_positions(ladder_trace):
 
 
 def test_empty_sample_set_tables(ladder_trace):
-    tr = apply_sampling(ladder_trace, SamplingPolicy.none())
+    tr = apply_sampling(ladder_trace, SamplingPolicy.bernoulli(0.0, 0))
     tb = oracle.declarative_timestamps(tr)
     assert all(row == [0, 0] for row in tb.ct_smp)
     assert all(row == [0, 0] for row in tb.u)
@@ -101,7 +101,7 @@ def test_racy_events_ladder(ladder_trace, ladder_all_marked):
     assert oracle.racy_events(ladder_trace, SAMPLED_ONLY) == set()
     assert oracle.racy_events(ladder_trace, EXTENDED) == set()
     assert (9, WRITE_WRITE) in oracle.racy_events(ladder_all_marked, SAMPLED_ONLY)
-    none = apply_sampling(ladder_trace, SamplingPolicy.none())
+    none = apply_sampling(ladder_trace, SamplingPolicy.bernoulli(0.0, 0))
     assert oracle.racy_events(none, SAMPLED_ONLY) == set()
     assert oracle.racy_events(none, EXTENDED) == set()
 

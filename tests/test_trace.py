@@ -65,6 +65,13 @@ def test_syntax_errors_carry_line_numbers(text):
     assert err.value.line_no == 2
 
 
+def test_str_with_a_lone_surrogate_is_a_syntax_error_at_its_line():
+    # A str is parsed as its UTF-8 encoding; a lone surrogate has none.
+    with pytest.raises(TraceSyntaxError) as err:
+        parse_trace("T1|r(x)\nT\ud800|w(x)\n")
+    assert err.value.line_no == 2
+
+
 def test_serialize_empty():
     tr = parse_trace("")
     assert serialize_trace(tr) == ""
@@ -100,8 +107,8 @@ def test_apply_sampling_rate_edges(ladder_trace):
 
 def test_apply_sampling_modes(ladder_trace):
     assert apply_sampling(ladder_trace, SamplingPolicy.premarked()) == ladder_trace
-    cleared = apply_sampling(ladder_trace, SamplingPolicy.none())
-    assert cleared.sample_size == 0
+    cleared = apply_sampling(ladder_trace, SamplingPolicy.bernoulli(0.0, 0))
+    assert cleared.marks == bytes(len(ladder_trace))
 
 
 def test_apply_sampling_deterministic_and_index_local(ladder_trace):
@@ -130,6 +137,12 @@ def test_policy_validation():
         SamplingPolicy.bernoulli(1.5, 0)
     with pytest.raises(ValueError):
         SamplingPolicy("weird")
+
+
+def test_there_is_no_none_sampling_mode():
+    # bernoulli at rate 0 clears every mark (test_apply_sampling_modes).
+    with pytest.raises(ValueError, match="unknown sampling mode 'none'"):
+        SamplingPolicy("none")
 
 
 def test_gen_config_validation():
