@@ -11,6 +11,7 @@ or table, so a caller comparing many markings of one trace builds it once.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Dict, Iterable, List, NamedTuple, Optional
 
 from . import oracle
@@ -48,8 +49,18 @@ class Run(NamedTuple):
 def run_configs(
     tr: Trace, mode: str, labels: Iterable[str] = CONFIGS, snapshots: bool = False
 ) -> Dict[str, Run]:
-    """Run the named configurations on ``tr``, in ``CONFIGS`` order."""
+    """Run the named configurations on ``tr``, in ``CONFIGS`` order.
+
+    Raises ``ValueError`` on a label that is not in ``CONFIGS``, so a
+    misspelt label cannot leave a configuration unchecked.
+    """
     chosen = set(labels)
+    unknown = chosen - CONFIGS.keys()
+    if unknown:
+        raise ValueError(
+            f"unknown configuration {', '.join(sorted(unknown))}; "
+            f"known: {', '.join(CONFIGS)}"
+        )
     runs: Dict[str, Run] = {}
     for label, (token, opt) in CONFIGS.items():
         if label not in chosen:
@@ -93,17 +104,17 @@ def snapshot_divergence(
     """The first event at which some run's effective timestamp differs from
     the declarative one, as a DIVERGENT report, or ``None``.  Runs must carry
     snapshots; ``tables`` is ``oracle.timestamp_tables`` of ``tr``."""
-    for pos, ev in enumerate(tr.events):
-        sampling_ts = tables.ct_smp_effective(ev.index, ev.thread)
+    for i, t in zip(count(1), tr.threads):
+        sampling_ts = tables.ct_smp_effective(i, t)
         for label, run in runs.items():
-            expect = tables.ct_ft[pos] if label == "djitp" else sampling_ts
-            got = run.snapshots[pos]
+            expect = tables.ct_ft[i - 1] if label == "djitp" else sampling_ts
+            got = run.snapshots[i - 1]
             if got != expect:
                 return {
                     "verdict": "DIVERGENT",
                     "field": "snapshot",
                     "engine": label,
-                    "event_index": ev.index,
+                    "event_index": i,
                     "engine_value": got,
                     "oracle_value": expect,
                 }

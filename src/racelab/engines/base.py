@@ -148,7 +148,9 @@ class Engine:
         m.race_checks = self.histories.race_checks
 
     def process(self, ev: Event) -> List[RaceReport]:
-        """Handle one event; returns the races it reports."""
+        """Handle one event; returns the races it reports.  Only
+        ``perfbench/layers.py`` and the tests call it, with ``Trace.events``
+        views; nothing in the package does."""
         code = ev.kind.code
         before = len(self.reports)
         self._walk(((ev.index, code, ev.thread, ev.target, ev.marked or self.sample_all),))

@@ -1,7 +1,9 @@
 """Brute-force reference implementations for differential testing.
 
 Everything here is computed from first principles over the happens-before
-closure rather than with the engines' clock machinery:
+closure rather than with the engines' clock machinery.  The oracle reads a
+trace's columns (``threads``, ``kinds``, ``targets``) and its marks, which
+are its only sample set:
 
 * ``hb_closure`` builds the full reachability relation from program-order
   edges plus an edge from every release of a lock to every later acquire of
@@ -14,25 +16,26 @@ closure rather than with the engines' clock machinery:
 * ``racy_events`` replays last-access summaries (the histories every engine
   keeps) and decides each check directly on the closure.
 
-The oracle is a test fixture, not an engine; it targets traces of at most a
-few thousand events.
+The oracle is a test fixture, not an engine; its closure is quadratic in
+the trace length, so ``differential.MAX_EVENTS`` bounds what it is run on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from itertools import count
+from typing import Container, Dict, List, Optional, Set, Tuple
 
 from .history import EXTENDED, READ_WRITE, SAMPLED_ONLY, WRITE_READ, WRITE_WRITE
-from .trace import OpKind, Trace
+from .trace import ACQ, READ, REL, WRITE, Trace
 
 
 class HbClosure:
     """Reachability of the happens-before partial order, reflexive.
 
     ``preds[i]`` is a bitset over 0-based positions: bit j set means event
-    j+1 happens-before event i+1.  Event indices in the public API are
-    1-based, matching ``Event.index``.
+    j+1 happens-before event i+1.  The public API takes 1-based event
+    indices, the numbering race reports use.
     """
 
     def __init__(self, n: int, preds: List[int]):
@@ -47,31 +50,18 @@ class HbClosure:
 
 
 def hb_closure(tr: Trace) -> HbClosure:
-    n = len(tr.events)
-    preds: List[int] = [0] * n
+    preds: List[int] = []
     thread_last: Dict[int, int] = {}
     release_acc: Dict[int, int] = {}
-    for pos, ev in enumerate(tr.events):
-        bits = thread_last.get(ev.thread, 0) | (1 << pos)
-        if ev.kind is OpKind.ACQUIRE:
-            bits |= release_acc.get(ev.target, 0)
-        preds[pos] = bits
-        if ev.kind is OpKind.RELEASE:
-            release_acc[ev.target] = release_acc.get(ev.target, 0) | bits
-        thread_last[ev.thread] = bits
-    return HbClosure(n, preds)
-
-
-def sampled_positions(tr: Trace, sampled: Optional[Iterable[int]] = None) -> Set[int]:
-    """The sample set as 1-based event indices; defaults to the trace marks."""
-    if sampled is None:
-        return {ev.index for ev in tr.events if ev.marked}
-    chosen = set(sampled)
-    for idx in chosen:
-        ev = tr.events[idx - 1]
-        if not ev.is_access:
-            raise ValueError(f"event {idx} is not an access event")
-    return chosen
+    for pos, t, k, x in zip(count(), tr.threads, tr.kinds, tr.targets):
+        bits = thread_last.get(t, 0) | (1 << pos)
+        if k == ACQ:
+            bits |= release_acc.get(x, 0)
+        elif k == REL:
+            release_acc[x] = release_acc.get(x, 0) | bits
+        preds.append(bits)
+        thread_last[t] = bits
+    return HbClosure(len(preds), preds)
 
 
 @dataclass
@@ -111,16 +101,16 @@ class OracleTables(TimestampTables):
     vtwork: int
 
 
-def rel_after_positions(tr: Trace, chosen: Set[int]) -> Set[int]:
-    """Releases that are the first in their thread after some sampled event."""
+def rel_after_positions(tr: Trace) -> Set[int]:
+    """Releases that are the first in their thread after some marked access."""
     out: Set[int] = set()
     flag = [False] * tr.num_threads
-    for ev in tr.events:
-        if ev.is_access and ev.index in chosen:
-            flag[ev.thread] = True
-        elif ev.kind is OpKind.RELEASE and flag[ev.thread]:
-            out.add(ev.index)
-            flag[ev.thread] = False
+    for i, t, k, m in zip(count(1), tr.threads, tr.kinds, tr.marks):
+        if m and k >= READ:
+            flag[t] = True
+        elif k == REL and flag[t]:
+            out.add(i)
+            flag[t] = False
     return out
 
 
@@ -149,95 +139,78 @@ def _per_thread_max(
     return out
 
 
-def _thread_masks(tr: Trace) -> List[int]:
-    """Per thread, the bitset of its events' 0-based positions."""
-    masks = [0] * tr.num_threads
-    for pos, ev in enumerate(tr.events):
-        masks[ev.thread] |= 1 << pos
-    return masks
+def _local_times(tr: Trace, ticks: Container[int]) -> List[int]:
+    """Per event: one plus the events of ``ticks`` (1-based indices) that
+    precede it in its thread."""
+    out: List[int] = []
+    clock = [1] * tr.num_threads
+    for i, t in zip(count(1), tr.threads):
+        out.append(clock[t])
+        if i in ticks:
+            clock[t] += 1
+    return out
 
 
-def timestamp_tables(
-    tr: Trace, sampled: Optional[Iterable[int]] = None, hb: Optional[HbClosure] = None
-) -> TimestampTables:
-    """The local-time and timestamp tables alone, what per-event timestamp
-    comparisons read; ``declarative_timestamps`` adds the freshness values."""
-    chosen = sampled_positions(tr, sampled)
-    if hb is None:
-        hb = hb_closure(tr)
-    n = len(tr.events)
-    T = tr.num_threads
-    thread_masks = _thread_masks(tr)
+def _tables(tr: Trace, hb: HbClosure) -> Tuple[TimestampTables, List[int], Set[int]]:
+    """The timestamp tables, with the per-thread position bitsets and the
+    sample-consuming releases they were built from."""
+    thread_masks = [0] * tr.num_threads
     sampled_mask = 0
-    for idx in chosen:
-        sampled_mask |= 1 << (idx - 1)
-
-    # Local times: releases performed before the event in its thread, plus one.
-    lt_ft = [0] * n
-    rel_count = [0] * T
-    for pos, ev in enumerate(tr.events):
-        lt_ft[pos] = rel_count[ev.thread] + 1
-        if ev.kind is OpKind.RELEASE:
-            rel_count[ev.thread] += 1
-
-    rel_after = rel_after_positions(tr, chosen)
-    lt_smp = [0] * n
-    ra_count = [0] * T
-    for pos, ev in enumerate(tr.events):
-        lt_smp[pos] = ra_count[ev.thread] + 1
-        if ev.index in rel_after:
-            ra_count[ev.thread] += 1
-
-    return TimestampTables(
+    for pos, t, m in zip(count(), tr.threads, tr.marks):
+        thread_masks[t] |= 1 << pos
+        if m:
+            sampled_mask |= 1 << pos
+    rel_after = rel_after_positions(tr)
+    # Local times: releases (sample-consuming ones, for ``smp``) performed
+    # before the event in its thread, plus one.
+    lt_ft = _local_times(tr, {i for i, k in zip(count(1), tr.kinds) if k == REL})
+    lt_smp = _local_times(tr, rel_after)
+    tables = TimestampTables(
         lt_ft=lt_ft,
         ct_ft=_per_thread_max(hb, thread_masks, lt_ft),
         lt_smp=lt_smp,
         ct_smp=_per_thread_max(hb, thread_masks, lt_smp, restrict_mask=sampled_mask),
     )
+    return tables, thread_masks, rel_after
 
 
-def declarative_timestamps(
-    tr: Trace, sampled: Optional[Iterable[int]] = None, hb: Optional[HbClosure] = None
-) -> OracleTables:
-    """``timestamp_tables`` plus the evolution counters, freshness vectors and
-    clock work."""
-    chosen = sampled_positions(tr, sampled)
+def timestamp_tables(tr: Trace, hb: Optional[HbClosure] = None) -> TimestampTables:
+    """The local-time and timestamp tables alone, what per-event timestamp
+    comparisons read; ``declarative_timestamps`` adds the freshness values."""
     if hb is None:
         hb = hb_closure(tr)
-    base = timestamp_tables(tr, chosen, hb)
-    n = len(tr.events)
+    return _tables(tr, hb)[0]
+
+
+def declarative_timestamps(tr: Trace, hb: Optional[HbClosure] = None) -> OracleTables:
+    """``timestamp_tables`` plus the evolution counters, freshness vectors and
+    clock work."""
+    if hb is None:
+        hb = hb_closure(tr)
+    base, thread_masks, rel_after = _tables(tr, hb)
     T = tr.num_threads
-    thread_masks = _thread_masks(tr)
 
     # Evolution counter along each thread's declarative clock, from all-zero.
-    vt = [0] * n
-    prev_ct: List[Optional[List[int]]] = [None] * T
+    vt: List[int] = []
+    prev_ct = [[0] * T] * T
     running = [0] * T
-    for pos, ev in enumerate(tr.events):
-        before = prev_ct[ev.thread] or [0] * T
-        cur = base.ct_smp[pos]
-        running[ev.thread] += sum(1 for a, b in zip(before, cur) if a != b)
-        vt[pos] = running[ev.thread]
-        prev_ct[ev.thread] = cur
+    for t, cur in zip(tr.threads, base.ct_smp):
+        running[t] += sum(a != b for a, b in zip(prev_ct[t], cur))
+        vt.append(running[t])
+        prev_ct[t] = cur
 
-    u = _per_thread_max(hb, thread_masks, vt)
-
-    vt_replay, vtwork = _replay_clock_changes(tr, chosen, rel_after_positions(tr, chosen))
-    u_replay = _per_thread_max(hb, thread_masks, vt_replay)
-
+    vt_replay, vtwork = _replay_clock_changes(tr, rel_after)
     return OracleTables(
         **vars(base),
         vt=vt,
-        u=u,
+        u=_per_thread_max(hb, thread_masks, vt),
         vt_replay=vt_replay,
-        u_replay=u_replay,
+        u_replay=_per_thread_max(hb, thread_masks, vt_replay),
         vtwork=vtwork,
     )
 
 
-def _replay_clock_changes(
-    tr: Trace, chosen: Set[int], rel_after: Set[int]
-) -> Tuple[List[int], int]:
+def _replay_clock_changes(tr: Trace, rel_after: Set[int]) -> Tuple[List[int], int]:
     """Abstractly replay the plain sampling algorithm, counting every
     component-level change of any thread or lock clock."""
     T = tr.num_threads
@@ -246,46 +219,40 @@ def _replay_clock_changes(
     epochs = [1] * T
     changes = [0] * T
     lock_changes = 0
-    vt_replay = [0] * len(tr.events)
-    for pos, ev in enumerate(tr.events):
-        t = ev.thread
-        if ev.kind is OpKind.ACQUIRE:
-            ct, cl = c_threads[t], c_locks[ev.target]
-            for i in range(T):
-                if cl[i] > ct[i]:
-                    ct[i] = cl[i]
+    vt_replay: List[int] = []
+    for i, t, k, x in zip(count(1), tr.threads, tr.kinds, tr.targets):
+        if k == ACQ:
+            ct, cl = c_threads[t], c_locks[x]
+            for j in range(T):
+                if cl[j] > ct[j]:
+                    ct[j] = cl[j]
                     changes[t] += 1
-        elif ev.kind is OpKind.RELEASE:
+        elif k == REL:
             ct = c_threads[t]
-            if ev.index in rel_after:
+            if i in rel_after:
                 ct[t] = epochs[t]
                 epochs[t] += 1
                 changes[t] += 1
-            cl = c_locks[ev.target]
-            for i in range(T):
-                if cl[i] != ct[i]:
-                    cl[i] = ct[i]
+            cl = c_locks[x]
+            for j in range(T):
+                if cl[j] != ct[j]:
+                    cl[j] = ct[j]
                     lock_changes += 1
-        vt_replay[pos] = changes[t]
+        vt_replay.append(changes[t])
     return vt_replay, sum(changes) + lock_changes
 
 
-def clock_work(tr: Trace, sampled: Optional[Iterable[int]] = None) -> int:
+def clock_work(tr: Trace) -> int:
     """Total component-level clock changes of the plain sampling algorithm.
 
     The yardstick for instance optimality: any timestamping algorithm must
     perform at least this many clock writes on the trace.
     """
-    chosen = sampled_positions(tr, sampled)
-    rel_after = rel_after_positions(tr, chosen)
-    return _replay_clock_changes(tr, chosen, rel_after)[1]
+    return _replay_clock_changes(tr, rel_after_positions(tr))[1]
 
 
 def racy_events(
-    tr: Trace,
-    mode: str = SAMPLED_ONLY,
-    sampled: Optional[Iterable[int]] = None,
-    hb: Optional[HbClosure] = None,
+    tr: Trace, mode: str = SAMPLED_ONLY, hb: Optional[HbClosure] = None
 ) -> Set[Tuple[int, str]]:
     """Racy (event index, kind) pairs under last-access-summary semantics.
 
@@ -298,9 +265,9 @@ def racy_events(
     """
     if mode not in (SAMPLED_ONLY, EXTENDED):
         raise ValueError(f"unknown mode {mode!r}")
-    chosen = sampled_positions(tr, sampled)
     if hb is None:
         hb = hb_closure(tr)
+    extended = mode == EXTENDED
     V, T = tr.num_vars, tr.num_threads
     last_write: List[Optional[int]] = [None] * V
     last_read: List[List[Optional[int]]] = [[None] * T for _ in range(V)]
@@ -310,46 +277,37 @@ def racy_events(
     seen_w = [[0] * T for _ in range(V)]
     out: Set[Tuple[int, str]] = set()
 
-    for ev in tr.events:
-        if not ev.is_access:
-            continue
-        x, t, marked = ev.target, ev.thread, ev.index in chosen
-        is_write = ev.kind is OpKind.WRITE
-        if is_write:
-            checked = marked or (
-                mode == EXTENDED and seen_w[x][t] < gen_r[x] + gen_w[x]
-            )
-            if checked:
-                w = last_write[x]
-                if w is not None and not hb.ordered(w, ev.index):
-                    out.add((ev.index, WRITE_WRITE))
-                if any(
-                    r is not None and not hb.ordered(r, ev.index)
-                    for r in last_read[x]
-                ):
-                    out.add((ev.index, READ_WRITE))
+    for i, t, k, x, marked in zip(count(1), tr.threads, tr.kinds, tr.targets, tr.marks):
+        if k == WRITE:
+            if not (marked or (extended and seen_w[x][t] < gen_r[x] + gen_w[x])):
+                continue
+            w = last_write[x]
+            if w is not None and not hb.ordered(w, i):
+                out.add((i, WRITE_WRITE))
+            if any(r is not None and not hb.ordered(r, i) for r in last_read[x]):
+                out.add((i, READ_WRITE))
             if marked:
-                last_write[x] = ev.index
+                last_write[x] = i
                 gen_w[x] += 1
-                seen_w[x][t] = gen_r[x] + gen_w[x]
-            elif checked:
-                seen_w[x][t] = gen_r[x] + gen_w[x]
-        else:
-            checked = marked or (mode == EXTENDED and seen_r[x][t] < gen_w[x])
-            if checked:
-                w = last_write[x]
-                if w is not None and not hb.ordered(w, ev.index):
-                    out.add((ev.index, WRITE_READ))
+            seen_w[x][t] = gen_r[x] + gen_w[x]
+        elif k == READ:
+            if not (marked or (extended and seen_r[x][t] < gen_w[x])):
+                continue
+            w = last_write[x]
+            if w is not None and not hb.ordered(w, i):
+                out.add((i, WRITE_READ))
             if marked:
-                last_read[x][t] = ev.index
+                last_read[x][t] = i
                 gen_r[x] += 1
-                seen_r[x][t] = gen_w[x]
-            elif checked:
-                seen_r[x][t] = gen_w[x]
+            seen_r[x][t] = gen_w[x]
     return out
 
 
 def racy_events_full(tr: Trace, hb: Optional[HbClosure] = None) -> Set[Tuple[int, str]]:
     """Reference racy set for the full detector: every access is recorded."""
-    all_accesses = [ev.index for ev in tr.events if ev.is_access]
-    return racy_events(tr, SAMPLED_ONLY, sampled=all_accesses, hb=hb)
+    every_access = bytes(k >= READ for k in tr.kinds)
+    full = Trace(
+        tr.threads, tr.kinds, tr.targets, every_access,
+        tr.num_threads, tr.num_locks, tr.num_vars,
+    )
+    return racy_events(full, SAMPLED_ONLY, hb=hb)

@@ -35,8 +35,9 @@ of the small-int kind codes ``ACQ``/``REL``/``READ``/``WRITE``, and
 That is about 10 bytes per event.  A sampling policy yields a new mark
 vector only; the trace it returns shares the other three columns.
 ``Trace.events`` is a lazily built, cached tuple of frozen ``Event`` views
-over the same data, for the oracle and tests; the parser, the sampler, the
-serializer and ``Engine.run`` never build it.
+over the same data.  The views exist for ``perfbench/layers.py`` and the
+tests, the callers of ``Engine.process``; nothing else in the package,
+the oracle included, reads or builds them.
 """
 
 from __future__ import annotations
@@ -75,15 +76,17 @@ class InfeasibleConfigError(TraceError):
 
 # Kind codes stored in ``Trace.kinds``; codes >= READ are accesses.
 ACQ, REL, READ, WRITE = 0, 1, 2, 3
+# The text format's token of each kind, indexed by kind code.
+_TOKENS = ("acq", "rel", "r", "w")
 
 
 class OpKind(Enum):
     """Event kind; ``value`` is the file token, ``code`` the column code."""
 
-    ACQUIRE = ("acq", ACQ)
-    RELEASE = ("rel", REL)
-    READ = ("r", READ)
-    WRITE = ("w", WRITE)
+    ACQUIRE = (_TOKENS[ACQ], ACQ)
+    RELEASE = (_TOKENS[REL], REL)
+    READ = (_TOKENS[READ], READ)
+    WRITE = (_TOKENS[WRITE], WRITE)
 
     def __new__(cls, token: str, code: int):
         member = object.__new__(cls)
@@ -93,7 +96,7 @@ class OpKind(Enum):
 
 
 _KIND_OF_CODE = (OpKind.ACQUIRE, OpKind.RELEASE, OpKind.READ, OpKind.WRITE)
-_CODE_OF_TOKEN = {kind.value: kind.code for kind in OpKind}
+_CODE_OF_TOKEN = {token: code for code, token in enumerate(_TOKENS)}
 
 
 class Event(NamedTuple):
@@ -145,7 +148,8 @@ class Trace:
 
     @property
     def events(self) -> Tuple[Event, ...]:
-        """``Event`` views of the columns, built on first use and cached."""
+        """``Event`` views of the columns, built on first use and cached; for
+        ``perfbench/layers.py`` and the tests, never read inside the package."""
         if self._events is None:
             self._events = tuple(
                 Event(i, t, _KIND_OF_CODE[k], x, bool(m))
@@ -359,7 +363,7 @@ def parse_trace(data) -> Trace:
 
 def _lines(tr: Trace) -> Iterator[str]:
     """The text format of ``tr``, one newline-terminated line per event."""
-    tokens = tuple(kind.value for kind in _KIND_OF_CODE)
+    tokens = _TOKENS
     tables = (tr.lock_names, tr.lock_names, tr.var_names, tr.var_names)
     thread_names = tr.thread_names
     for t, k, x, m in zip(tr.threads, tr.kinds, tr.targets, tr.marks):

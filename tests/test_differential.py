@@ -1,10 +1,12 @@
 """Differential fuzzing: every engine configuration matches the oracle."""
 
+import pytest
 from hypothesis import given, settings
 
-from conftest import critical_section_traces, valid_traces
-from racelab.differential import diff_report
+from conftest import LADDER_TEXT, critical_section_traces, valid_traces
+from racelab.differential import diff_report, racy_divergence, run_configs
 from racelab.history import EXTENDED, SAMPLED_ONLY
+from racelab.oracle import hb_closure
 from racelab.trace import parse_trace
 
 
@@ -35,3 +37,21 @@ def test_every_configuration_matches_the_oracle_on_critical_section_traces(text)
     for mode in (SAMPLED_ONLY, EXTENDED):
         report = diff_report(tr, mode)
         assert report["verdict"] == "EQUIVALENT", (mode, report)
+
+
+def test_diff_builds_no_event_views():
+    # The oracle and the engines read the columns; ``Trace.events`` stays unbuilt.
+    tr = parse_trace(LADDER_TEXT)
+    for mode in (SAMPLED_ONLY, EXTENDED):
+        assert diff_report(tr, mode)["verdict"] == "EQUIVALENT"
+        assert tr._events is None
+
+
+def test_run_configs_rejects_unknown_labels():
+    # A misspelt label must not shrink the run set: an empty one reads as a pass.
+    tr = parse_trace(LADDER_TEXT)
+    with pytest.raises(ValueError, match="samplng.*known: sampling, uclock"):
+        run_configs(tr, SAMPLED_ONLY, ("sampling", "samplng"))
+    runs = run_configs(tr, SAMPLED_ONLY, ("sampling",))
+    assert list(runs) == ["sampling"]
+    assert racy_divergence(tr, SAMPLED_ONLY, runs, hb_closure(tr)) is None

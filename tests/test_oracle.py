@@ -85,8 +85,7 @@ def test_ladder_tables(ladder_trace):
 
 
 def test_rel_after_positions(ladder_trace):
-    chosen = oracle.sampled_positions(ladder_trace)
-    assert oracle.rel_after_positions(ladder_trace, chosen) == {6, 17}
+    assert oracle.rel_after_positions(ladder_trace) == {6, 17}
 
 
 def test_empty_sample_set_tables(ladder_trace):
@@ -109,8 +108,6 @@ def test_racy_events_ladder(ladder_trace, ladder_all_marked):
 def test_racy_events_rejects_bad_input(ladder_trace):
     with pytest.raises(ValueError):
         oracle.racy_events(ladder_trace, "bogus")
-    with pytest.raises(ValueError):
-        oracle.sampled_positions(ladder_trace, sampled=[1])  # an acquire
 
 
 def test_sampling_timestamp_component_sum_is_bounded():
