@@ -4,8 +4,6 @@ from importlib import import_module
 
 from .history import EXTENDED, SAMPLED_ONLY, RaceReport
 from .trace import (
-    Event,
-    OpKind,
     SamplingPolicy,
     Trace,
     apply_sampling,
@@ -32,8 +30,6 @@ __all__ = [
     "RaceReport",
     "SAMPLED_ONLY",
     "EXTENDED",
-    "Event",
-    "OpKind",
     "Trace",
     "GenConfig",
     "SamplingPolicy",

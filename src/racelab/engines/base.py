@@ -4,8 +4,9 @@ Engines process one validated trace in order, one instance per analysis
 stream.  ``Engine.run`` walks the trace's columns and dispatches on the int
 kind code to four handlers, ``_acquire``, ``_release``, ``_read`` and
 ``_write``, each called as ``(index, thread, target, marked)``; no ``Event``
-is built.  ``Engine.process(ev)`` is a one-event adapter: it feeds one
-``Event`` through the same loop and the same tally of the run's counters.
+is built.  ``Engine.process(ev)`` feeds one ``Trace.events`` view through
+the same loop and the same tally; only ``perfbench/layers.py`` and its
+guard tests call it.
 
 Every engine is the paper's sampling algorithm and differs only in how it
 timestamps.  ``Engine`` keeps only what every engine shares: the per-thread
@@ -148,13 +149,12 @@ class Engine:
         m.race_checks = self.histories.race_checks
 
     def process(self, ev: Event) -> List[RaceReport]:
-        """Handle one event; returns the races it reports.  Only
-        ``perfbench/layers.py`` and the tests call it, with ``Trace.events``
-        views; nothing in the package does."""
-        code = ev.kind.code
+        """Handle one ``Trace.events`` view; returns the races it reports.
+        Only ``perfbench/layers.py`` and its guard tests call it."""
+        k = ev.kind
         before = len(self.reports)
-        self._walk(((ev.index, code, ev.thread, ev.target, ev.marked or self.sample_all),))
-        self._tally(before, 1, code == ACQ, code == REL, ev.marked and ev.is_access)
+        self._walk(((ev.index, k, ev.thread, ev.target, ev.marked or self.sample_all),))
+        self._tally(before, 1, k == ACQ, k == REL, ev.marked and ev.is_access)
         return self.reports[before:]
 
     def run(self, tr: Trace) -> List[RaceReport]:

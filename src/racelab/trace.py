@@ -34,10 +34,11 @@ of the small-int kind codes ``ACQ``/``REL``/``READ``/``WRITE``, and
 ``marks`` is an immutable ``bytes`` mark vector (1 = in the sample set).
 That is about 10 bytes per event.  A sampling policy yields a new mark
 vector only; the trace it returns shares the other three columns.
-``Trace.events`` is a lazily built, cached tuple of frozen ``Event`` views
-over the same data.  The views exist for ``perfbench/layers.py`` and the
-tests, the callers of ``Engine.process``; nothing else in the package,
-the oracle included, reads or builds them.
+``Trace.events`` is a lazily built, cached tuple of ``Event`` views over
+the same data, whose ``kind`` is the kind code (``OpKind`` only names the
+codes).  Only ``perfbench/layers.py``, which feeds them to
+``Engine.process``, and its guard tests read them; the package and the
+other tests read the columns.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ from __future__ import annotations
 import io
 import re
 from array import array
-from enum import Enum
 from functools import cache
 from itertools import count, islice
 from typing import Iterator, NamedTuple, Sequence, Tuple
@@ -80,22 +80,12 @@ ACQ, REL, READ, WRITE = 0, 1, 2, 3
 _TOKENS = ("acq", "rel", "r", "w")
 
 
-class OpKind(Enum):
-    """Event kind; ``value`` is the file token, ``code`` the column code."""
+class OpKind:
+    """The kind codes under long names, for ``perfbench/layers.py``."""
 
-    ACQUIRE = (_TOKENS[ACQ], ACQ)
-    RELEASE = (_TOKENS[REL], REL)
-    READ = (_TOKENS[READ], READ)
-    WRITE = (_TOKENS[WRITE], WRITE)
-
-    def __new__(cls, token: str, code: int):
-        member = object.__new__(cls)
-        member._value_ = token
-        member.code = code
-        return member
+    ACQUIRE, RELEASE, READ, WRITE = ACQ, REL, READ, WRITE
 
 
-_KIND_OF_CODE = (OpKind.ACQUIRE, OpKind.RELEASE, OpKind.READ, OpKind.WRITE)
 _CODE_OF_TOKEN = {token: code for code, token in enumerate(_TOKENS)}
 
 
@@ -104,13 +94,13 @@ class Event(NamedTuple):
 
     index: int  # 1-based position in the trace
     thread: int
-    kind: OpKind
+    kind: int  # kind code
     target: int
     marked: bool = False
 
     @property
     def is_access(self) -> bool:
-        return self.kind is OpKind.READ or self.kind is OpKind.WRITE
+        return self.kind >= READ
 
 
 class Trace:
@@ -148,13 +138,12 @@ class Trace:
 
     @property
     def events(self) -> Tuple[Event, ...]:
-        """``Event`` views of the columns, built on first use and cached; for
-        ``perfbench/layers.py`` and the tests, never read inside the package."""
+        """``Event`` views of the columns, built on first use and cached.
+        Only ``perfbench/layers.py`` and its guard tests read them."""
         if self._events is None:
-            self._events = tuple(
-                Event(i, t, _KIND_OF_CODE[k], x, bool(m))
-                for i, t, k, x, m in zip(count(1), self.threads, self.kinds, self.targets, self.marks)
-            )
+            self._events = tuple(map(
+                Event, count(1), self.threads, self.kinds, self.targets, map(bool, self.marks)
+            ))
         return self._events
 
     def __len__(self) -> int:
@@ -487,8 +476,7 @@ def bernoulli_marks(kinds: Sequence[int], seed: int, rate: float) -> bytes:
 class SamplingPolicy:
     """How the sample set is chosen: ``mode`` is "premarked" (keep the
     trace's own marks) or "bernoulli" (with ``rate`` and ``seed``; rate 0
-    clears every mark).  Immutable; policies are equal when their mode, rate
-    and seed are."""
+    clears every mark)."""
 
     __slots__ = ("mode", "rate", "seed")
 
@@ -497,28 +485,9 @@ class SamplingPolicy:
             raise ValueError(f"unknown sampling mode {mode!r}")
         if not 0.0 <= rate <= 1.0:
             raise ValueError("rate must lie in [0, 1]")
-        for name, value in zip(self.__slots__, (mode, rate, seed)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return (self.mode, self.rate, self.seed)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self) -> str:
-        return f"SamplingPolicy(mode={self.mode!r}, rate={self.rate!r}, seed={self.seed!r})"
+        self.mode = mode
+        self.rate = rate
+        self.seed = seed
 
     @classmethod
     def premarked(cls) -> "SamplingPolicy":

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import random
 from array import array
+from itertools import count
 
 import pytest
 from hypothesis import strategies as st
 
+from racelab.engines import create_engine
 from racelab.gen import GenConfig, generate_trace
 from racelab.trace import (
-    Event,
-    OpKind,
+    _TOKENS,
+    ACQ,
     SamplingPolicy,
     Trace,
     apply_sampling,
@@ -60,6 +62,33 @@ def empty_trace(threads: int, locks: int, variables: int) -> Trace:
     return Trace(array("i"), array("b"), array("i"), b"", threads, locks, variables)
 
 
+def rows(tr: Trace):
+    """The events of ``tr`` read off its columns, as a list of ``(index,
+    thread, kind, target, marked)`` rows; ``kind`` is a kind code."""
+    return list(zip(count(1), tr.threads, tr.kinds, tr.targets, map(bool, tr.marks)))
+
+
+def run_prefix(token: str, tr: Trace, n: int, **kwargs):
+    """A fresh ``token`` engine sized for ``tr`` after ``Engine.run`` on the
+    first ``n`` events of ``tr``, sliced from its columns."""
+    engine = create_engine(token, tr, **kwargs)
+    engine.run(Trace(
+        tr.threads[:n], tr.kinds[:n], tr.targets[:n], tr.marks[:n],
+        tr.num_threads, tr.num_locks, tr.num_vars,
+    ))
+    return engine
+
+
+def skip_decisions(engine, tr: Trace) -> dict:
+    """Run ``engine`` over ``tr``; map each acquire's index to True if the
+    engine skipped it.  The ``on_event`` hook reads the skip counter after
+    every event."""
+    skipped = [0]  # the counter after event i is skipped[i]
+    engine.on_event = lambda index, eff: skipped.append(engine.metrics.acquires_skipped)
+    engine.run(tr)
+    return {i: skipped[i] > skipped[i - 1] for i, _, kind, _, _ in rows(tr) if kind == ACQ}
+
+
 def handoff_trace(k: int = 100):
     """One sampled access followed by k redundant lock handoffs between two threads."""
     lines = ["T1|acq(l)", "T1|w(x)|*", "T1|rel(l)"]
@@ -93,14 +122,14 @@ def random_traces(seed: int, count: int, max_events: int = 160):
 
 @st.composite
 def valid_traces(draw):
-    """Lock-discipline-respecting event lists in file tokens, with the Events
-    a parse must produce (dense ids by first appearance)."""
+    """Lock-discipline-respecting event lists in file tokens, with the
+    ``rows`` a parse must produce (dense ids by first appearance)."""
     names = ["T1", "T2", "T3"]
     locks = ["l1", "l2"]
     variables = ["x", "y", "z"]
     holder = {}
     tokens, ids = [], ({}, {}, {})
-    events = []
+    expected = []
     for index in range(1, draw(st.integers(0, 30)) + 1):
         thread = draw(st.sampled_from(names))
         held = [l for l, h in holder.items() if h == thread]
@@ -120,10 +149,9 @@ def valid_traces(draw):
         tid = ids[0].setdefault(thread, len(ids[0]))
         table = ids[2] if op in ("r", "w") else ids[1]
         target = table.setdefault(obj, len(table))
-        events.append(Event(index, tid, OpKind(op), target, marked))
+        expected.append((index, tid, _TOKENS.index(op), target, marked))
     text = "\n".join(tokens) + ("\n" if tokens else "")
-    return text, tuple(events)
-
+    return text, expected
 
 
 @st.composite

@@ -14,18 +14,13 @@ import statistics
 import numpy as np
 import pytest
 
-from conftest import empty_trace, handoff_trace
+from conftest import empty_trace, handoff_trace, run_prefix, skip_decisions
 from racelab import differential, oracle
 from racelab.engines import create_engine
 from racelab.gen import GenConfig, generate_trace
 from racelab.history import EXTENDED, SAMPLED_ONLY
 from racelab.olist import OrderedList
-from racelab.trace import (
-    Event,
-    OpKind,
-    SamplingPolicy,
-    apply_sampling,
-)
+from racelab.trace import SamplingPolicy, apply_sampling
 
 RATES = (0.0, 0.003, 0.03, 0.1, 1.0)
 N_SUITE1 = 1000
@@ -145,14 +140,16 @@ def suite3():
             fidelity.append(f"trace {i}: {report}")
 
         uc = create_engine("uclock", marked)
-        for pos, ev in enumerate(marked.events):
-            uc.process(ev)
-            ut = uc.u_threads[ev.thread]
-            if ut[ev.thread] != tables.vt_replay[pos]:
-                freshness.append(f"trace {i} event {ev.index}: self component")
+        seen = []  # the acting thread's freshness clock after each event
+        uc.on_event = lambda index, eff: seen.append(list(uc.u_threads[marked.threads[index - 1]]))
+        uc.run(marked)
+        assert len(seen) == len(marked)
+        for pos, (ut, thread) in enumerate(zip(seen, marked.threads)):
+            if ut[thread] != tables.vt_replay[pos]:
+                freshness.append(f"trace {i} event {pos + 1}: self component")
                 break
             if any(a > b for a, b in zip(ut, tables.u_replay[pos])):
-                freshness.append(f"trace {i} event {ev.index}: not below oracle freshness")
+                freshness.append(f"trace {i} event {pos + 1}: not below oracle freshness")
                 break
     return {"fidelity": fidelity, "freshness": freshness}
 
@@ -187,8 +184,8 @@ def test_criterion_5_timestamp_ordering_properties():
         tb = oracle.declarative_timestamps(marked)
         hb = oracle.hb_closure(marked)
         n, t_count = len(marked), marked.num_threads
-        threads = np.array([e.thread for e in marked.events])
-        in_s = np.array([e.marked for e in marked.events])
+        threads = np.array(marked.threads)
+        in_s = np.array(list(marked.marks), dtype=bool)
         ctft = np.array(tb.ct_ft)
         ctsm = np.array(tb.ct_smp)
         u = np.array(tb.u)
@@ -263,26 +260,16 @@ def test_criterion_9_extended_mode(suite1):
 
 def test_criterion_10_golden_worked_examples(ladder_trace):
     # Right-table trajectory of the running example
-    e = create_engine("sampling", ladder_trace)
-    for ev in ladder_trace.events[:6]:
-        e.process(ev)
+    e = run_prefix("sampling", ladder_trace, 6)
     assert (e.epochs[0], e.c_threads[0], e.c_locks[3]) == (2, [1, 0], [1, 0])
-    for ev in ladder_trace.events[6:10]:
-        e.process(ev)
+    e = run_prefix("sampling", ladder_trace, 10)
     assert e.epochs[0] == 2 and e.c_locks[2] == [1, 0]
-    for ev in ladder_trace.events[10:]:
-        e.process(ev)
+    e = run_prefix("sampling", ladder_trace, 18)
     assert e.epochs[0] == 3 and e.c_threads[0] == [2, 0] and e.c_threads[1] == [2, 0]
 
     # Skip decisions: e12 and e14 skipped, e8 and e18 processed, both engines
     for token in ("uclock", "orderedlist"):
-        eng = create_engine(token, ladder_trace)
-        skips = {}
-        for ev in ladder_trace.events:
-            before = eng.metrics.acquires_skipped
-            eng.process(ev)
-            if ev.kind is OpKind.ACQUIRE:
-                skips[ev.index] = eng.metrics.acquires_skipped > before
+        skips = skip_decisions(create_engine(token, ladder_trace), ladder_trace)
         assert skips[12] and skips[14] and not skips[8] and not skips[18], token
 
     # Single-entry update under a freshness gap of one
@@ -294,7 +281,7 @@ def test_criterion_10_golden_worked_examples(ladder_trace):
     uc.c_locks[0] = [9, 6, 3, 0, 1, 0]
     uc.u_locks[0] = [15, 12, 4, 0, 1, 0]
     uc.last_releaser[0] = 0
-    uc.process(Event(1, 1, OpKind.ACQUIRE, 0))
+    uc._acquire(1, 1, 0, False)
     assert uc.c_threads[1] == [9, 18, 3, 0, 1, 0]
 
     ol = create_engine("orderedlist", empty_trace(6, 1, 1))
@@ -307,7 +294,7 @@ def test_criterion_10_golden_worked_examples(ladder_trace):
     ol.lock_views[0] = donor.shallow_copy()
     ol.last_releaser[0] = 0
     ol.lock_freshness[0] = 15
-    ol.process(Event(1, 1, OpKind.ACQUIRE, 0))
+    ol._acquire(1, 1, 0, False)
     assert ol.metrics.nodes_visited == 1
     assert ol.o_threads[1].snapshot() == [9, 18, 3, 0, 1, 0]
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -21,7 +22,7 @@ def test_gen_then_analyze_round_trip(tmp_path, capsys):
     rc = main(["gen", "--threads", "3", "--locks", "2", "--vars", "2",
                "--events", "60", "--seed", "5", "--out", out])
     assert rc == 0
-    tr = parse_trace(open(out, "rb").read())
+    tr = parse_trace(Path(out).read_bytes())
     assert len(tr) == 60
     rc = main(["analyze", "--trace", out, "--engine", "djitp",
                "--out-races", str(tmp_path / "races.txt"),
@@ -138,7 +139,7 @@ def test_bench_skip_ratio_monotone_in_rate_on_handoff(tmp_path):
     dump_trace(handoff_trace(100), path)
     out = str(tmp_path / "h.csv")
     assert main(["bench", "--trace", path, "--seed", "1", "--out", out]) == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = list(csv.DictReader(io.StringIO(Path(out).read_text())))
     for engine in ("uclock", "orderedlist"):
         ratios = [float(r["skip_ratio"]) for r in rows if r["engine"] == engine]
         assert ratios == sorted(ratios, reverse=True)
@@ -223,7 +224,7 @@ def test_gen_loads_no_engine_json_or_dataclasses(tmp_path):
     )
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert len(parse_trace(open(out, "rb").read())) == 200
+    assert len(parse_trace(Path(out).read_bytes())) == 200
 
 
 def test_engine_choices_are_the_engine_tokens():
@@ -239,7 +240,7 @@ def test_bench_generated_traces(tmp_path):
                "--vars", "2", "--events", "80", "--rates", "0.1,1.0",
                "--seed", "4", "--out", out])
     assert rc == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = list(csv.DictReader(io.StringIO(Path(out).read_text())))
     assert len(rows) == 2 * 2 * 4
 
 
@@ -264,7 +265,7 @@ def _budget_trace(tmp_path):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_analyze_metrics_report_race_checks_within_budget(tmp_path, fmt):
     trace = _budget_trace(tmp_path)
-    threads = parse_trace(open(trace, "rb").read()).num_threads
+    threads = parse_trace(Path(trace).read_bytes()).num_threads
     out = tmp_path / f"m.{fmt}"
     for mode in ("sampled-only", "extended"):
         for engine in ("sampling", "uclock", "orderedlist"):
@@ -283,12 +284,19 @@ def test_analyze_metrics_report_race_checks_within_budget(tmp_path, fmt):
 
 
 def test_gen_and_analyze_build_no_event_views(tmp_path, monkeypatch):
+    # No command enters the per-event layer: no ``Event`` view is built and
+    # ``Engine.process`` is never called.
     import racelab.trace as trace_mod
+    from racelab.engines import Engine
 
     def no_views(*args, **kwargs):
         raise AssertionError("an Event view was built")
 
+    def no_process(*args, **kwargs):
+        raise AssertionError("Engine.process was called")
+
     monkeypatch.setattr(trace_mod, "Event", no_views)
+    monkeypatch.setattr(Engine, "process", no_process)
     out = str(tmp_path / "t.trace")
     assert main(["gen", "--threads", "4", "--locks", "2", "--vars", "3",
                  "--events", "300", "--seed", "2", "--out", out]) == 0
@@ -297,3 +305,8 @@ def test_gen_and_analyze_build_no_event_views(tmp_path, monkeypatch):
                    "--mode", "extended", "--out-races", str(tmp_path / "r.txt"),
                    "--out-metrics", str(tmp_path / "m.json")])
         assert rc in (0, 1)
+    assert main(["bench", "--trace", out, "--rates", "0.1,1.0", "--seed", "1",
+                 "--out", str(tmp_path / "b.csv")]) == 0
+    for mode in ("sampled-only", "extended"):
+        assert main(["diff", "--trace", out, "--rate", "0.1", "--seed", "1", "--mode", mode,
+                     "--out", str(tmp_path / "d.json")]) == 0

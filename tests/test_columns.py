@@ -38,14 +38,15 @@ def test_columns_hold_ids_kinds_and_marks():
     assert list(tr.kinds) == [ACQ, WRITE, READ, REL]
     assert list(tr.targets) == [0, 0, 1, 0]
     assert tr.marks == b"\x00\x01\x00\x00"
-    assert [k.code for k in OpKind] == [ACQ, REL, READ, WRITE]
+    assert (OpKind.ACQUIRE, OpKind.RELEASE, OpKind.READ, OpKind.WRITE) == (ACQ, REL, READ, WRITE)
 
 
 def test_events_are_views_of_the_columns(ladder_trace):
     evs = ladder_trace.events
     assert evs is ladder_trace.events  # built once, then cached
     assert [e.index for e in evs] == list(range(1, 19))
-    assert [e.kind.code for e in evs] == list(ladder_trace.kinds)
+    assert [e.kind for e in evs] == list(ladder_trace.kinds)
+    assert [e.is_access for e in evs] == [k >= READ for k in ladder_trace.kinds]
     assert [e.thread for e in evs] == list(ladder_trace.threads)
     assert [e.target for e in evs] == list(ladder_trace.targets)
     assert [int(e.marked) for e in evs] == list(ladder_trace.marks)

@@ -1,4 +1,4 @@
-from conftest import L1, random_traces
+from conftest import L1, random_traces, run_prefix
 from racelab import oracle
 from racelab.engines import create_engine
 from racelab.history import WRITE_WRITE
@@ -6,15 +6,12 @@ from racelab.trace import parse_trace
 
 
 def test_ladder_clock_checkpoints(ladder_trace):
-    e = create_engine("djitp", ladder_trace)
-    for ev in ladder_trace.events[:6]:
-        e.process(ev)
+    e = run_prefix("djitp", ladder_trace, 6)
     # after e6 (release of l1): epoch advanced, lock carries the copy
     assert e._effective(0) == [2, 0]
     assert e.epochs[0] == 2
     assert e.c_locks[L1] == [1, 0]
-    for ev in ladder_trace.events[6:8]:
-        e.process(ev)
+    e = run_prefix("djitp", ladder_trace, 8)
     assert e._effective(1) == [1, 1]  # e8 joined l1's clock
 
 

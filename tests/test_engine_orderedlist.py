@@ -1,23 +1,17 @@
-from conftest import empty_trace, handoff_trace, random_traces
+from conftest import empty_trace, handoff_trace, random_traces, rows, run_prefix, skip_decisions
 from racelab import oracle
 from racelab.differential import diff_report
 from racelab.engines import create_engine
 from racelab.history import EXTENDED, SAMPLED_ONLY
 from racelab.olist import OrderedList
-from racelab.trace import Event, OpKind, SamplingPolicy, apply_sampling, parse_trace
+from racelab.trace import REL, SamplingPolicy, apply_sampling, parse_trace
 
 
 def test_ladder_skip_decisions_match_uclock(ladder_trace):
     results = {}
     for token in ("uclock", "orderedlist"):
         e = create_engine(token, ladder_trace, debug=True)
-        skipped = {}
-        for ev in ladder_trace.events:
-            before = e.metrics.acquires_skipped
-            e.process(ev)
-            if ev.kind is OpKind.ACQUIRE:
-                skipped[ev.index] = e.metrics.acquires_skipped > before
-        results[token] = (skipped, e)
+        results[token] = (skip_decisions(e, ladder_trace), e)
     assert results["uclock"][0] == results["orderedlist"][0]
     skipped, engine = results["orderedlist"]
     assert skipped[12] and skipped[14] and not skipped[8] and not skipped[18]
@@ -38,7 +32,7 @@ def test_freshness_gap_one_merge_visits_one_node():
     e.lock_views[0] = donor.shallow_copy()
     e.last_releaser[0] = 0
     e.lock_freshness[0] = 15
-    e.process(Event(1, 1, OpKind.ACQUIRE, 0))
+    e._acquire(1, 1, 0, False)
     assert e.metrics.nodes_visited == 1
     assert e.o_threads[1].get(0) == 9
     assert e.u_threads[1][0] == 15
@@ -60,19 +54,15 @@ def test_republishing_an_unchanged_list_needs_no_copy():
     # The lock's view is the thread's list itself: the second release drops
     # the lock's reference to the list and takes it again.
     tr = parse_trace("T1|w(x)|*\nT1|acq(l)\nT1|rel(l)\nT1|acq(l)\nT1|rel(l)")
+    releases = [(index, t, lock) for index, t, kind, lock, _ in rows(tr) if kind == REL]
+    assert len(releases) == 2
     for opt in (True, False):
-        e = create_engine("orderedlist", tr, local_epoch_opt=opt, debug=True)
-        releases = 0
-        for ev in tr.events:
-            e.process(ev)
-            if ev.kind is OpKind.RELEASE:
-                releases += 1
-                t, lock = ev.thread, ev.target
-                assert e.lock_views[lock] is e.o_threads[t]
-                assert e.o_threads[t].refs == 2
-                assert e.metrics.shallow_copies == releases
-                assert e.metrics.deep_copies == 0
-        assert releases == 2
+        for count, (index, t, lock) in enumerate(releases, start=1):
+            e = run_prefix("orderedlist", tr, index, local_epoch_opt=opt, debug=True)
+            assert e.lock_views[lock] is e.o_threads[t]
+            assert e.o_threads[t].refs == 2
+            assert e.metrics.shallow_copies == count
+            assert e.metrics.deep_copies == 0
 
 
 def test_handoff_trace_skips_and_lazy_copies():

@@ -1,30 +1,25 @@
-from conftest import L1, L2, L4, random_traces
+from conftest import L1, L2, L4, random_traces, rows, run_prefix
 from racelab import oracle
 from racelab.engines import create_engine
 from racelab.trace import SamplingPolicy, apply_sampling
 
 
 def test_ladder_sampling_trajectory(ladder_trace):
-    e = create_engine("sampling", ladder_trace)
-    for ev in ladder_trace.events[:6]:
-        e.process(ev)
     # e6 is the first release after sampled e5: fold + increment + copy
+    e = run_prefix("sampling", ladder_trace, 6)
     assert e.epochs[0] == 2
     assert e.c_threads[0] == [1, 0]
     assert e.c_locks[L1] == [1, 0]
-    for ev in ladder_trace.events[6:10]:
-        e.process(ev)
     # e10 is not preceded by a new sample: no increment, plain copy
+    e = run_prefix("sampling", ladder_trace, 10)
     assert e.epochs[0] == 2
     assert e.c_locks[L2] == [1, 0]
-    for ev in ladder_trace.events[10:17]:
-        e.process(ev)
     # e17 consumes samples e15/e16
+    e = run_prefix("sampling", ladder_trace, 17)
     assert e.epochs[0] == 3
     assert e.c_threads[0] == [2, 0]
     assert e.c_locks[L4] == [2, 0]
-    e.process(ladder_trace.events[17])
-    assert e.c_threads[1] == [2, 0]
+    assert run_prefix("sampling", ladder_trace, 18).c_threads[1] == [2, 0]
 
 
 def test_empty_sample_set_everything_stays_bottom(ladder_trace):
@@ -53,8 +48,9 @@ def test_per_event_effective_snapshot_equals_declarative():
         snaps = []
         e = create_engine("sampling", marked, on_event=lambda ev, eff: snaps.append(eff))
         e.run(marked)
-        for pos, ev in enumerate(marked.events):
-            assert snaps[pos] == tables.ct_smp_effective(ev.index, ev.thread)
+        assert len(snaps) == len(marked)
+        for index, thread, *_ in rows(marked):
+            assert snaps[index - 1] == tables.ct_smp_effective(index, thread)
 
 
 def test_racy_set_matches_oracle():

@@ -1,23 +1,12 @@
-from conftest import empty_trace, handoff_trace, random_traces
+from conftest import empty_trace, handoff_trace, random_traces, skip_decisions
 from racelab import oracle
 from racelab.engines import create_engine
-from racelab.trace import Event, OpKind, SamplingPolicy, apply_sampling
-
-
-def skip_decisions(tr, token="uclock", **kwargs):
-    """Map acquire event index -> True if the engine skipped it."""
-    e = create_engine(token, tr, **kwargs)
-    out = {}
-    for ev in tr.events:
-        before = e.metrics.acquires_skipped
-        e.process(ev)
-        if ev.kind is OpKind.ACQUIRE:
-            out[ev.index] = e.metrics.acquires_skipped > before
-    return e, out
+from racelab.trace import SamplingPolicy, apply_sampling
 
 
 def test_ladder_skip_decisions_and_final_clocks(ladder_trace):
-    e, skips = skip_decisions(ladder_trace)
+    e = create_engine("uclock", ladder_trace)
+    skips = skip_decisions(e, ladder_trace)
     # e12 and e14 carry no new information; e8 and e18 do.
     assert skips[12] and skips[14]
     assert not skips[8] and not skips[18]
@@ -40,7 +29,7 @@ def test_freshness_gap_one_updates_single_entry():
     e.c_locks[0] = [9, 6, 3, 0, 1, 0]
     e.u_locks[0] = [15, 12, 4, 0, 1, 0]
     e.last_releaser[0] = 0
-    e.process(Event(1, 1, OpKind.ACQUIRE, 0))
+    e._acquire(1, 1, 0, False)
     assert e.c_threads[1] == [9, 18, 3, 0, 1, 0]
     assert e.metrics.acquires_skipped == 0
     assert e.u_threads[1][0] == 15
@@ -84,10 +73,12 @@ def test_freshness_soundness_per_event():
     for marked, _ in random_traces(seed=52, count=60):
         tables = oracle.declarative_timestamps(marked)
         e = create_engine("uclock", marked)
-        for pos, ev in enumerate(marked.events):
-            e.process(ev)
-            ut = e.u_threads[ev.thread]
-            assert ut[ev.thread] == tables.vt_replay[pos]
+        seen = []  # the acting thread's freshness clock after each event
+        e.on_event = lambda index, eff: seen.append(list(e.u_threads[marked.threads[index - 1]]))
+        e.run(marked)
+        assert len(seen) == len(marked)
+        for pos, (ut, thread) in enumerate(zip(seen, marked.threads)):
+            assert ut[thread] == tables.vt_replay[pos]
             assert all(a <= b for a, b in zip(ut, tables.u_replay[pos]))
 
 

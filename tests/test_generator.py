@@ -5,9 +5,9 @@ import tracemalloc
 
 import pytest
 
-from conftest import random_config
+from conftest import random_config, rows
 from racelab.gen import GenConfig, _below, generate_trace
-from racelab.trace import InfeasibleConfigError, OpKind, parse_trace, serialize_trace
+from racelab.trace import ACQ, READ, REL, InfeasibleConfigError, parse_trace, serialize_trace
 
 
 def test_single_thread_single_lock_validates():
@@ -35,11 +35,11 @@ def test_all_critical_sections_closed():
     for i in range(50):
         tr = generate_trace(random_config(rng), i)
         held = {}
-        for ev in tr.events:
-            if ev.kind is OpKind.ACQUIRE:
-                held[ev.target] = ev.thread
-            elif ev.kind is OpKind.RELEASE:
-                held.pop(ev.target)
+        for _, thread, kind, target, _ in rows(tr):
+            if kind == ACQ:
+                held[target] = thread
+            elif kind == REL:
+                held.pop(target)
         assert held == {}, "generator left critical sections open"
 
 
@@ -54,12 +54,12 @@ def test_contention_reuses_last_released_lock():
         tr = generate_trace(cfg, seed)
         last = None
         hits = total = 0
-        for ev in tr.events:
-            if ev.kind is OpKind.ACQUIRE:
+        for kind, target in zip(tr.kinds, tr.targets):
+            if kind == ACQ:
                 total += 1
-                hits += ev.target == last
-            elif ev.kind is OpKind.RELEASE:
-                last = ev.target
+                hits += target == last
+            elif kind == REL:
+                last = target
         assert total > 100
         assert hits / total > 0.9
 
@@ -68,7 +68,7 @@ def test_every_lock_acquired_when_events_permit():
     cfg = GenConfig(threads=4, locks=4, vars=2, events=400, p_sync=0.5, contention=0.2)
     for seed in range(5):
         tr = generate_trace(cfg, seed)
-        acquired = {e.target for e in tr.events if e.kind is OpKind.ACQUIRE}
+        acquired = {target for kind, target in zip(tr.kinds, tr.targets) if kind == ACQ}
         assert len(acquired) == tr.num_locks == 4
 
 
@@ -118,7 +118,7 @@ def test_infeasible_config_raises():
 def test_pure_sync_config_generates_lock_pairs():
     tr = generate_trace(GenConfig(threads=2, locks=2, vars=1, events=40, p_sync=1.0), 1)
     assert len(tr) == 40
-    assert not any(e.is_access for e in tr.events)
+    assert not any(kind >= READ for kind in tr.kinds)
 
 
 # The three benchmark trace shapes (the `racelab gen` flags of perfbench's

@@ -5,28 +5,28 @@ import random
 
 import pytest
 
-from conftest import random_config, random_traces
+from conftest import random_config, random_traces, rows
 from racelab import oracle
 from racelab.history import EXTENDED, SAMPLED_ONLY, WRITE_WRITE
 from racelab.gen import generate_trace
-from racelab.trace import OpKind, SamplingPolicy, apply_sampling, parse_trace
+from racelab.trace import ACQ, REL, SamplingPolicy, apply_sampling, parse_trace
 
 
 def floyd_warshall_hb(tr):
     """Reference closure: explicit edge set + O(n^3) transitive closure."""
-    n = len(tr.events)
+    n = len(tr)
     reach = [[i == j for j in range(n)] for i in range(n)]
     last_by_thread = {}
     releases_by_lock = {}
-    for pos, ev in enumerate(tr.events):
-        if ev.thread in last_by_thread:
-            reach[last_by_thread[ev.thread]][pos] = True
-        last_by_thread[ev.thread] = pos
-        if ev.kind is OpKind.ACQUIRE:
-            for r in releases_by_lock.get(ev.target, ()):  # every earlier release
+    for pos, (_, thread, kind, target, _) in enumerate(rows(tr)):
+        if thread in last_by_thread:
+            reach[last_by_thread[thread]][pos] = True
+        last_by_thread[thread] = pos
+        if kind == ACQ:
+            for r in releases_by_lock.get(target, ()):  # every earlier release
                 reach[r][pos] = True
-        elif ev.kind is OpKind.RELEASE:
-            releases_by_lock.setdefault(ev.target, []).append(pos)
+        elif kind == REL:
+            releases_by_lock.setdefault(target, []).append(pos)
     for k in range(n):
         rk = reach[k]
         for i in range(n):
@@ -68,7 +68,7 @@ def test_closure_matches_floyd_warshall():
         tr = generate_trace(cfg, 900 + i)
         hb = oracle.hb_closure(tr)
         ref = floyd_warshall_hb(tr)
-        n = len(tr.events)
+        n = len(tr)
         for a in range(n):
             for b in range(n):
                 assert hb.ordered(a + 1, b + 1) == ref[a][b]
@@ -122,18 +122,18 @@ def test_monotonicity_of_freshness_implies_clock_order():
     for marked, _ in random_traces(seed=73, count=40):
         tb = oracle.declarative_timestamps(marked)
         hb = oracle.hb_closure(marked)
-        n = len(marked.events)
+        n = len(marked)
         for a in range(n):
-            ta = marked.events[a].thread
+            ta = marked.threads[a]
             for b in range(n):
-                if marked.events[b].thread == ta:
+                if marked.threads[b] == ta:
                     continue
                 if tb.u[a][ta] <= tb.u[b][ta]:
                     assert all(x <= y for x, y in zip(tb.ct_smp[a], tb.ct_smp[b]))
                 k = tb.u[a][ta] - tb.u[b][ta]
                 exceed = sum(x > y for x, y in zip(tb.ct_smp[a], tb.ct_smp[b]))
                 assert exceed <= min(marked.num_threads, max(k, 0))
-                if marked.events[a].marked:
+                if marked.marks[a]:
                     scalar = tb.ct_smp[a][ta] <= tb.ct_smp[b][ta]
                     full = all(x <= y for x, y in zip(tb.ct_smp[a], tb.ct_smp[b]))
                     assert scalar == full == hb.ordered(a + 1, b + 1)

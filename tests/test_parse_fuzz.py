@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import valid_traces
+from conftest import rows, valid_traces
 from racelab import trace as trace_mod
 from racelab.trace import (
-    OpKind,
+    _TOKENS,
     Trace,
     TraceError,
     TraceSyntaxError,
@@ -22,7 +22,7 @@ from racelab.trace import (
 FUZZ = settings(max_examples=100, deadline=None)
 
 # Characters the grammar gives meaning to, plus a few it rejects.
-_ALPHABET = "|*()#Ttlxvw0123 \t\r\n\xa0" + "".join(k.value for k in OpKind)
+_ALPHABET = "|*()#Ttlxvw0123 \t\r\n\xa0" + "".join(_TOKENS)
 
 
 def _parses_or_trace_error(data) -> None:
@@ -63,10 +63,10 @@ def test_near_miss_lines_raise_only_trace_errors(lines):
 @FUZZ
 @given(valid_traces())
 def test_valid_traces_round_trip_and_view_as_generated(case):
-    text, events = case
+    text, expected = case
     tr = parse_trace(text)
     assert serialize_trace(tr) == text
-    assert tr.events == events
+    assert rows(tr) == expected
     assert parse_trace(text.encode("utf-8")) == tr
 
 

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from conftest import LADDER_TEXT, random_config
+from conftest import LADDER_TEXT, random_config, rows
 from racelab.gen import GenConfig, generate_trace
 from racelab.trace import (
+    READ,
+    WRITE,
     LockDisciplineError,
-    OpKind,
     SamplingPolicy,
     TraceSyntaxError,
     apply_sampling,
@@ -21,15 +22,14 @@ def test_parse_minimal_conflicting_pair():
     tr = parse_trace("T1|w(x)|*\nT2|w(x)")
     assert len(tr) == 2
     assert tr.num_threads == 2 and tr.num_vars == 1 and tr.num_locks == 0
-    assert tr.events[0].marked and not tr.events[1].marked
-    assert tr.events[0].kind is OpKind.WRITE
+    assert rows(tr) == [(1, 0, WRITE, 0, True), (2, 1, WRITE, 0, False)]
 
 
 def test_parse_ladder_example(ladder_trace):
     tr = ladder_trace
     assert len(tr) == 18
     assert (tr.num_threads, tr.num_locks, tr.num_vars) == (2, 4, 1)
-    assert [e.index for e in tr.events if e.marked] == [5, 15, 16]
+    assert [index for index, *_, marked in rows(tr) if marked] == [5, 15, 16]
     # dense ids by first appearance
     assert tr.thread_names == ("T1", "T2")
     assert tr.lock_names == ("l4", "l3", "l2", "l1")
@@ -38,7 +38,7 @@ def test_parse_ladder_example(ladder_trace):
 def test_parse_ignores_comments_and_blank_lines():
     tr = parse_trace("# header\n\nT1|r(a)\n  \n# tail\nT1|w(a)|*\n")
     assert len(tr) == 2
-    assert tr.events[1].marked
+    assert tr.marks == b"\x00\x01"
 
 
 @pytest.mark.parametrize(
@@ -94,15 +94,15 @@ def test_round_trip_on_random_traces():
 
 
 def test_parse_accepts_bytes():
-    assert parse_trace(b"T1|r(v)\n").events[0].kind is OpKind.READ
+    assert rows(parse_trace(b"T1|r(v)\n")) == [(1, 0, READ, 0, False)]
 
 
 def test_apply_sampling_rate_edges(ladder_trace):
     none = apply_sampling(ladder_trace, SamplingPolicy.bernoulli(0.0, 1))
     assert none.sample_size == 0
     allm = apply_sampling(ladder_trace, SamplingPolicy.bernoulli(1.0, 1))
-    assert allm.sample_size == sum(1 for e in ladder_trace.events if e.is_access)
-    assert all(not e.marked for e in allm.events if not e.is_access)
+    assert allm.sample_size == sum(k >= READ for k in ladder_trace.kinds)
+    assert all(not marked for _, _, kind, _, marked in rows(allm) if kind < READ)
 
 
 def test_apply_sampling_modes(ladder_trace):
@@ -117,9 +117,9 @@ def test_apply_sampling_deterministic_and_index_local(ladder_trace):
     b = apply_sampling(ladder_trace, pol)
     assert a == b
     # decisions depend only on (seed, index), not on surrounding event content
-    for ev in a.events:
-        if ev.is_access:
-            assert ev.marked == bernoulli_hit(42, ev.index, 0.5)
+    for index, _, kind, _, marked in rows(a):
+        if kind >= READ:
+            assert marked == bernoulli_hit(42, index, 0.5)
 
 
 def test_bernoulli_mark_count_within_three_sigma():
