@@ -107,7 +107,7 @@ def cmd_analyze(args) -> int:
         "rate": "" if args.rate is None else args.rate,
         "seed": args.seed,
     }
-    _write(args.out_metrics, metrics_mod.emit(engine.metrics, args.format, labels))
+    _write(args.out_metrics, metrics_mod.emit(engine.metrics, labels))
     return 1 if reports else 0
 
 
@@ -197,7 +197,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--engine", choices=list(ENGINE_CHOICES), required=True)
     p_an.add_argument("--out-races", default="-")
     p_an.add_argument("--out-metrics", default="-")
-    p_an.add_argument("--format", choices=["json", "csv"], default="json")
     p_an.set_defaults(func=cmd_analyze)
 
     p_diff = sub.add_parser("diff", help="differential run of all engines vs oracle")

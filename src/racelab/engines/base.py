@@ -17,9 +17,11 @@ for the snapshot hook), ``_fold`` (write the epoch into the clock at a
 sample-consuming release) and ``_publish`` (hand the clock to the lock at
 every release).  An access is handed to the histories only if it is marked
 or ``AccessHistories.will_check`` says it will be checked, so an unchecked
-access costs O(1); a checked one reads the live row and builds no
-timestamp.  With ``sample_all`` set (Djit+), every access is sampled and
-every release ends an epoch.
+access costs O(1).  A checked one is a single ``check_and_update`` call
+that reads the live row and appends any reports to ``self.reports``; it
+builds no timestamp and no list.  With ``sample_all`` set (Djit+), every
+access is sampled and every release ends an epoch; since no access then
+reaches ``will_check``, the histories are sampled-only in either mode.
 
 The optional ``on_event`` hook receives ``(index, effective_timestamp)`` at
 the event's timestamp point: after the acquire join or access handling, and
@@ -33,7 +35,7 @@ from __future__ import annotations
 from itertools import count, repeat
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from ..history import SAMPLED_ONLY, AccessHistories, RaceReport
+from ..history import EXTENDED, SAMPLED_ONLY, AccessHistories, RaceReport
 from ..metrics import RunMetrics
 from ..trace import ACQ, REL, Event, Trace
 
@@ -61,6 +63,8 @@ class Engine:
         self.num_threads = num_threads
         self.on_event = on_event
         self.debug = debug
+        if self.sample_all and mode == EXTENDED:
+            mode = SAMPLED_ONLY  # extended mode's watermarks would go unread
         self.histories = AccessHistories(num_vars, num_threads, mode)
         self.metrics = RunMetrics(num_threads=num_threads)
         self.reports: List[RaceReport] = []
@@ -94,21 +98,22 @@ class Engine:
     # -- the access path and the release skeleton ------------------------------
 
     def _read(self, index, thread, var, marked):
-        if marked or self.histories.will_check(thread, var, False):
-            self._check(index, thread, var, False, marked)
-
-    def _write(self, index, thread, var, marked):
-        if marked or self.histories.will_check(thread, var, True):
-            self._check(index, thread, var, True, marked)
-
-    def _check(self, index, thread, var, is_write, marked) -> None:
-        reports = self.histories.check_and_update(
-            index, thread, var, is_write, self._row(thread), self.epochs[thread], marked
-        )
         if marked:
             self.new_sample[thread] = True
-        if reports:
-            self.reports.extend(reports)
+        elif not self.histories.will_check(thread, var, False):
+            return
+        self.histories.check_and_update(
+            index, thread, var, False, self._row(thread), self.epochs[thread], marked, self.reports
+        )
+
+    def _write(self, index, thread, var, marked):
+        if marked:
+            self.new_sample[thread] = True
+        elif not self.histories.will_check(thread, var, True):
+            return
+        self.histories.check_and_update(
+            index, thread, var, True, self._row(thread), self.epochs[thread], marked, self.reports
+        )
 
     def _release(self, index, thread, lock, marked):
         hook = self.on_event

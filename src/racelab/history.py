@@ -31,7 +31,8 @@ of ``cr`` against the row, with ``cr[t]`` zeroed for the scan.
 Two modes:
 
 * ``sampled-only``: only marked accesses are checked and only marked accesses
-  update the summaries.  The histories keep no watermarks.
+  update the summaries.  The histories write no watermark: ``gen_r`` and
+  ``gen_w`` stay 0 and ``seen_r``/``seen_w`` are never allocated.
 * ``extended``: additionally, the first unmarked access of each thread after
   a history gained a new marked event it could race with runs the same
   checks.  ``gen_r``/``gen_w`` count a variable's marked reads and writes.
@@ -45,8 +46,9 @@ Two modes:
   number of checked events is bounded by |S| + 2|S|T.
 
 An access is checked when it is marked or ``AccessHistories.will_check``
-holds for it.  Engines call ``check_and_update`` only then, and neither
-builds a timestamp.
+holds for it.  Only then does an engine call ``check_and_update``, once,
+handing it the live clock row and the engine's report list, to which the
+access's reports are appended; no timestamp and no per-access list is built.
 """
 
 from __future__ import annotations
@@ -134,7 +136,8 @@ class AccessHistories:
         row: Sequence[int],
         epoch: int,
         marked: bool,
-    ) -> List[RaceReport]:
+        reports: List[RaceReport],
+    ) -> None:
         """Check and record one access that is marked or passed ``will_check``.
 
         Callers test that first; this method counts the check in
@@ -142,36 +145,36 @@ class AccessHistories:
         live clock, read but never kept or mutated; its own component is
         ignored, ``epoch`` stands for it.  A read check is O(1) and a write
         check one scan of ``cr``; a marked access records ``epoch``.
-        Returns 0..2 reports.
+        Appends 0..2 reports to ``reports``, ``read-write`` before
+        ``write-write``.
         """
         self.race_checks += 1
         h = self.histories[var]
         w_thread = h.w_thread
         write_races = w_thread != thread and h.w_epoch > row[w_thread]
         if not is_write:
+            if write_races:
+                reports.append(RaceReport(event_index, var, WRITE_READ))
             if marked:
                 h.cr[thread] = epoch
-                h.gen_r += 1
             if self.extended:
+                h.gen_r += marked
                 h.seen_r[thread] = h.gen_w
-            return [RaceReport(event_index, var, WRITE_READ)] if write_races else []
+            return
         cr = h.cr
         own = cr[thread]
         cr[thread] = 0  # the thread's own reads are program-ordered before it
-        read_races = any(map(gt, cr, row))
+        if any(map(gt, cr, row)):
+            reports.append(RaceReport(event_index, var, READ_WRITE))
         cr[thread] = own
+        if write_races:
+            reports.append(RaceReport(event_index, var, WRITE_WRITE))
         if marked:
             h.w_thread = thread
             h.w_epoch = epoch
-            h.gen_w += 1
         if self.extended:
+            h.gen_w += marked
             h.seen_w[thread] = h.gen_r + h.gen_w
-        reports: List[RaceReport] = []
-        if read_races:
-            reports.append(RaceReport(event_index, var, READ_WRITE))
-        if write_races:
-            reports.append(RaceReport(event_index, var, WRITE_WRITE))
-        return reports
 
 
 def render_reports(reports, var_names=None) -> str:

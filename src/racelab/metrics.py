@@ -91,18 +91,9 @@ class RunMetrics:
         return row
 
 
-def emit(
-    metrics: RunMetrics,
-    fmt: str = "json",
-    labels: Optional[Mapping[str, object]] = None,
-) -> str:
-    """Render one metrics record as a JSON object or a CSV row with header."""
-    row = metrics.as_dict(labels)
-    if fmt == "json":
-        return json.dumps(row, sort_keys=False) + "\n"
-    if fmt == "csv":
-        return emit_csv_rows([row])
-    raise ValueError(f"unknown format {fmt!r}")
+def emit(metrics: RunMetrics, labels: Optional[Mapping[str, object]] = None) -> str:
+    """Render one metrics record as a one-line JSON object."""
+    return json.dumps(metrics.as_dict(labels), sort_keys=False) + "\n"
 
 
 def emit_csv_rows(rows) -> str:

@@ -262,19 +262,17 @@ def _budget_trace(tmp_path):
     return out
 
 
-@pytest.mark.parametrize("fmt", ["json", "csv"])
-def test_analyze_metrics_report_race_checks_within_budget(tmp_path, fmt):
+def test_analyze_metrics_report_race_checks_within_budget(tmp_path):
     trace = _budget_trace(tmp_path)
     threads = parse_trace(Path(trace).read_bytes()).num_threads
-    out = tmp_path / f"m.{fmt}"
+    out = tmp_path / "m.json"
     for mode in ("sampled-only", "extended"):
         for engine in ("sampling", "uclock", "orderedlist"):
             rc = main(["analyze", "--trace", trace, "--engine", engine, "--rate", "0.02",
-                       "--seed", "4", "--mode", mode, "--format", fmt,
+                       "--seed", "4", "--mode", mode,
                        "--out-races", str(tmp_path / "r.txt"), "--out-metrics", str(out)])
             assert rc in (0, 1)
-            text = out.read_text()
-            row = json.loads(text) if fmt == "json" else next(csv.DictReader(io.StringIO(text)))
+            row = json.loads(out.read_text())
             checks, s = int(row["race_checks"]), int(row["accesses_sampled"])
             assert s > 0
             if mode == "sampled-only":

@@ -1,7 +1,7 @@
 from conftest import L1, random_traces, run_prefix
 from racelab import oracle
 from racelab.engines import create_engine
-from racelab.history import WRITE_WRITE
+from racelab.history import EXTENDED, SAMPLED_ONLY, WRITE_WRITE
 from racelab.trace import parse_trace
 
 
@@ -52,3 +52,17 @@ def test_marks_are_ignored(ladder_trace, ladder_all_marked):
     b.run(ladder_all_marked)
     assert a.racy_set() == b.racy_set()
     assert a.c_threads == b.c_threads
+
+
+def test_history_mode_changes_nothing(ladder_trace):
+    # Djit+ marks every access, so no access is left for extended mode to
+    # check: both modes build sampled-only histories and give the same run.
+    for tr in [ladder_trace] + [marked for marked, _ in random_traces(seed=33, count=60)]:
+        runs = []
+        for mode in (SAMPLED_ONLY, EXTENDED):
+            snaps = []
+            e = create_engine("djitp", tr, mode=mode, on_event=lambda *snap: snaps.append(snap))
+            e.run(tr)
+            assert not e.histories.extended
+            runs.append((e.reports, e.metrics, snaps))
+        assert runs[0] == runs[1]

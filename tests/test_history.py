@@ -108,6 +108,33 @@ def test_extended_mode_rechecks_a_write_after_a_marked_event_that_keeps_the_max(
         assert run.engine.histories.race_checks == 4, label
 
 
+def test_check_and_update_appends_to_the_list_it_is_given():
+    # T1 reads then writes x, both marked; T2's unordered write races both.
+    h = AccessHistories(1, 2, SAMPLED_ONLY)
+    earlier = RaceReport(1, 0, WRITE_READ)
+    reports = [earlier]
+    assert h.check_and_update(2, 0, 0, False, [1, 0], 1, True, reports) is None
+    assert h.check_and_update(3, 0, 0, True, [1, 0], 1, True, reports) is None
+    assert reports == [earlier]  # the thread's own accesses never race
+    assert h.check_and_update(4, 1, 0, True, [0, 1], 1, True, reports) is None
+    assert reports == [earlier, RaceReport(4, 0, READ_WRITE), RaceReport(4, 0, WRITE_WRITE)]
+    assert h.race_checks == 3
+
+
+def test_only_extended_histories_write_watermarks():
+    for marked, _rate in random_traces(seed=23, count=40):
+        for token in ("djitp", "sampling", "uclock", "orderedlist"):
+            for mode in (SAMPLED_ONLY, EXTENDED):
+                e = create_engine(token, marked, mode=mode)
+                e.run(marked)
+                histories = e.histories.histories
+                if e.histories.extended:
+                    assert sum(h.gen_r + h.gen_w for h in histories) == e.metrics.accesses_sampled
+                else:
+                    assert all(h.gen_r == h.gen_w == 0 for h in histories), (token, mode)
+                    assert all(h.seen_r is h.seen_w is None for h in histories)
+
+
 def test_differential_both_modes_on_random_traces():
     for marked, _rate in random_traces(seed=21, count=120):
         hb = oracle.hb_closure(marked)

@@ -2,7 +2,7 @@ import json
 
 from conftest import empty_trace, random_traces
 from racelab.engines import create_engine
-from racelab.metrics import emit
+from racelab.metrics import emit, emit_csv_rows
 from racelab.trace import SamplingPolicy, apply_sampling
 
 
@@ -13,7 +13,7 @@ def test_empty_trace_all_zero():
     m = e.metrics
     assert m.events_total == 0 and m.race_count == 0
     assert m.skip_ratio == 0.0 and m.saving_ratio == 0.0
-    row = json.loads(emit(m, "json"))
+    row = json.loads(emit(m))
     assert row["skip_ratio"] == 0 and row["events_total"] == 0
 
 
@@ -31,7 +31,7 @@ def test_ladder_uclock_acquire_counters(ladder_trace):
 def test_json_field_order_and_labels(ladder_trace):
     e = create_engine("sampling", ladder_trace)
     e.run(ladder_trace)
-    text = emit(e.metrics, "json", labels={"engine": "sampling", "rate": 0.03})
+    text = emit(e.metrics, labels={"engine": "sampling", "rate": 0.03})
     row = json.loads(text)
     keys = list(row.keys())
     assert keys[:2] == ["engine", "rate"]
@@ -42,7 +42,7 @@ def test_json_field_order_and_labels(ladder_trace):
 def test_csv_has_header_row(ladder_trace):
     e = create_engine("orderedlist", ladder_trace)
     e.run(ladder_trace)
-    text = emit(e.metrics, "csv", labels={"engine": "orderedlist"})
+    text = emit_csv_rows([e.metrics.as_dict({"engine": "orderedlist"})])
     header, row = text.strip().split("\n")
     assert header.startswith("engine,events_total,")
     assert row.startswith("orderedlist,18,")
