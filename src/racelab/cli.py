@@ -8,6 +8,10 @@ Subcommands:
                marks and report the first divergence, or EQUIVALENT; the
                comparison is ``racelab.differential.diff_report``
 * ``bench``    one CSV row of counters per (engine, trace, rate, seed)
+
+Bad input, an unreadable file and running out of memory exit 2 with one
+``error:`` line, even where an output file was already written: exit 1 is a
+result (races found, or DIVERGENT).
 """
 
 from __future__ import annotations
@@ -226,6 +230,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except (TraceError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

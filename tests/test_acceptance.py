@@ -3,7 +3,8 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.  The generated suites are deterministic; the whole module takes
 about half a minute.  Criteria 1, 3 and 9 compare engines with the oracle
-through ``racelab.differential``, the comparison ``racelab diff`` uses.
+through ``racelab.differential``, the comparison ``racelab diff`` uses;
+criterion 3 also checks the oracle's timestamps against the closure tables.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import statistics
 import numpy as np
 import pytest
 
-from conftest import empty_trace, handoff_trace, run_prefix, skip_decisions
+import closure_oracle as closure
+from conftest import empty_trace, handoff_trace, rows, run_prefix, skip_decisions
 from racelab import differential, oracle
 from racelab.engines import create_engine
 from racelab.gen import GenConfig, generate_trace
@@ -59,18 +61,18 @@ def suite1():
     }
     for i in range(N_SUITE1):
         tr = generate_trace(_config(rng, 1000), 9_000_000 + i)
-        hb = oracle.hb_closure(tr)
         data["traces"] += 1
         for rate in RATES:
             marked = apply_sampling(tr, SamplingPolicy.bernoulli(rate, 77_000 + i))
             data["rate_runs"] += 1
             s, t, l = marked.sample_size, marked.num_threads, marked.num_locks
             runs = differential.run_configs(marked, SAMPLED_ONLY, SAMPLING_FAMILY)
-            sampling, uclock = runs["sampling"].engine, runs["uclock"].engine
-            olists = {True: runs["orderedlist"].engine, False: runs["orderedlist-noopt"].engine}
+            sampling, uclock = runs["sampling"], runs["uclock"]
+            olists = {True: runs["orderedlist"], False: runs["orderedlist-noopt"]}
 
             # criterion 1: engine equivalence against the oracle
-            report = differential.racy_divergence(marked, SAMPLED_ONLY, runs, hb)
+            racy_sets = {label: e.racy_set() for label, e in runs.items()}
+            report = differential.racy_divergence(marked, SAMPLED_ONLY, racy_sets)
             if report:
                 data["c1"].append(f"trace {i} rate {rate}: {report}")
 
@@ -98,7 +100,7 @@ def suite1():
                 data["c6"].append(f"trace {i} rate {rate}: epoch increments")
 
             # criterion 7: instance optimality against the clock-work scalar
-            vtwork = oracle.clock_work(marked)
+            vtwork = closure.clock_work(marked)
             for opt, eng in olists.items():
                 m = eng.metrics
                 if m.deep_copies * t + m.nodes_visited > 8 * (vtwork * t + t):
@@ -109,11 +111,12 @@ def suite1():
 
             # criterion 9: extended mode equals its oracle within the budget
             runs = differential.run_configs(marked, EXTENDED, ("sampling", "orderedlist"))
-            report = differential.racy_divergence(marked, EXTENDED, runs, hb)
+            racy_sets = {label: e.racy_set() for label, e in runs.items()}
+            report = differential.racy_divergence(marked, EXTENDED, racy_sets)
             if report:
                 data["c9"].append(f"trace {i} rate {rate}: {report}")
-            for label, run in runs.items():
-                checks = run.engine.histories.race_checks
+            for label, engine in runs.items():
+                checks = engine.histories.race_checks
                 if checks > s + 2 * s * t:
                     data["c9"].append(f"trace {i} rate {rate} {label}: {checks} checks")
 
@@ -132,12 +135,18 @@ def suite3():
         tr = generate_trace(_config(rng, 500), 5_500_000 + i)
         rate = (0.0, 0.03, 0.2, 1.0)[i % 4]
         marked = apply_sampling(tr, SamplingPolicy.bernoulli(rate, i))
-        tables = oracle.declarative_timestamps(marked)
+        tables = closure.declarative_timestamps(marked)
 
-        runs = differential.run_configs(marked, SAMPLED_ONLY, snapshots=True)
-        report = differential.snapshot_divergence(marked, runs, tables)
-        if report:
+        # Every configuration's per-event timestamps equal the oracle's, and
+        # those equal the defining tables.
+        report = differential.diff_report(marked, SAMPLED_ONLY)
+        if report["verdict"] != "EQUIVALENT":
             fidelity.append(f"trace {i}: {report}")
+        if list(oracle.timestamps(marked, full=True)) != tables.ct_ft:
+            fidelity.append(f"trace {i}: oracle causal timestamps differ from the tables")
+        effective = [tables.ct_smp_effective(index, t) for index, t, *_ in rows(marked)]
+        if list(oracle.timestamps(marked)) != effective:
+            fidelity.append(f"trace {i}: oracle sampling timestamps differ from the tables")
 
         uc = create_engine("uclock", marked)
         seen = []  # the acting thread's freshness clock after each event
@@ -181,8 +190,8 @@ def test_criterion_5_timestamp_ordering_properties():
         tr = generate_trace(_config(rng, 300), 3_300_000 + i)
         rate = (0.03, 0.2, 1.0)[i % 3]
         marked = apply_sampling(tr, SamplingPolicy.bernoulli(rate, i))
-        tb = oracle.declarative_timestamps(marked)
-        hb = oracle.hb_closure(marked)
+        tb = closure.declarative_timestamps(marked)
+        hb = closure.hb_closure(marked)
         n, t_count = len(marked), marked.num_threads
         threads = np.array(marked.threads)
         in_s = np.array(list(marked.marks), dtype=bool)

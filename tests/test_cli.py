@@ -1,12 +1,12 @@
 import csv
 import io
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from conftest import LADDER_TEXT, handoff_trace
-from racelab import differential
 from racelab.cli import main
 from racelab.trace import dump_trace, parse_trace
 
@@ -108,16 +108,14 @@ def test_diff_rejects_local_epoch_opt(tmp_path, capsys):
     assert "--local-epoch-opt" in capsys.readouterr().err
 
 
-def test_diff_above_event_cap_exits_2_before_the_closure(tmp_path, capsys, monkeypatch):
-    def no_closure(tr):
-        raise AssertionError("the closure was built")
-
-    monkeypatch.setattr(differential.oracle, "hb_closure", no_closure)
-    n = differential.MAX_EVENTS + 1
-    trace = write(tmp_path, "big.trace", "T1|w(x)|*\n" * n)
-    assert main(["diff", "--trace", trace]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(n) in err and str(differential.MAX_EVENTS) in err
+def test_diff_checks_a_trace_above_20000_events_whole(tmp_path, capsys):
+    # Race-free lock hand-offs between two threads, 20001 events in all.
+    section = "T1|acq(l)\nT1|w(x)|*\nT1|rel(l)\n"
+    handoff = section + section.replace("T1", "T2").replace("w(x)", "r(x)")
+    trace = write(tmp_path, "big.trace", handoff * 3333 + section)
+    assert len(parse_trace(Path(trace).read_bytes())) == 20_001
+    assert main(["diff", "--trace", trace]) == 0
+    assert json.loads(capsys.readouterr().out) == {"verdict": "EQUIVALENT", "races": []}
 
 
 def test_bench_row_cardinality_and_determinism(tmp_path):
@@ -155,6 +153,55 @@ def test_diff_reports_first_divergence(tmp_path, capsys, monkeypatch):
     assert report["verdict"] == "DIVERGENT"
     assert report["field"] == "racy-set"
     assert report["only_engine"] == [[2, "write-write"]]
+
+
+def test_diff_reports_the_first_timestamp_divergence(tmp_path, capsys, monkeypatch):
+    # Folding one past the epoch changes no race on the ladder (clocks only
+    # grow), but T2 joins T1's inflated component through l1 at e8.
+    from racelab.engines.uclock import UclockEngine
+
+    def fold_one_ahead(self, t):
+        self.c_threads[t][t] = self.epochs[t] + 1
+        self.u_threads[t][t] += 1
+
+    monkeypatch.setattr(UclockEngine, "_fold", fold_one_ahead)
+    trace = write(tmp_path, "ladder.trace", LADDER_TEXT)
+    assert main(["diff", "--trace", trace]) == 1
+    assert capsys.readouterr().out == (
+        '{"verdict": "DIVERGENT", "field": "snapshot", "engine": "uclock", "event_index": 8, '
+        '"engine_value": [2, 1], "oracle_value": [1, 1]}\n'
+    )
+
+
+# Python starts and imports racelab within about 20 MB of address space.  At
+# T=L=1024 and V=4096, analyze's extended histories alone take about 100 MB,
+# and diff's first configuration more than 64 MB.
+MEMORY_CAP_MB = 64
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS caps a Linux child")
+@pytest.mark.parametrize("args", [
+    ["analyze", "--engine", "sampling", "--mode", "extended", "--rate", "0"],
+    ["diff", "--rate", "0.1", "--seed", "1"],
+], ids=["analyze", "diff"])
+def test_out_of_memory_exits_2_with_one_error_line(tmp_path, args):
+    import resource
+    import subprocess
+
+    from racelab.gen import GenConfig, generate_trace
+
+    trace = str(tmp_path / "wide.trace")
+    dump_trace(generate_trace(GenConfig(1024, 1024, 4096, 20_000), 1), trace)
+
+    def cap():
+        limit = MEMORY_CAP_MB << 20
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    res = subprocess.run(
+        [sys.executable, "-m", "racelab", *args, "--trace", trace],
+        capture_output=True, text=True, preexec_fn=cap,
+    )
+    assert (res.returncode, res.stdout, res.stderr) == (2, "", "error: out of memory\n")
 
 
 def test_cli_module_subprocess_smoke(tmp_path):

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from conftest import LADDER_TEXT, critical_section_traces, valid_traces
 from racelab.differential import diff_report, racy_divergence, run_configs
 from racelab.history import EXTENDED, SAMPLED_ONLY
-from racelab.oracle import hb_closure
 from racelab.trace import parse_trace
 
 
@@ -54,4 +53,4 @@ def test_run_configs_rejects_unknown_labels():
         run_configs(tr, SAMPLED_ONLY, ("sampling", "samplng"))
     runs = run_configs(tr, SAMPLED_ONLY, ("sampling",))
     assert list(runs) == ["sampling"]
-    assert racy_divergence(tr, SAMPLED_ONLY, runs, hb_closure(tr)) is None
+    assert racy_divergence(tr, SAMPLED_ONLY, {"sampling": runs["sampling"].racy_set()}) is None

@@ -1,3 +1,4 @@
+import closure_oracle as closure
 from conftest import L1, random_traces, run_prefix
 from racelab import oracle
 from racelab.engines import create_engine
@@ -37,7 +38,7 @@ def test_racy_set_matches_full_oracle_on_random_traces():
 
 def test_per_event_clock_equals_declarative_causal_timestamp():
     for marked, _ in random_traces(seed=32, count=60):
-        tables = oracle.declarative_timestamps(marked)
+        tables = closure.declarative_timestamps(marked)
         snaps = []
         e = create_engine("djitp", marked, on_event=lambda ev, eff: snaps.append(eff))
         e.run(marked)

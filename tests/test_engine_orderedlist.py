@@ -1,10 +1,13 @@
+import closure_oracle as closure
 from conftest import empty_trace, handoff_trace, random_traces, rows, run_prefix, skip_decisions
 from racelab import oracle
 from racelab.differential import diff_report
 from racelab.engines import create_engine
+from racelab.engines.orderedlist import OrderedListEngine
+from racelab.gen import GenConfig, generate_trace
 from racelab.history import EXTENDED, SAMPLED_ONLY
 from racelab.olist import OrderedList
-from racelab.trace import REL, SamplingPolicy, apply_sampling, parse_trace
+from racelab.trace import REL, SamplingPolicy, Trace, apply_sampling, parse_trace
 
 
 def test_ladder_skip_decisions_match_uclock(ladder_trace):
@@ -118,7 +121,7 @@ def test_copy_and_traversal_budgets():
 def test_instance_optimality_budget():
     for marked, _ in random_traces(seed=64, count=100):
         t = marked.num_threads
-        vtwork = oracle.clock_work(marked)
+        vtwork = closure.clock_work(marked)
         for opt in (True, False):
             e = create_engine("orderedlist", marked, local_epoch_opt=opt)
             e.run(marked)
@@ -161,6 +164,36 @@ def test_unshare_path_folds_pending_epoch():
             e.run(tr)
             assert e.racy_set() == set(), (mode, opt)
 
+
+def test_whole_trace_diff_catches_the_unshare_fold_bug(monkeypatch):
+    # The bug UNSHARE_FOLD_TEXT pins, planted back: the pending epoch is
+    # folded on the deep-copy path only.  On the seed-1 sync-heavy benchmark
+    # trace the first 6000 events, what the benchmark's gate diffs, still
+    # read EQUIVALENT; the whole trace's timestamps diverge at e19399.
+    def fold_on_copy_only(self, thread):
+        lst = self.o_threads[thread]
+        if lst.refs > 1:
+            fresh = lst.deep_copy()
+            lst.refs -= 1
+            self.o_threads[thread] = fresh
+            self.metrics.deep_copies += 1
+            self.metrics.full_traversals += 1
+            self.deep_copies_per_thread[thread] += 1
+            if self.pending_local[thread]:
+                fresh.set(thread, self.pending_local[thread])
+                self.pending_local[thread] = 0
+
+    monkeypatch.setattr(OrderedListEngine, "_ensure_exclusive", fold_on_copy_only)
+    config = GenConfig(threads=64, locks=64, vars=256, events=25_000, p_sync=0.8,
+                       contention=0.0, accesses_per_cs=1.0)
+    tr = apply_sampling(generate_trace(config, 1), SamplingPolicy.bernoulli(0.03, 1))
+    head = Trace(tr.threads[:6000], tr.kinds[:6000], tr.targets[:6000], tr.marks[:6000],
+                 tr.num_threads, tr.num_locks, tr.num_vars)
+    assert diff_report(head, SAMPLED_ONLY)["verdict"] == "EQUIVALENT"
+    whole = diff_report(tr, SAMPLED_ONLY)
+    assert (whole["verdict"], whole["field"], whole["engine"], whole["event_index"]) == (
+        "DIVERGENT", "snapshot", "orderedlist", 19399
+    )
 
 def test_refcount_invariant_holds_under_debug():
     # debug=True makes every _ensure_exclusive check refs == 1 + live views.

@@ -1,3 +1,4 @@
+import closure_oracle as closure
 from conftest import L1, L2, L4, random_traces, rows, run_prefix
 from racelab import oracle
 from racelab.engines import create_engine
@@ -44,7 +45,7 @@ def test_full_rate_agrees_with_djitp():
 
 def test_per_event_effective_snapshot_equals_declarative():
     for marked, _ in random_traces(seed=42, count=60):
-        tables = oracle.declarative_timestamps(marked)
+        tables = closure.declarative_timestamps(marked)
         snaps = []
         e = create_engine("sampling", marked, on_event=lambda ev, eff: snaps.append(eff))
         e.run(marked)

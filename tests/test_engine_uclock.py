@@ -1,3 +1,4 @@
+import closure_oracle as closure
 from conftest import empty_trace, handoff_trace, random_traces, skip_decisions
 from racelab import oracle
 from racelab.engines import create_engine
@@ -71,7 +72,7 @@ def test_equivalence_with_sampling_engine():
 
 def test_freshness_soundness_per_event():
     for marked, _ in random_traces(seed=52, count=60):
-        tables = oracle.declarative_timestamps(marked)
+        tables = closure.declarative_timestamps(marked)
         e = create_engine("uclock", marked)
         seen = []  # the acting thread's freshness clock after each event
         e.on_event = lambda index, eff: seen.append(list(e.u_threads[marked.threads[index - 1]]))

@@ -103,9 +103,9 @@ def test_extended_mode_rechecks_a_write_after_a_marked_event_that_keeps_the_max(
     assert full == sampled | {(3, WRITE_WRITE)}
     runs = differential.run_configs(tr, EXTENDED)
     assert list(runs) == list(differential.CONFIGS)
-    for label, run in runs.items():
-        assert run.engine.racy_set() == (full if label == "djitp" else sampled), label
-        assert run.engine.histories.race_checks == 4, label
+    for label, engine in runs.items():
+        assert engine.racy_set() == (full if label == "djitp" else sampled), label
+        assert engine.histories.race_checks == 4, label
 
 
 def test_check_and_update_appends_to_the_list_it_is_given():
@@ -137,11 +137,10 @@ def test_only_extended_histories_write_watermarks():
 
 def test_differential_both_modes_on_random_traces():
     for marked, _rate in random_traces(seed=21, count=120):
-        hb = oracle.hb_closure(marked)
         for mode in (SAMPLED_ONLY, EXTENDED):
             e = create_engine("sampling", marked, mode=mode)
             e.run(marked)
-            assert e.racy_set() == oracle.racy_events(marked, mode, hb=hb)
+            assert e.racy_set() == oracle.racy_events(marked, mode)
 
 
 def test_extended_race_check_budget():
