@@ -4,14 +4,15 @@ Subcommands:
 
 * ``gen``      write a synthetic trace file
 * ``analyze``  run one engine over a trace; exit 0 = no race, 1 = races, 2 = error
-* ``diff``     run all engine configurations plus the oracle on identical
-               marks and report the first divergence, or EQUIVALENT; the
-               comparison is ``racelab.differential.diff_report``
+* ``diff``     run the four engines plus the oracle on identical marks and
+               report the first divergence, or EQUIVALENT; the comparison is
+               ``racelab.differential.diff_report``
 * ``bench``    one CSV row of counters per (engine, trace, rate, seed)
 
 Bad input, an unreadable file and running out of memory exit 2 with one
 ``error:`` line, even where an output file was already written: exit 1 is a
-result (races found, or DIVERGENT).
+result (races found, or DIVERGENT).  Any other exception is an internal
+error: its traceback, then one ``error: internal error:`` line, and exit 2.
 """
 
 from __future__ import annotations
@@ -100,9 +101,7 @@ def cmd_analyze(args) -> int:
     from .engines import create_engine
 
     tr = apply_sampling(load_trace(args.trace), _policy(args))
-    engine = create_engine(
-        args.engine, tr, mode=args.mode, local_epoch_opt=args.local_epoch_opt == "on"
-    )
+    engine = create_engine(args.engine, tr, mode=args.mode)
     reports = engine.run(tr)
     _write(args.out_races, render_reports(reports, tr.var_names))
     labels = {
@@ -146,12 +145,7 @@ def cmd_bench(args) -> int:
         for rate in rates:
             marked = apply_sampling(tr, SamplingPolicy.bernoulli(rate, args.seed))
             for token in ENGINE_TOKENS:
-                engine = create_engine(
-                    token,
-                    marked,
-                    mode=args.mode,
-                    local_epoch_opt=args.local_epoch_opt == "on",
-                )
+                engine = create_engine(token, marked, mode=args.mode)
                 engine.run(marked)
                 labels = {"engine": token, "trace": name, "rate": rate, "seed": args.seed}
                 rows.append(engine.metrics.as_dict(labels))
@@ -197,7 +191,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="run one engine over a trace")
     _add_common_analysis_flags(p_an)
-    p_an.add_argument("--local-epoch-opt", choices=["on", "off"], default="on")
     p_an.add_argument("--engine", choices=list(ENGINE_CHOICES), required=True)
     p_an.add_argument("--out-races", default="-")
     p_an.add_argument("--out-metrics", default="-")
@@ -215,7 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated rates (default 0.003,0.03,0.1,1.0)")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--mode", choices=[SAMPLED_ONLY, EXTENDED], default=SAMPLED_ONLY)
-    p_bench.add_argument("--local-epoch-opt", choices=["on", "off"], default="on")
     p_bench.add_argument("--gen-count", type=_at_least_one, default=1)
     _add_gen_flags(p_bench, required=False)
     p_bench.add_argument("--out", default="-")
@@ -233,6 +225,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
+        return 2
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc()
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -22,15 +22,13 @@ _CLASS_NAMES = {
 }
 
 
-def create_engine(token: str, tr: Trace, *, local_epoch_opt: bool = True, **kwargs) -> Engine:
+def create_engine(token: str, tr: Trace, **kwargs) -> Engine:
     """Instantiate the engine named by ``token``, sized for ``tr``."""
     try:
         name = _CLASS_NAMES[token]
     except KeyError:
         raise ValueError(f"unknown engine token {token!r}") from None
     cls = getattr(import_module(f".{token}", __name__), name)
-    if token == "orderedlist":
-        kwargs["local_epoch_opt"] = local_epoch_opt
     return cls(tr.num_threads, tr.num_locks, tr.num_vars, **kwargs)
 
 

@@ -8,13 +8,13 @@ and deep-copies its own list at most once per mutation batch.  Before any
 release a lock holds a view of one bottom list, and its releaser and
 freshness are 0, which the freshness guard always skips.
 
-With the local-epoch option (default on) a release does not fold the new
-local time into the list at all: the value is kept aside as a pending epoch
-(0 when there is none, since epochs start at 1), published as the lock's
-epoch, the releaser's own component, which acquirers merge as one extra
-candidate, and folded into the list the next time the list must change, in
-place or in a deep copy.  This saves the deep copies that folding into a
-freshly shared list would force.
+A release does not fold the new local time into the list at all: the value
+is kept aside as a pending epoch (0 when there is none, since epochs start at
+1), published as the lock's epoch, the releaser's own component, which
+acquirers merge as one extra candidate, and folded into the list the next
+time the list must change, in place or in a deep copy.  Folding it at the
+release would change the list while an earlier release's view may still
+share it, at the cost of a deep copy.
 
 A thread's list is shared after a release and stays shared while a lock
 still holds a view of it (its reference count is above one).  When the list
@@ -34,9 +34,8 @@ from .base import Engine
 class OrderedListEngine(Engine):
     name = "orderedlist"
 
-    def __init__(self, num_threads, num_locks, num_vars, *, local_epoch_opt=True, **kwargs):
+    def __init__(self, num_threads, num_locks, num_vars, **kwargs):
         super().__init__(num_threads, num_locks, num_vars, **kwargs)
-        self.local_epoch_opt = local_epoch_opt
         self.o_threads = [OrderedList(num_threads) for _ in range(num_threads)]
         self.u_threads = [[0] * num_threads for _ in range(num_threads)]
         self.pending_local = [0] * num_threads
@@ -106,22 +105,17 @@ class OrderedListEngine(Engine):
                 self._ensure_exclusive(t)
                 self.o_threads[t].set(tstar, n)
                 ut[t] += 1
-        if self.local_epoch_opt:
-            epoch = self.lock_epoch[lock]
-            if epoch > self._get_merged(t, lr):
-                self._ensure_exclusive(t)
-                self.o_threads[t].set(lr, epoch)
-                ut[t] += 1
+        epoch = self.lock_epoch[lock]
+        if epoch > self._get_merged(t, lr):
+            self._ensure_exclusive(t)
+            self.o_threads[t].set(lr, epoch)
+            ut[t] += 1
         visited = min(d, self.num_threads)
         self.metrics.nodes_visited += visited
         self.metrics.entries_saved += self.num_threads - visited
 
     def _fold(self, t):
-        if self.local_epoch_opt:
-            self.pending_local[t] = self.epochs[t]
-        else:
-            self._ensure_exclusive(t)
-            self.o_threads[t].set(t, self.epochs[t])
+        self.pending_local[t] = self.epochs[t]
         self.u_threads[t][t] += 1
 
     def _publish(self, t, lock):
@@ -130,5 +124,4 @@ class OrderedListEngine(Engine):
         self.metrics.shallow_copies += 1
         self.last_releaser[lock] = t
         self.lock_freshness[lock] = self.u_threads[t][t]
-        if self.local_epoch_opt:
-            self.lock_epoch[lock] = self.pending_local[t] or self.o_threads[t].get(t)
+        self.lock_epoch[lock] = self.pending_local[t] or self.o_threads[t].get(t)

@@ -13,7 +13,10 @@ copies.
 The list is array-backed: ``_time[t]`` is thread t's component, and
 ``_next[t]``/``_prev[t]`` are the neighbouring thread ids in list order, with
 -1 as the null link and ``_head`` the first thread id.  A deep copy is three
-list slices and a snapshot is one.
+list slices and a snapshot is one.  The initial links are slices of one
+cached id list per width, so all lists of a width share one set of id ints:
+an entry costs three list slots, 24 bytes on a 64-bit build, and no int
+object of its own.
 
 Sharing is single-writer copy-on-write.  A published view (a lock's
 timestamp) is the list itself: ``shallow_copy`` adds one to ``refs`` and
@@ -26,11 +29,19 @@ once the last view is dropped the owner mutates it in place again, and
 
 from __future__ import annotations
 
+from functools import cache
 from typing import List, Sequence, Tuple
 
 
 class SharedMutationError(RuntimeError):
     """A set was attempted through a shared (published) list."""
+
+
+@cache
+def _ids(width: int) -> List[int]:
+    """``[-1, 0, 1, ..., width - 1, -1]``: the prev links are its first
+    ``width`` items and the next links the rest after two; read-only."""
+    return list(range(-1, width)) + [-1]
 
 
 class OrderedList:
@@ -39,9 +50,10 @@ class OrderedList:
     __slots__ = ("_time", "_next", "_prev", "_head", "refs")
 
     def __init__(self, width: int):
+        ids = _ids(width)
         self._time = [0] * width
-        self._next = list(range(1, width)) + [-1] if width else []
-        self._prev = list(range(-1, width - 1))
+        self._next = ids[2:]
+        self._prev = ids[:width]
         self._head = 0 if width else -1
         self.refs = 1  # owning thread; shallow copies add views
 

@@ -28,7 +28,7 @@ RATES = (0.0, 0.003, 0.03, 0.1, 1.0)
 N_SUITE1 = 1000
 N_SUITE3 = 200
 N_SUITE5 = 100
-SAMPLING_FAMILY = ("sampling", "uclock", "orderedlist", "orderedlist-noopt")
+SAMPLING_FAMILY = ("sampling", "uclock", "orderedlist")
 
 
 def _config(rng: random.Random, max_events: int) -> GenConfig:
@@ -67,8 +67,7 @@ def suite1():
             data["rate_runs"] += 1
             s, t, l = marked.sample_size, marked.num_threads, marked.num_locks
             runs = differential.run_configs(marked, SAMPLED_ONLY, SAMPLING_FAMILY)
-            sampling, uclock = runs["sampling"], runs["uclock"]
-            olists = {True: runs["orderedlist"], False: runs["orderedlist-noopt"]}
+            sampling, uclock, olist = runs["sampling"], runs["uclock"], runs["orderedlist"]
 
             # criterion 1: engine equivalence against the oracle
             racy_sets = {label: e.racy_set() for label, e in runs.items()}
@@ -84,14 +83,13 @@ def suite1():
                     data["c2"].append(f"trace {i}: djitp != sampling at rate 1.0")
 
             # criterion 6: complexity counters
-            for opt, eng in olists.items():
-                m = eng.metrics
-                if m.deep_copies > s * t + t:
-                    data["c6"].append(f"trace {i} rate {rate}: deep copies {m.deep_copies}")
-                if max(eng.deep_copies_per_thread, default=0) > s + 1:
-                    data["c6"].append(f"trace {i} rate {rate}: per-thread deep copies")
-                if m.nodes_visited > s * t * t:
-                    data["c6"].append(f"trace {i} rate {rate}: nodes {m.nodes_visited}")
+            m = olist.metrics
+            if m.deep_copies > s * t + t:
+                data["c6"].append(f"trace {i} rate {rate}: deep copies {m.deep_copies}")
+            if max(olist.deep_copies_per_thread, default=0) > s + 1:
+                data["c6"].append(f"trace {i} rate {rate}: per-thread deep copies")
+            if m.nodes_visited > s * t * t:
+                data["c6"].append(f"trace {i} rate {rate}: nodes {m.nodes_visited}")
             if uclock.metrics.full_traversals > 4 * s * t * (t + l):
                 data["c6"].append(
                     f"trace {i} rate {rate}: traversals {uclock.metrics.full_traversals}"
@@ -101,13 +99,11 @@ def suite1():
 
             # criterion 7: instance optimality against the clock-work scalar
             vtwork = closure.clock_work(marked)
-            for opt, eng in olists.items():
-                m = eng.metrics
-                if m.deep_copies * t + m.nodes_visited > 8 * (vtwork * t + t):
-                    data["c7"].append(
-                        f"trace {i} rate {rate} opt={opt}: "
-                        f"{m.deep_copies}*{t}+{m.nodes_visited} vs 8*({vtwork}*{t}+{t})"
-                    )
+            if m.deep_copies * t + m.nodes_visited > 8 * (vtwork * t + t):
+                data["c7"].append(
+                    f"trace {i} rate {rate}: "
+                    f"{m.deep_copies}*{t}+{m.nodes_visited} vs 8*({vtwork}*{t}+{t})"
+                )
 
             # criterion 9: extended mode equals its oracle within the budget
             runs = differential.run_configs(marked, EXTENDED, ("sampling", "orderedlist"))
@@ -122,7 +118,7 @@ def suite1():
 
             if rate == 0.03:
                 data["skip_ratio_3pct"]["uclock"].append(uclock.metrics.skip_ratio)
-                data["skip_ratio_3pct"]["orderedlist"].append(olists[True].metrics.skip_ratio)
+                data["skip_ratio_3pct"]["orderedlist"].append(olist.metrics.skip_ratio)
     return data
 
 
@@ -137,7 +133,7 @@ def suite3():
         marked = apply_sampling(tr, SamplingPolicy.bernoulli(rate, i))
         tables = closure.declarative_timestamps(marked)
 
-        # Every configuration's per-event timestamps equal the oracle's, and
+        # Every engine's per-event timestamps equal the oracle's, and
         # those equal the defining tables.
         report = differential.diff_report(marked, SAMPLED_ONLY)
         if report["verdict"] != "EQUIVALENT":

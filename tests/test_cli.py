@@ -99,13 +99,16 @@ def test_diff_full_rate_equivalent_including_baseline(tmp_path, capsys):
     assert [9, "write-write"] in report["races"]
 
 
-def test_diff_rejects_local_epoch_opt(tmp_path, capsys):
-    # diff always runs orderedlist with the option both on and off.
+@pytest.mark.parametrize("command", [
+    ["analyze", "--engine", "orderedlist"], ["diff"], ["bench", "--rates", "0.1"],
+], ids=["analyze", "diff", "bench"])
+def test_local_epoch_opt_is_not_an_option(tmp_path, capsys, command):
+    # orderedlist has one algorithm, the deferred own-epoch path.
     trace = write(tmp_path, "ladder.trace", LADDER_TEXT)
     with pytest.raises(SystemExit) as err:
-        main(["diff", "--trace", trace, "--local-epoch-opt", "off"])
+        main([*command, "--trace", trace, "--local-epoch-opt", "off"])
     assert err.value.code == 2
-    assert "--local-epoch-opt" in capsys.readouterr().err
+    assert "unrecognized arguments: --local-epoch-opt off" in capsys.readouterr().err
 
 
 def test_diff_checks_a_trace_above_20000_events_whole(tmp_path, capsys):
@@ -175,7 +178,7 @@ def test_diff_reports_the_first_timestamp_divergence(tmp_path, capsys, monkeypat
 
 # Python starts and imports racelab within about 20 MB of address space.  At
 # T=L=1024 and V=4096, analyze's extended histories alone take about 100 MB,
-# and diff's first configuration more than 64 MB.
+# and diff's first engine more than 64 MB.
 MEMORY_CAP_MB = 64
 
 
@@ -202,6 +205,24 @@ def test_out_of_memory_exits_2_with_one_error_line(tmp_path, args):
         capture_output=True, text=True, preexec_fn=cap,
     )
     assert (res.returncode, res.stdout, res.stderr) == (2, "", "error: out of memory\n")
+
+
+@pytest.mark.parametrize("command", [["analyze", "--engine", "sampling"], ["diff"]],
+                         ids=["analyze", "diff"])
+def test_internal_error_exits_2_not_1(tmp_path, capsys, monkeypatch, command):
+    # Exit 1 is a result (races found, or DIVERGENT); a bug in the program is not.
+    from racelab.engines.sampling import SamplingEngine
+
+    def broken(self, thread, lock):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(SamplingEngine, "_publish", broken)
+    trace = write(tmp_path, "ladder.trace", LADDER_TEXT)
+    assert main([*command, "--trace", trace]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("Traceback (most recent call last):\n")
+    assert err.endswith("\nerror: internal error: RuntimeError: planted\n")
 
 
 def test_cli_module_subprocess_smoke(tmp_path):

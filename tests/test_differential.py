@@ -1,4 +1,4 @@
-"""Differential fuzzing: every engine configuration matches the oracle."""
+"""Differential fuzzing: every engine matches the oracle."""
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +51,9 @@ def test_run_configs_rejects_unknown_labels():
     tr = parse_trace(LADDER_TEXT)
     with pytest.raises(ValueError, match="samplng.*known: sampling, uclock"):
         run_configs(tr, SAMPLED_ONLY, ("sampling", "samplng"))
+    # diff runs one configuration per engine; orderedlist has no second one.
+    with pytest.raises(ValueError, match="orderedlist-noopt"):
+        run_configs(tr, SAMPLED_ONLY, ["orderedlist-noopt"])
     runs = run_configs(tr, SAMPLED_ONLY, ("sampling",))
     assert list(runs) == ["sampling"]
     assert racy_divergence(tr, SAMPLED_ONLY, {"sampling": runs["sampling"].racy_set()}) is None

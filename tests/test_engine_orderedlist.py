@@ -59,74 +59,60 @@ def test_republishing_an_unchanged_list_needs_no_copy():
     tr = parse_trace("T1|w(x)|*\nT1|acq(l)\nT1|rel(l)\nT1|acq(l)\nT1|rel(l)")
     releases = [(index, t, lock) for index, t, kind, lock, _ in rows(tr) if kind == REL]
     assert len(releases) == 2
-    for opt in (True, False):
-        for count, (index, t, lock) in enumerate(releases, start=1):
-            e = run_prefix("orderedlist", tr, index, local_epoch_opt=opt, debug=True)
-            assert e.lock_views[lock] is e.o_threads[t]
-            assert e.o_threads[t].refs == 2
-            assert e.metrics.shallow_copies == count
-            assert e.metrics.deep_copies == 0
+    for count, (index, t, lock) in enumerate(releases, start=1):
+        e = run_prefix("orderedlist", tr, index, debug=True)
+        assert e.lock_views[lock] is e.o_threads[t]
+        assert e.o_threads[t].refs == 2
+        assert e.metrics.shallow_copies == count
+        assert e.metrics.deep_copies == 0
 
 
 def test_handoff_trace_skips_and_lazy_copies():
     tr = handoff_trace(100)
-    for opt in (True, False):
-        e = create_engine("orderedlist", tr, local_epoch_opt=opt, debug=True)
-        e.run(tr)
-        assert e.metrics.skip_ratio >= 0.95
-        assert e.metrics.shallow_copies == e.metrics.releases_total
+    e = create_engine("orderedlist", tr, debug=True)
+    e.run(tr)
+    assert e.metrics.skip_ratio >= 0.95
+    assert e.metrics.shallow_copies == e.metrics.releases_total
 
 
-def test_equivalence_with_sampling_engine_both_opt_settings():
+def test_equivalence_with_sampling_engine():
     for marked, _ in random_traces(seed=61, count=120):
         ref = create_engine("sampling", marked)
         snaps_ref = []
         ref.on_event = lambda ev, eff: snaps_ref.append(eff)
         ref.run(marked)
-        for opt in (True, False):
-            e = create_engine("orderedlist", marked, local_epoch_opt=opt, debug=True)
-            snaps = []
-            e.on_event = lambda ev, eff: snaps.append(eff)
-            e.run(marked)
-            assert e.racy_set() == ref.racy_set() == oracle.racy_events(marked)
-            assert snaps == snaps_ref
-            for t in range(marked.num_threads):
-                # The conceptual clock: the list with the pending epoch folded in.
-                clock = e.o_threads[t].snapshot()
-                if e.pending_local[t]:
-                    clock[t] = e.pending_local[t]
-                assert clock == ref.c_threads[t]
-
-
-def test_local_epoch_opt_never_costs_deep_copies():
-    for marked, _ in random_traces(seed=62, count=100):
-        on = create_engine("orderedlist", marked, local_epoch_opt=True)
-        off = create_engine("orderedlist", marked, local_epoch_opt=False)
-        on.run(marked)
-        off.run(marked)
-        assert on.metrics.deep_copies <= off.metrics.deep_copies
+        e = create_engine("orderedlist", marked, debug=True)
+        snaps = []
+        e.on_event = lambda ev, eff: snaps.append(eff)
+        e.run(marked)
+        assert e.racy_set() == ref.racy_set() == oracle.racy_events(marked)
+        assert snaps == snaps_ref
+        for t in range(marked.num_threads):
+            # The conceptual clock: the list with the pending epoch folded in.
+            clock = e.o_threads[t].snapshot()
+            if e.pending_local[t]:
+                clock[t] = e.pending_local[t]
+            assert clock == ref.c_threads[t]
 
 
 def test_copy_and_traversal_budgets():
     for marked, _ in random_traces(seed=63, count=100):
         s, t = marked.sample_size, marked.num_threads
-        for opt in (True, False):
-            e = create_engine("orderedlist", marked, local_epoch_opt=opt)
-            e.run(marked)
-            assert e.metrics.deep_copies <= s * t + t
-            assert max(e.deep_copies_per_thread, default=0) <= s + 1
-            assert e.metrics.nodes_visited <= s * t * t
+        e = create_engine("orderedlist", marked)
+        e.run(marked)
+        assert e.metrics.deep_copies <= s * t + t
+        assert max(e.deep_copies_per_thread, default=0) <= s + 1
+        assert e.metrics.nodes_visited <= s * t * t
 
 
 def test_instance_optimality_budget():
     for marked, _ in random_traces(seed=64, count=100):
         t = marked.num_threads
         vtwork = closure.clock_work(marked)
-        for opt in (True, False):
-            e = create_engine("orderedlist", marked, local_epoch_opt=opt)
-            e.run(marked)
-            m = e.metrics
-            assert m.deep_copies * t + m.nodes_visited <= 8 * (vtwork * t + t)
+        e = create_engine("orderedlist", marked)
+        e.run(marked)
+        m = e.metrics
+        assert m.deep_copies * t + m.nodes_visited <= 8 * (vtwork * t + t)
 
 
 def test_empty_sample_set_never_merges(ladder_trace):
@@ -159,10 +145,9 @@ def test_unshare_path_folds_pending_epoch():
     for mode in (SAMPLED_ONLY, EXTENDED):
         assert diff_report(tr, mode)["verdict"] == "EQUIVALENT"
         assert oracle.racy_events(tr, mode) == set()
-        for opt in (True, False):
-            e = create_engine("orderedlist", tr, mode=mode, local_epoch_opt=opt, debug=True)
-            e.run(tr)
-            assert e.racy_set() == set(), (mode, opt)
+        e = create_engine("orderedlist", tr, mode=mode, debug=True)
+        e.run(tr)
+        assert e.racy_set() == set(), mode
 
 
 def test_whole_trace_diff_catches_the_unshare_fold_bug(monkeypatch):
@@ -199,12 +184,11 @@ def test_refcount_invariant_holds_under_debug():
     # debug=True makes every _ensure_exclusive check refs == 1 + live views.
     for marked, _ in random_traces(seed=65, count=100):
         for mode in (SAMPLED_ONLY, EXTENDED):
-            for opt in (True, False):
-                e = create_engine("orderedlist", marked, mode=mode, local_epoch_opt=opt, debug=True)
-                e.run(marked)
-                for lst in e.o_threads:
-                    views = sum(v is lst for v in e.lock_views)
-                    assert lst.refs == 1 + views
+            e = create_engine("orderedlist", marked, mode=mode, debug=True)
+            e.run(marked)
+            for lst in e.o_threads:
+                views = sum(v is lst for v in e.lock_views)
+                assert lst.refs == 1 + views
 
 
 def test_ping_pong_unshares_instead_of_copying():
@@ -218,10 +202,9 @@ def test_ping_pong_unshares_instead_of_copying():
         lines += [f"{thread}|acq(l)", f"{thread}|w(x)|*", f"{thread}|rel(l)"]
     tr = parse_trace("\n".join(lines))
     assert len(tr) == 15
-    for opt in (True, False):
-        e = create_engine("orderedlist", tr, local_epoch_opt=opt, debug=True)
-        e.run(tr)
-        m = e.metrics
-        assert m.deep_copies == 0
-        assert (m.nodes_visited, m.shallow_copies, m.acquires_skipped) == (7, 5, 1)
-        assert e.racy_set() == oracle.racy_events(tr) == set()
+    e = create_engine("orderedlist", tr, debug=True)
+    e.run(tr)
+    m = e.metrics
+    assert m.deep_copies == 0
+    assert (m.nodes_visited, m.shallow_copies, m.acquires_skipped) == (7, 5, 1)
+    assert e.racy_set() == oracle.racy_events(tr) == set()

@@ -92,7 +92,7 @@ def test_extended_mode_never_updates_histories_from_unmarked():
     assert got == oracle.racy_events(parse_trace(text), EXTENDED)
 
 
-def test_extended_mode_rechecks_a_write_after_a_marked_event_that_keeps_the_max():
+def test_extended_mode_rechecks_a_write_after_a_marked_event_that_keeps_the_max(monkeypatch):
     # T2's unmarked e2 is checked against the one marked event, T1's read.
     # T3's marked write makes two, but max(gen_r, gen_w) stays 1: a watermark
     # of the larger count would skip e4, which races both marked events.
@@ -101,11 +101,22 @@ def test_extended_mode_rechecks_a_write_after_a_marked_event_that_keeps_the_max(
     assert oracle.racy_events(tr, EXTENDED) == sampled
     full = oracle.racy_events_full(tr)  # djitp samples every access
     assert full == sampled | {(3, WRITE_WRITE)}
+    tokens = ["sampling", "uclock", "orderedlist", "djitp"]
     runs = differential.run_configs(tr, EXTENDED)
-    assert list(runs) == list(differential.CONFIGS)
-    for label, engine in runs.items():
-        assert engine.racy_set() == (full if label == "djitp" else sampled), label
-        assert engine.histories.race_checks == 4, label
+    assert list(runs) == list(differential.CONFIGS) == tokens
+    for token, engine in runs.items():
+        assert engine.racy_set() == (full if token == "djitp" else sampled), token
+        assert engine.histories.race_checks == 4, token
+    # diff runs exactly the four engines, one each, in that order.
+    built = []
+
+    def spy(token, *args, **kwargs):
+        built.append(token)
+        return create_engine(token, *args, **kwargs)
+
+    monkeypatch.setattr(differential, "create_engine", spy)
+    assert differential.diff_report(tr, EXTENDED)["verdict"] == "EQUIVALENT"
+    assert built == tokens
 
 
 def test_check_and_update_appends_to_the_list_it_is_given():

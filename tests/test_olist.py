@@ -1,5 +1,6 @@
 import random
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -109,6 +110,22 @@ def test_deep_copy_isolation_and_structure():
     assert order(c) == order(o)
     c.set(2, 99)
     assert o.get(2) == 8
+
+
+def test_lists_of_one_width_share_their_id_ints():
+    # Three list slots per entry, 24 bytes on a 64-bit build; an int object
+    # of its own for each link would add about 48.
+    width, count = 1018, 64
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        lists = [OrderedList(width) for _ in range(count)]
+        used, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert used - base <= 32 * width * count, used - base
+    assert lists[0]._next[500] is lists[-1]._next[500]  # 501, above the small ints
+    assert order(lists[-1]) == [(tid, 0) for tid in range(width)]
 
 
 def test_shared_view_blocks_mutation():
