@@ -2,7 +2,7 @@
 
 from importlib import import_module
 
-from .history import EXTENDED, SAMPLED_ONLY, RaceReport
+from .history import EXTENDED, SAMPLED_ONLY
 from .trace import (
     SamplingPolicy,
     Trace,
@@ -27,7 +27,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "OrderedList",
-    "RaceReport",
     "SAMPLED_ONLY",
     "EXTENDED",
     "Trace",

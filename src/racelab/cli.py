@@ -7,7 +7,7 @@ Subcommands:
 * ``diff``     run the four engines plus the oracle on identical marks and
                report the first divergence, or EQUIVALENT; the comparison is
                ``racelab.differential.diff_report``
-* ``bench``    one CSV row of counters per (engine, trace, rate, seed)
+* ``bench``    one CSV row of counters per (engine, trace file, rate, seed)
 
 Bad input, an unreadable file and running out of memory exit 2 with one
 ``error:`` line, even where an output file was already written: exit 1 is a
@@ -64,11 +64,10 @@ def _policy(args) -> SamplingPolicy:
     return SamplingPolicy.bernoulli(args.rate, args.seed)
 
 
-def _gen_config(args):
-    """The ``GenConfig`` of ``gen`` and ``bench`` (see ``_add_gen_flags``)."""
-    from .gen import GenConfig
+def cmd_gen(args) -> int:
+    from .gen import GenConfig, generate_trace
 
-    return GenConfig(
+    cfg = GenConfig(
         threads=args.threads,
         locks=args.locks,
         vars=args.vars,
@@ -77,12 +76,7 @@ def _gen_config(args):
         contention=args.contention,
         accesses_per_cs=args.accesses_per_cs,
     )
-
-
-def cmd_gen(args) -> int:
-    from .gen import generate_trace
-
-    tr = generate_trace(_gen_config(args), args.seed)
+    tr = generate_trace(cfg, args.seed)
     if args.out is None or args.out == "-":
         write_trace(tr, sys.stdout)
     else:
@@ -129,19 +123,10 @@ def cmd_bench(args) -> int:
     from . import metrics as metrics_mod
     from .engines import ENGINE_TOKENS, create_engine
 
-    traces: List[tuple] = []
-    if args.trace:
-        for path in args.trace:
-            traces.append((path, load_trace(path)))
-    else:
-        from .gen import generate_trace
-
-        cfg = _gen_config(args)
-        for i in range(args.gen_count):
-            traces.append((f"gen-{i}", generate_trace(cfg, args.seed + i)))
     rates = [float(r) for r in args.rates.split(",")] if args.rates else list(DEFAULT_RATES)
     rows = []
-    for name, tr in traces:
+    for name in args.trace:
+        tr = load_trace(name)
         for rate in rates:
             marked = apply_sampling(tr, SamplingPolicy.bernoulli(rate, args.seed))
             for token in ENGINE_TOKENS:
@@ -153,14 +138,6 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _at_least_one(text: str) -> int:
-    """argparse type: an int of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
 def _add_common_analysis_flags(p) -> None:
     p.add_argument("--trace", required=True, help="trace file path")
     p.add_argument("--rate", type=float, default=None,
@@ -169,22 +146,16 @@ def _add_common_analysis_flags(p) -> None:
     p.add_argument("--mode", choices=[SAMPLED_ONLY, EXTENDED], default=SAMPLED_ONLY)
 
 
-def _add_gen_flags(p, required: bool) -> None:
-    p.add_argument("--threads", type=int, required=required, default=None if required else 4)
-    p.add_argument("--locks", type=int, required=required, default=None if required else 4)
-    p.add_argument("--vars", type=int, required=required, default=None if required else 4)
-    p.add_argument("--events", type=int, required=required, default=None if required else 400)
-    p.add_argument("--p-sync", dest="p_sync", type=float, default=0.3)
-    p.add_argument("--contention", type=float, default=0.0)
-    p.add_argument("--accesses-per-cs", dest="accesses_per_cs", type=float, default=2.0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="racelab")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_gen = sub.add_parser("gen", help="generate a synthetic trace")
-    _add_gen_flags(p_gen, required=True)
+    for flag in ("--threads", "--locks", "--vars", "--events"):
+        p_gen.add_argument(flag, type=int, required=True)
+    p_gen.add_argument("--p-sync", type=float, default=0.3)
+    p_gen.add_argument("--contention", type=float, default=0.0)
+    p_gen.add_argument("--accesses-per-cs", type=float, default=2.0)
     p_gen.add_argument("--seed", type=int, default=0)
     p_gen.add_argument("--out", default="-")
     p_gen.set_defaults(func=cmd_gen)
@@ -202,14 +173,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_diff.set_defaults(func=cmd_diff)
 
     p_bench = sub.add_parser("bench", help="counter sweep over engines and rates")
-    p_bench.add_argument("--trace", action="append", default=None,
-                         help="trace file; repeatable (omit to generate traces)")
+    p_bench.add_argument("--trace", action="append", required=True,
+                         help="trace file; repeatable")
     p_bench.add_argument("--rates", default=None,
                          help="comma-separated rates (default 0.003,0.03,0.1,1.0)")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--mode", choices=[SAMPLED_ONLY, EXTENDED], default=SAMPLED_ONLY)
-    p_bench.add_argument("--gen-count", type=_at_least_one, default=1)
-    _add_gen_flags(p_bench, required=False)
     p_bench.add_argument("--out", default="-")
     p_bench.set_defaults(func=cmd_bench)
     return parser

@@ -18,10 +18,11 @@ sample-consuming release) and ``_publish`` (hand the clock to the lock at
 every release).  An access is handed to the histories only if it is marked
 or ``AccessHistories.will_check`` says it will be checked, so an unchecked
 access costs O(1).  A checked one is a single ``check_and_update`` call
-that reads the live row and appends any reports to ``self.reports``; it
-builds no timestamp and no list.  With ``sample_all`` set (Djit+), every
-access is sampled and every release ends an epoch; since no access then
-reaches ``will_check``, the histories are sampled-only in either mode.
+that reads the live row and appends any ``(event_index, variable, kind)``
+reports to ``self.reports``; it builds no timestamp and no list.  With
+``sample_all`` set (Djit+), every access is sampled and every release ends
+an epoch; since no access then reaches ``will_check``, the histories are
+sampled-only in either mode.
 
 The optional ``on_event`` hook receives ``(index, effective_timestamp)`` at
 the event's timestamp point: after the acquire join or access handling, and
@@ -35,7 +36,7 @@ from __future__ import annotations
 from itertools import count, repeat
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from ..history import EXTENDED, SAMPLED_ONLY, AccessHistories, RaceReport
+from ..history import EXTENDED, SAMPLED_ONLY, AccessHistories, Report
 from ..metrics import RunMetrics
 from ..trace import ACQ, REL, Event, Trace
 
@@ -67,7 +68,7 @@ class Engine:
             mode = SAMPLED_ONLY  # extended mode's watermarks would go unread
         self.histories = AccessHistories(num_vars, num_threads, mode)
         self.metrics = RunMetrics(num_threads=num_threads)
-        self.reports: List[RaceReport] = []
+        self.reports: List[Report] = []
         self.epochs = [1] * num_threads
         self.new_sample = [self.sample_all] * num_threads
 
@@ -153,7 +154,7 @@ class Engine:
         m.race_count += len(self.reports) - before
         m.race_checks = self.histories.race_checks
 
-    def process(self, ev: Event) -> List[RaceReport]:
+    def process(self, ev: Event) -> List[Report]:
         """Handle one ``Trace.events`` view; returns the races it reports.
         Only ``perfbench/layers.py`` and its guard tests call it."""
         k = ev.kind
@@ -162,7 +163,7 @@ class Engine:
         self._tally(before, 1, k == ACQ, k == REL, ev.marked and ev.is_access)
         return self.reports[before:]
 
-    def run(self, tr: Trace) -> List[RaceReport]:
+    def run(self, tr: Trace) -> List[Report]:
         before = len(self.reports)
         marks = repeat(True) if self.sample_all else tr.marks
         self._walk(zip(count(1), tr.kinds, tr.threads, tr.targets, marks))
@@ -170,7 +171,7 @@ class Engine:
         return self.reports
 
     def racy_set(self) -> set:
-        return {(r.event_index, r.kind) for r in self.reports}
+        return {(index, kind) for index, _var, kind in self.reports}
 
 
 def check_monotone(old: Sequence[int], new: Sequence[int], what: str) -> None:

@@ -1,9 +1,9 @@
 """Synthetic trace generation: ``GenConfig`` and ``generate_trace``.
 
-Used by ``racelab gen``, ``racelab bench`` and the tests; ``racelab analyze``
-never loads this module.  A generated trace is validated by the same
-``_validate_columns`` as a parsed one and has dense ids by first
-appearance, so it round-trips through the text format event for event.
+Used by ``racelab gen`` and the tests only; no other command loads this
+module.  A generated trace is validated by the same ``_validate_columns``
+as a parsed one and has dense ids by first appearance, so it round-trips
+through the text format event for event.
 
 A trace is a function of (config, seed) alone, pinned byte for byte by the
 tests.  The event loop draws from ``random.Random(seed)`` in a fixed order.
@@ -31,8 +31,7 @@ class GenConfig:
     section instead of issuing a bare access; ``contention`` is the
     probability that a new critical section tries to reuse the most recently
     released lock; ``accesses_per_cs`` is the mean number of accesses inside
-    a critical section (geometric).  Immutable; configs are equal when all
-    their fields are.
+    a critical section (geometric).
     """
 
     __slots__ = ("threads", "locks", "vars", "events", "p_sync", "contention", "accesses_per_cs")
@@ -57,31 +56,7 @@ class GenConfig:
         if accesses_per_cs < 0:
             raise ValueError("accesses_per_cs must be non-negative")
         for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __reduce__(self):
-        return (self.__class__, self._key())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"GenConfig({fields})"
+            setattr(self, name, value)
 
 
 _NEST_PROB = 0.15

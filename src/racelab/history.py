@@ -54,7 +54,7 @@ access's reports are appended; no timestamp and no per-access list is built.
 from __future__ import annotations
 
 from operator import gt
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 SAMPLED_ONLY = "sampled-only"
 EXTENDED = "extended"
@@ -63,21 +63,11 @@ WRITE_WRITE = "write-write"
 WRITE_READ = "write-read"  # earlier write races a later read
 READ_WRITE = "read-write"  # earlier read races a later write
 
-
-class RaceReport(NamedTuple):
-    """One detected race; ``event_index`` is the later event of the pair.
-
-    A plain tuple, so hashing and ordering (event index, then variable, then
-    kind) run in C when thousands of reports are deduplicated and sorted.
-    """
-
-    event_index: int
-    variable: int
-    kind: str
-
-    def render(self, var_name: Optional[str] = None) -> str:
-        name = var_name if var_name is not None else f"x{self.variable}"
-        return f"RACE {self.kind} at e{self.event_index} on {name}"
+# One detected race: (event index, variable id, kind), where the event is the
+# later one of the pair.  A plain tuple, so hashing and ordering (event
+# index, then variable, then kind) run in C when thousands of reports are
+# deduplicated and sorted.
+Report = Tuple[int, int, str]
 
 
 class VarHistory:
@@ -136,7 +126,7 @@ class AccessHistories:
         row: Sequence[int],
         epoch: int,
         marked: bool,
-        reports: List[RaceReport],
+        reports: List[Report],
     ) -> None:
         """Check and record one access that is marked or passed ``will_check``.
 
@@ -154,7 +144,7 @@ class AccessHistories:
         write_races = w_thread != thread and h.w_epoch > row[w_thread]
         if not is_write:
             if write_races:
-                reports.append(RaceReport(event_index, var, WRITE_READ))
+                reports.append((event_index, var, WRITE_READ))
             if marked:
                 h.cr[thread] = epoch
             if self.extended:
@@ -165,10 +155,10 @@ class AccessHistories:
         own = cr[thread]
         cr[thread] = 0  # the thread's own reads are program-ordered before it
         if any(map(gt, cr, row)):
-            reports.append(RaceReport(event_index, var, READ_WRITE))
+            reports.append((event_index, var, READ_WRITE))
         cr[thread] = own
         if write_races:
-            reports.append(RaceReport(event_index, var, WRITE_WRITE))
+            reports.append((event_index, var, WRITE_WRITE))
         if marked:
             h.w_thread = thread
             h.w_epoch = epoch
@@ -180,9 +170,10 @@ class AccessHistories:
 def render_reports(reports, var_names=None) -> str:
     """One line per distinct race, sorted by event index, variable, then kind.
 
-    The engines emit reports in event order, so ``dict.fromkeys`` keeps that
-    order and the sort is linear.  Byte-identical to joining
-    ``RaceReport.render`` lines.
+    ``reports`` holds ``(event_index, variable, kind)`` tuples; a variable
+    is named ``var_names[variable]``, or ``x<variable>`` without names.  The
+    engines emit reports in event order, so ``dict.fromkeys`` keeps that
+    order and the sort is linear.
     """
     unique = sorted(dict.fromkeys(reports))
     if var_names is None:

@@ -97,12 +97,12 @@ def emit(metrics: RunMetrics, labels: Optional[Mapping[str, object]] = None) -> 
 
 
 def emit_csv_rows(rows) -> str:
-    """CSV with a mandatory header row; field order follows the first row."""
+    """CSV with a mandatory header row; field order follows the first row.
+
+    ``rows`` is a non-empty list: ``bench`` requires a trace and a rate.
+    """
     import csv
 
-    rows = list(rows)
-    if not rows:
-        return ""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()), lineterminator="\n")
     writer.writeheader()

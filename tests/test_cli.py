@@ -123,16 +123,43 @@ def test_diff_checks_a_trace_above_20000_events_whole(tmp_path, capsys):
 
 def test_bench_row_cardinality_and_determinism(tmp_path):
     trace = write(tmp_path, "ladder.trace", LADDER_TEXT)
+    # The same events with comment lines between them.
+    commented = write(tmp_path, "commented.trace", "# ladder\n" + LADDER_TEXT.replace(
+        "T2|acq(l1)\n", "# hand-off\nT2|acq(l1)\n# x is written under l1\n"))
     outs = []
     for name in ("a.csv", "b.csv"):
         out = str(tmp_path / name)
-        rc = main(["bench", "--trace", trace, "--seed", "9", "--out", out])
+        rc = main(["bench", "--trace", trace, "--trace", commented, "--seed", "9", "--out", out])
         assert rc == 0
         outs.append((tmp_path / name).read_text())
     assert outs[0] == outs[1]
     rows = list(csv.DictReader(io.StringIO(outs[0])))
-    assert len(rows) == 16  # 4 engines x default rates {0.003, 0.03, 0.1, 1.0}
+    # 2 traces x 4 engines x default rates {0.003, 0.03, 0.1, 1.0}
+    assert len(rows) == 32
+    assert [r["trace"] for r in rows] == [trace] * 16 + [commented] * 16
     assert {r["engine"] for r in rows} == {"djitp", "sampling", "uclock", "orderedlist"}
+    counters = [{k: v for k, v in r.items() if k != "trace"} for r in rows]
+    assert counters[:16] == counters[16:]
+    assert len({(r["engine"], r["rate"]) for r in rows[:16]}) == 16
+
+
+@pytest.mark.parametrize("args,error", [
+    ([], "the following arguments are required: --trace"),
+    (["--gen-count", "2"], "unrecognized arguments: --gen-count 2"),
+    (["--threads", "3"], "unrecognized arguments: --threads 3"),
+], ids=["no-trace", "gen-count", "threads"])
+def test_bench_reads_trace_files_only(tmp_path, capsys, args, error):
+    # bench generates no trace: a sweep cell is ``gen --out`` then ``bench --trace``.
+    trace = write(tmp_path, "ladder.trace", LADDER_TEXT)
+    out = tmp_path / "b.csv"
+    argv = ["bench", *args, "--out", str(out)]
+    if args:
+        argv += ["--trace", trace]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert error in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_bench_skip_ratio_monotone_in_rate_on_handoff(tmp_path):
@@ -300,27 +327,6 @@ def test_engine_choices_are_the_engine_tokens():
     from racelab.engines import ENGINE_TOKENS
 
     assert cli.ENGINE_CHOICES == ENGINE_TOKENS
-
-
-def test_bench_generated_traces(tmp_path):
-    out = str(tmp_path / "g.csv")
-    rc = main(["bench", "--gen-count", "2", "--threads", "3", "--locks", "2",
-               "--vars", "2", "--events", "80", "--rates", "0.1,1.0",
-               "--seed", "4", "--out", out])
-    assert rc == 0
-    rows = list(csv.DictReader(io.StringIO(Path(out).read_text())))
-    assert len(rows) == 2 * 2 * 4
-
-
-@pytest.mark.parametrize("count", ["0", "-1"])
-def test_bench_gen_count_below_one_exits_2(tmp_path, capsys, count):
-    # With no trace there would be no row, and the CSV header is mandatory.
-    out = tmp_path / "g.csv"
-    with pytest.raises(SystemExit) as err:
-        main(["bench", "--gen-count", count, "--out", str(out)])
-    assert err.value.code == 2
-    assert "--gen-count: must be at least 1" in capsys.readouterr().err
-    assert not out.exists()
 
 
 def _budget_trace(tmp_path):

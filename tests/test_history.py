@@ -13,7 +13,6 @@ from racelab.history import (
     WRITE_READ,
     WRITE_WRITE,
     AccessHistories,
-    RaceReport,
     render_reports,
 )
 from racelab.trace import parse_trace
@@ -122,13 +121,14 @@ def test_extended_mode_rechecks_a_write_after_a_marked_event_that_keeps_the_max(
 def test_check_and_update_appends_to_the_list_it_is_given():
     # T1 reads then writes x, both marked; T2's unordered write races both.
     h = AccessHistories(1, 2, SAMPLED_ONLY)
-    earlier = RaceReport(1, 0, WRITE_READ)
+    earlier = (1, 0, WRITE_READ)
     reports = [earlier]
     assert h.check_and_update(2, 0, 0, False, [1, 0], 1, True, reports) is None
     assert h.check_and_update(3, 0, 0, True, [1, 0], 1, True, reports) is None
     assert reports == [earlier]  # the thread's own accesses never race
     assert h.check_and_update(4, 1, 0, True, [0, 1], 1, True, reports) is None
-    assert reports == [earlier, RaceReport(4, 0, READ_WRITE), RaceReport(4, 0, WRITE_WRITE)]
+    assert reports == [earlier, (4, 0, READ_WRITE), (4, 0, WRITE_WRITE)]
+    assert all(type(r) is tuple for r in reports)
     assert h.race_checks == 3
 
 
@@ -164,9 +164,9 @@ def test_extended_race_check_budget():
 
 def test_report_rendering_sorted():
     reports = [
-        RaceReport(9, 0, WRITE_WRITE),
-        RaceReport(2, 0, WRITE_READ),
-        RaceReport(2, 0, WRITE_READ),  # duplicates collapse
+        (9, 0, WRITE_WRITE),
+        (2, 0, WRITE_READ),
+        (2, 0, WRITE_READ),  # duplicates collapse
     ]
     assert render_reports(reports, ("x",)) == (
         "RACE write-read at e2 on x\nRACE write-write at e9 on x\n"
@@ -226,18 +226,15 @@ def test_rendered_race_list_is_pinned_on_a_generated_trace():
 def test_render_reports_matches_per_report_render_on_shuffled_duplicates():
     rng = random.Random(5)
     kinds = (WRITE_WRITE, WRITE_READ, READ_WRITE)
-    reports = [
-        RaceReport(rng.randint(1, 60), rng.randint(0, 3), rng.choice(kinds)) for _ in range(200)
-    ]
+    reports = [(rng.randint(1, 60), rng.randint(0, 3), rng.choice(kinds)) for _ in range(200)]
     reports += reports[:70]
     rng.shuffle(reports)
     names = ("a", "bb", "x0", "x1")
     unique = sorted(set(reports))
     assert len(unique) < len(reports)
     for var_names in (None, names):
-        want = "".join(
-            r.render(None if var_names is None else var_names[r.variable]) + "\n" for r in unique
-        )
+        named = var_names or [f"x{var}" for var in range(4)]
+        want = "".join(f"RACE {kind} at e{index} on {named[var]}\n" for index, var, kind in unique)
         assert render_reports(reports, var_names) == want
         assert render_reports(iter(reports), var_names) == want
 
@@ -261,10 +258,9 @@ def test_histories_allocate_one_list_per_variable_in_sampled_only_mode():
 
 
 def test_race_report_is_a_plain_tuple():
-    r = RaceReport(7, 2, WRITE_READ)
-    assert tuple(r) == (7, 2, WRITE_READ)
-    assert r.render() == "RACE write-read at e7 on x2"
-    assert r.render("v") == "RACE write-read at e7 on v"
-    assert sorted([RaceReport(3, 1, WRITE_WRITE), RaceReport(3, 0, WRITE_WRITE), r]) == [
-        RaceReport(3, 0, WRITE_WRITE), RaceReport(3, 1, WRITE_WRITE), r
+    r = (7, 2, WRITE_READ)
+    assert render_reports([r]) == "RACE write-read at e7 on x2\n"
+    assert render_reports([r], ("a", "b", "v")) == "RACE write-read at e7 on v\n"
+    assert sorted([(3, 1, WRITE_WRITE), (3, 0, WRITE_WRITE), r]) == [
+        (3, 0, WRITE_WRITE), (3, 1, WRITE_WRITE), r
     ]
