@@ -123,7 +123,7 @@ def cmd_bench(args) -> int:
     from . import metrics as metrics_mod
     from .engines import ENGINE_TOKENS, create_engine
 
-    rates = [float(r) for r in args.rates.split(",")] if args.rates else list(DEFAULT_RATES)
+    rates = DEFAULT_RATES if args.rates is None else [float(r) for r in args.rates.split(",")]
     rows = []
     for name in args.trace:
         tr = load_trace(name)

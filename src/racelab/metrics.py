@@ -44,29 +44,14 @@ _COUNTER_FIELDS = (
 
 
 class RunMetrics:
-    """The counters of one run, all 0 unless given; compared by value."""
+    """The counters of one run, all starting at 0."""
 
     __slots__ = _COUNTER_FIELDS + ("num_threads",)
 
-    def __init__(self, **values: int):
-        for name in self.__slots__:
-            setattr(self, name, values.pop(name, 0))
-        if values:
-            raise TypeError(f"unknown RunMetrics fields: {', '.join(values)}")
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None  # mutable
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"RunMetrics({fields})"
+    def __init__(self, num_threads: int):
+        for name in _COUNTER_FIELDS:
+            setattr(self, name, 0)
+        self.num_threads = num_threads
 
     @property
     def skip_ratio(self) -> float:

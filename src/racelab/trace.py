@@ -16,17 +16,18 @@ are assigned by order of first appearance.  Every trace is validated against
 the locking discipline: a lock is held by at most one thread, is released only
 by its holder, and re-entrant acquires are rejected.
 
-There is one way into a trace.  The parser reads UTF-8 bytes (a ``str``
-is encoded first) in chunks of ``_CHUNK_LINES`` lines; each chunk is decoded
-once and scanned with one ``_SPLIT_ROWS`` call.  If every line of the chunk
-is an event line, the columns grow by C-level passes over the matches; any
-other chunk goes through the line loop, which decodes and parses one line at
-a time and is the only source of syntax errors.  The filled columns go to
-``_validate_columns``, the one check of ids, marks and lock discipline,
-which also guards ``racelab.gen``; the ``Trace`` constructor itself only
-wraps columns.  A syntax error on any line therefore beats a discipline
-error, and ``load_trace`` never holds the whole file, its text or a list of
-its lines.
+There is one way into a trace, and one grammar: the ``_SPLIT_ROWS`` regex.
+The parser reads UTF-8 bytes (a ``str`` is encoded first) in chunks of
+``_CHUNK_LINES`` lines; each chunk is decoded once and split by one
+``_SPLIT_ROWS`` call.  A chunk holding a comment, a blank line, surrounding
+whitespace (a CR too) or a bad line is split again one stripped line at a
+time, which skips comments and blanks and is the only source of syntax
+errors.  Either split fills the columns by the same C-level passes.  The
+filled columns go to ``_validate_columns``, the one check of ids, marks and
+lock discipline, which also guards ``racelab.gen``; the ``Trace``
+constructor itself only wraps columns.  A syntax error on any line
+therefore beats a discipline error, and ``load_trace`` never holds the
+whole file, its text or a list of its lines.
 
 In memory a trace is a set of columns, one entry per event: ``threads`` and
 ``targets`` are ``array('i')`` of dense ids, ``kinds`` is an ``array('b')``
@@ -213,16 +214,13 @@ def _validate_columns(
             )
 
 
-_LINE_RE = re.compile(
-    r"^(?P<thread>[^|\s]+)\|(?P<op>acq|rel|r|w)\((?P<obj>[^()|\s]+)\)(?P<mark>\|\*)?$"
-)
-
-# An event line: ``_LINE_RE`` anchored at each line of a chunk, minus lines
-# that start with "#" and marks on acq/rel.  Splitting a chunk by it gives
-# the text between matches followed by each match's thread, "op(obj" and
-# mark ("|*" or None), a flat list of 4 entries per match plus one.  No token
-# holds a newline and a match spans its whole line, so a chunk of n lines
-# has n matches only if every line is an event line.
+# The format's one grammar: an event line (``line`` in the module docstring,
+# with no "#" first and no mark on acq/rel), anchored at each line of a text.
+# Splitting a text by it gives the text between matches followed by each
+# match's thread, "op(obj" and mark ("|*" or None), a flat list of 4 entries
+# per match plus one.  No token holds a newline and a match spans its whole
+# line, so a chunk of n lines has n matches only if every line is an event
+# line, and one stripped line splits into 5 parts only if it is one.
 _SPLIT_ROWS = re.compile(
     r"^([^|\s#][^|\s]*)\|((?:acq|rel)\([^()|\s]+(?=\)$)|[rw]\([^()|\s]+)\)(\|\*)?$",
     re.MULTILINE,
@@ -261,21 +259,31 @@ def _parse_lines(lines) -> Trace:
     """Parse the ``bytes`` ``lines`` into columns, ``_CHUNK_LINES`` at a
     time, then validate them.
 
-    Each chunk goes through ``_scan_chunk`` and, if that declines it,
-    through ``_parse_chunk``, the line loop and the only code that raises a
-    syntax error.  Dense ids are the insertion order of the name dicts.  The
-    discipline check runs only after the last line has parsed, so a syntax
-    error on any line takes precedence over it; by then the loop holds no
-    chunk and no matches.
+    Each chunk is decoded and split by ``_SPLIT_ROWS`` whole; a chunk that
+    does not split into one row per line goes to ``_split_lines``, the only
+    code that raises a syntax error.  Either way the columns grow by C-level
+    passes over the split.  Dense ids are the insertion order of the name
+    dicts.  The discipline check runs only after the last line has parsed,
+    so a syntax error on any line takes precedence over it; by then the
+    loop holds no chunk and no split.
     """
-    cols = tcol, kcol, xcol, marks = array("i"), array("b"), array("i"), bytearray()
-    tables = thread_ids, lock_ids, var_ids = _Ids(), _Ids(), _Ids()
+    tcol, kcol, xcol, marks = array("i"), array("b"), array("i"), bytearray()
+    thread_ids, lock_ids, var_ids = _Ids(), _Ids(), _Ids()
     targets = _Targets(lock_ids, var_ids)
     lines = iter(lines)
     line_no = 0
     while chunk := list(islice(lines, _CHUNK_LINES)):
-        if not _scan_chunk(b"".join(chunk), len(chunk), cols, thread_ids, targets):
-            _parse_chunk(chunk, line_no, cols, tables)
+        try:
+            parts = _SPLIT_ROWS(b"".join(chunk).decode("utf-8"))
+        except UnicodeDecodeError:
+            parts = ()
+        if len(parts) != 4 * len(chunk) + 1:
+            parts = _split_lines(chunk, line_no)
+        tcol.extend(map(thread_ids.__getitem__, islice(parts, 1, None, 4)))
+        xcol.extend(map(targets.__getitem__, islice(parts, 2, None, 4)))
+        kcol.extend(map(targets.kinds.__getitem__, islice(parts, 2, None, 4)))
+        marks.extend(map(bool, islice(parts, 3, None, 4)))
+        del parts  # so that no two chunks' splits are alive at once
         line_no += len(chunk)
     marks = bytes(marks)
     _validate_columns(tcol, kcol, xcol, marks, len(thread_ids), len(lock_ids), len(var_ids))
@@ -285,31 +293,12 @@ def _parse_lines(lines) -> Trace:
     )
 
 
-def _scan_chunk(text: bytes, n: int, cols, thread_ids: _Ids, targets: _Targets) -> bool:
-    """Append the ``n`` lines joined in ``text`` to ``cols`` if every one is
-    an event line: one decode, one ``_SPLIT_ROWS`` call and C-level passes
-    over the matches.  Otherwise change nothing and return False."""
-    try:
-        parts = _SPLIT_ROWS(text.decode("utf-8"))
-    except UnicodeDecodeError:
-        return False
-    if len(parts) != 4 * n + 1:
-        return False
-    tcol, kcol, xcol, marks = cols
-    tcol.extend(map(thread_ids.__getitem__, islice(parts, 1, None, 4)))
-    xcol.extend(map(targets.__getitem__, islice(parts, 2, None, 4)))
-    kcol.extend(map(targets.kinds.__getitem__, islice(parts, 2, None, 4)))
-    marks.extend(map(bool, islice(parts, 3, None, 4)))
-    return True
-
-
-def _parse_chunk(chunk, line_no: int, cols, tables) -> None:
-    """The line loop: parse ``chunk``, whose first line is ``line_no + 1``,
-    one line at a time into ``cols``; raise on its first malformed line."""
-    tcol, kcol, xcol, marks = cols
-    thread_ids, lock_ids, var_ids = tables
-    match = _LINE_RE.match
-    codes = _CODE_OF_TOKEN
+def _split_lines(chunk, line_no: int) -> list:
+    """``_SPLIT_ROWS``'s flat split of ``chunk``, whose first line is
+    ``line_no + 1``, built one line at a time: each line is decoded and
+    stripped, blank and ``#`` lines are skipped, and the first other line
+    that is not an event line raises."""
+    parts = [""]
     for line_no, line in enumerate(chunk, start=line_no + 1):
         try:
             line = line.decode("utf-8").strip()
@@ -317,21 +306,17 @@ def _parse_chunk(chunk, line_no: int, cols, tables) -> None:
             raise TraceSyntaxError(line_no, f"invalid UTF-8: {exc.reason}") from None
         if not line or line[0] == "#":
             continue
-        m = match(line)
-        if m is None:
-            raise TraceSyntaxError(line_no, f"cannot parse {line!r}")
-        name, op, obj, mark = m.groups()
-        kind = codes[op]
-        if kind >= READ:
-            target = var_ids[obj]
-        elif mark:
-            raise TraceSyntaxError(line_no, "mark on non-access event")
-        else:
-            target = lock_ids[obj]
-        tcol.append(thread_ids[name])
-        kcol.append(kind)
-        xcol.append(target)
-        marks.append(1 if mark else 0)
+        row = _SPLIT_ROWS(line)
+        if len(row) != 5:
+            # The grammar refuses a mark on acq/rel, so a bad line that parses
+            # unmarked once its "|*" is cut off is a marked acq/rel.
+            row = _SPLIT_ROWS(line[:-2]) if line.endswith("|*") else ()
+            raise TraceSyntaxError(line_no, (
+                "mark on non-access event" if len(row) == 5 and row[3] is None
+                else f"cannot parse {line!r}"
+            ))
+        parts += row[1:]
+    return parts
 
 
 def parse_trace(data) -> Trace:

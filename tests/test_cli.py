@@ -162,6 +162,16 @@ def test_bench_reads_trace_files_only(tmp_path, capsys, args, error):
     assert not out.exists()
 
 
+def test_bench_empty_rates_exits_2(tmp_path, capsys):
+    # An empty --rates names no rate; it must not fall back to the defaults.
+    trace = write(tmp_path, "ladder.trace", LADDER_TEXT)
+    out = tmp_path / "b.csv"
+    assert main(["bench", "--trace", trace, "--rates", "", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_bench_skip_ratio_monotone_in_rate_on_handoff(tmp_path):
     path = str(tmp_path / "handoff.trace")
     dump_trace(handoff_trace(100), path)

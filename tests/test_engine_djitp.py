@@ -65,5 +65,5 @@ def test_history_mode_changes_nothing(ladder_trace):
             e = create_engine("djitp", tr, mode=mode, on_event=lambda *snap: snaps.append(snap))
             e.run(tr)
             assert not e.histories.extended
-            runs.append((e.reports, e.metrics, snaps))
+            runs.append((e.reports, e.metrics.as_dict(), snaps))
         assert runs[0] == runs[1]
