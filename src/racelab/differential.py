@@ -2,9 +2,9 @@
 
 The paper's timestamping changes how timestamps are computed, never which
 races are reported.  This module is the one place that checks it, for
-``racelab diff`` and the acceptance suite alike: ``run_configs`` runs
-engines, named by their tokens, on identical marks and ``racy_divergence``
-compares their racy sets with the oracle's.  ``diff_report`` also compares
+``racelab diff`` and the acceptance suite alike: ``racy_divergence``
+compares engines' racy sets, by engine token, with the oracle's.
+``diff_report`` runs the four engines on identical marks and also compares
 every event's effective timestamp with ``oracle.timestamps`` as the event
 happens, so it keeps no per-event table and checks traces of any length
 whole.
@@ -12,36 +12,15 @@ whole.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from . import oracle
-from .engines import Engine, create_engine
+from .engines import create_engine
 from .trace import Trace
 
 # The engine tokens ``diff`` runs.  Divergences are looked for in this order:
 # the sampling family first, then the full detector.
 CONFIGS = ("sampling", "uclock", "orderedlist", "djitp")
-
-
-def _run(tr: Trace, token: str, mode: str, on_event=None) -> Engine:
-    engine = create_engine(token, tr, mode=mode, on_event=on_event)
-    engine.run(tr)
-    return engine
-
-
-def run_configs(tr: Trace, mode: str, tokens: Iterable[str] = CONFIGS) -> Dict[str, Engine]:
-    """Run the engines named by ``tokens`` on ``tr``, in ``CONFIGS`` order.
-
-    Raises ``ValueError`` on a token that is not in ``CONFIGS``, so a
-    misspelt token cannot leave an engine unchecked.
-    """
-    chosen = set(tokens)
-    unknown = chosen.difference(CONFIGS)
-    if unknown:
-        raise ValueError(
-            f"unknown engine {', '.join(sorted(unknown))}; known: {', '.join(CONFIGS)}"
-        )
-    return {token: _run(tr, token, mode) for token in CONFIGS if token in chosen}
 
 
 def racy_divergence(tr: Trace, mode: str, racy_sets: Dict[str, Set]) -> Optional[dict]:
@@ -80,8 +59,9 @@ def _checked_run(
             if eff != want:
                 mismatch.append((index, eff, want))
 
-    racy = _run(tr, token, mode, on_event=compare).racy_set()
-    return racy, (mismatch[0] if mismatch else None)
+    engine = create_engine(token, tr, mode=mode, on_event=compare)
+    engine.run(tr)
+    return engine.racy_set(), (mismatch[0] if mismatch else None)
 
 
 def diff_report(tr: Trace, mode: str) -> dict:

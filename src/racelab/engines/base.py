@@ -27,8 +27,11 @@ sampled-only in either mode.
 The optional ``on_event`` hook receives ``(index, effective_timestamp)`` at
 the event's timestamp point: after the acquire join or access handling, and
 at releases after the fold but before the epoch advances.  This is the
-per-event timestamp the differential tests compare against the declarative
-tables.  The driver loop is the same with and without a hook.
+per-event timestamp ``racelab diff`` compares with the oracle's.  The
+engines check no invariant of their own: the tests' checker
+(``tests/invariants.py``) is an ``on_event`` hook that asserts monotone
+clocks, the freshness bounds and the reference counts after every event.
+The driver loop is the same with and without a hook.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ class Engine:
     """Base class; subclasses implement ``_acquire``, ``_row``, ``_fold``
     and ``_publish``."""
 
-    name = "base"
     # Every access counts as marked and every release ends an epoch.
     sample_all = False
 
@@ -59,11 +61,9 @@ class Engine:
         *,
         mode: str = SAMPLED_ONLY,
         on_event: Optional[SnapshotHook] = None,
-        debug: bool = False,
     ):
         self.num_threads = num_threads
         self.on_event = on_event
-        self.debug = debug
         if self.sample_all and mode == EXTENDED:
             mode = SAMPLED_ONLY  # extended mode's watermarks would go unread
         self.histories = AccessHistories(num_vars, num_threads, mode)
@@ -172,9 +172,3 @@ class Engine:
 
     def racy_set(self) -> set:
         return {(index, kind) for index, _var, kind in self.reports}
-
-
-def check_monotone(old: Sequence[int], new: Sequence[int], what: str) -> None:
-    for a, b in zip(old, new):
-        if b < a:
-            raise AssertionError(f"{what} clock decreased: {old} -> {new}")

@@ -13,5 +13,4 @@ from .sampling import SamplingEngine
 
 
 class DjitpEngine(SamplingEngine):
-    name = "djitp"
     sample_all = True

@@ -32,8 +32,6 @@ from .base import Engine
 
 
 class OrderedListEngine(Engine):
-    name = "orderedlist"
-
     def __init__(self, num_threads, num_locks, num_vars, **kwargs):
         super().__init__(num_threads, num_locks, num_vars, **kwargs)
         self.o_threads = [OrderedList(num_threads) for _ in range(num_threads)]
@@ -61,9 +59,6 @@ class OrderedListEngine(Engine):
 
     def _ensure_exclusive(self, thread: int) -> None:
         lst = self.o_threads[thread]
-        if self.debug:
-            views = sum(1 for v in self.lock_views if v is lst)
-            assert lst.refs == 1 + views, f"thread {thread}: refs {lst.refs}, {views} views"
         if lst.refs > 1:
             fresh = lst.deep_copy()
             lst.refs -= 1
@@ -90,17 +85,13 @@ class OrderedListEngine(Engine):
         if freshness <= ut[lr]:
             self.metrics.acquires_skipped += 1
             return
-        view = self.lock_views[lock]
-        if self.debug:
-            # Self hand-offs always fail the guard, so the merged view is
-            # never the thread's own list.
-            assert lr != t, "self-handoff passed the freshness guard"
-            assert view is not self.o_threads[t]
         d = freshness - ut[lr]
         ut[lr] = freshness
-        # Filtering against the list alone drops no entry the merge needs:
-        # a pending epoch can only raise the thread's own component.
-        for tstar, n in view.newer_in_prefix(d, self.o_threads[t]):
+        # Self hand-offs always fail the guard, so the merged view is never
+        # the thread's own list.  Filtering against the list alone drops no
+        # entry the merge needs: a pending epoch can only raise the thread's
+        # own component.
+        for tstar, n in self.lock_views[lock].newer_in_prefix(d, self.o_threads[t]):
             if n > self._get_merged(t, tstar):
                 self._ensure_exclusive(t)
                 self.o_threads[t].set(tstar, n)

@@ -12,13 +12,10 @@ all-zero freshness clock, so the same guard skips its acquires.
 
 from __future__ import annotations
 
-from .base import check_monotone
 from .sampling import SamplingEngine
 
 
 class UclockEngine(SamplingEngine):
-    name = "uclock"
-
     def __init__(self, num_threads, num_locks, num_vars, **kwargs):
         super().__init__(num_threads, num_locks, num_vars, **kwargs)
         self.u_threads = [[0] * num_threads for _ in range(num_threads)]
@@ -32,11 +29,8 @@ class UclockEngine(SamplingEngine):
             self.metrics.acquires_skipped += 1
             return
         ct, cl = self.c_threads[t], self.c_locks[lock]
-        if self.debug:
-            old = list(ct)
-            # No lock knows t's freshness better than t does, so the join
-            # below never moves ut[t]: only this acquire's changes bump it.
-            assert ul[t] <= ut[t], f"thread {t}: lock records freshness {ul[t]} > {ut[t]}"
+        # No lock knows t's freshness better than t does, so the join below
+        # never moves ut[t]: only this acquire's changes bump it.
         changes = 0  # one pass joins both clock pairs
         for s in range(self.num_threads):
             u = ul[s]
@@ -48,8 +42,6 @@ class UclockEngine(SamplingEngine):
                 changes += 1
         ut[t] += changes
         self.metrics.full_traversals += 2
-        if self.debug:
-            check_monotone(old, ct, "thread")
 
     def _fold(self, t):
         super()._fold(t)
@@ -57,11 +49,9 @@ class UclockEngine(SamplingEngine):
 
     def _publish(self, t, lock):
         self.last_releaser[lock] = t
-        ct, ut = self.c_threads[t], self.u_threads[t]
+        ut = self.u_threads[t]
         if ut[t] != self.u_locks[lock][t]:
-            if self.debug:
-                check_monotone(self.c_locks[lock], ct, "lock")
-            self.c_locks[lock] = list(ct)
+            self.c_locks[lock] = list(self.c_threads[t])
             self.u_locks[lock] = list(ut)
             self.metrics.full_traversals += 2
             self.metrics.releases_copied += 1

@@ -347,11 +347,6 @@ def _lines(tr: Trace) -> Iterator[str]:
         )
 
 
-def serialize_trace(tr: Trace) -> str:
-    """Render a trace back to the text format; inverse of parse_trace."""
-    return "".join(_lines(tr))
-
-
 def load_trace(path) -> Trace:
     """Parse a trace file line by line; the file is never held whole."""
     with open(path, "rb") as fh:
@@ -359,9 +354,9 @@ def load_trace(path) -> Trace:
 
 
 def write_trace(tr: Trace, fh) -> None:
-    """Write ``tr`` to the open text file ``fh`` as ``serialize_trace``
-    renders it, a few thousand lines at a time, so the whole text is never
-    built."""
+    """Write ``tr`` to the open text file ``fh`` in the text format, the
+    inverse of ``parse_trace``, a few thousand lines at a time, so the whole
+    text is never built."""
     lines = _lines(tr)
     while chunk := "".join(islice(lines, 4096)):
         fh.write(chunk)
@@ -379,25 +374,6 @@ _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-
-def mix64(z: int) -> int:
-    """splitmix64 finalizer; the documented mark-decision mix function."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
-
-
-def bernoulli_hit(seed: int, event_index: int, rate: float) -> bool:
-    """Reproducible mark decision for one event.
-
-    The decision depends only on (seed, event index): take
-    ``mix64(seed + index * GOLDEN)`` (64-bit wrap-around, GOLDEN =
-    0x9E3779B97F4A7C15) and compare against ``floor(rate * 2**64)``.
-    """
-    z = mix64((seed + event_index * _GOLDEN) & _MASK64)
-    return z < int(rate * (1 << 64))
 
 
 # ``bytes(kinds).translate(_ACCESS_MASK)``: 1 for each access event, 0 for
@@ -423,17 +399,21 @@ def _lane_constants() -> Tuple[int, int, int]:
 
 
 def bernoulli_marks(kinds: Sequence[int], seed: int, rate: float) -> bytes:
-    """The mark vector ``bernoulli_hit(seed, i, rate)`` gives each access event i.
+    """The reproducible mark vector: 1 for each access event i (1-based)
+    that ``seed`` and i select at ``rate``, 0 for every other event.
 
-    Sync events stay unmarked.  Lane j of a chunk starts as ``seed + i *
-    GOLDEN`` (mod 2**64) for the chunk's j-th event i, and ``mix64`` runs on
-    all lanes at once: each shift-XOR and each multiply is one int operation
-    followed by a mask back to 64 bits per lane.  A lane holding z hits when
-    ``2**64 - 1 + threshold - z`` reaches 2**64, so byte 8 of the lane (its
-    bit 64, little-endian) is 1 exactly for the hits, and one
-    ``to_bytes(...)[8::16]`` reads them all.  The hits are ANDed with the
-    access mask.  Bit-identical to ``bernoulli_hit`` at every index; the
-    temporaries are a few ints of ``_LANES`` lanes whatever the trace length.
+    Event i is selected when the 64-bit SplitMix finalizer of ``seed + i *
+    GOLDEN`` (mod 2**64, GOLDEN = 0x9E3779B97F4A7C15) is below
+    ``floor(rate * 2**64)``, so the decision depends only on (seed, i).  Lane
+    j of a chunk starts as ``seed + i * GOLDEN`` for the chunk's j-th event
+    i, and the finalizer runs on all lanes at once: each shift-XOR and each
+    multiply is one int operation followed by a mask back to 64 bits per
+    lane.  A lane holding z hits when ``2**64 - 1 + threshold - z`` reaches
+    2**64, so byte 8 of the lane (its bit 64, little-endian) is 1 exactly
+    for the hits, and one ``to_bytes(...)[8::16]`` reads them all.  The hits
+    are ANDed with the access mask.  The temporaries are a few ints of
+    ``_LANES`` lanes whatever the trace length.  The tests keep this rule,
+    decided one event at a time, as its reference.
     """
     n = len(kinds)
     threshold = int(rate * (1 << 64))

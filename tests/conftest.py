@@ -1,7 +1,9 @@
-"""Shared fixtures: golden traces and random-config helpers."""
+"""Shared fixtures: golden traces, random-config helpers and the
+one-event-at-a-time sampling rule."""
 
 from __future__ import annotations
 
+import io
 import random
 from array import array
 from itertools import count
@@ -18,6 +20,7 @@ from racelab.trace import (
     Trace,
     apply_sampling,
     parse_trace,
+    write_trace,
 )
 
 # The 18-event two-thread handoff execution used throughout the golden tests.
@@ -57,6 +60,34 @@ def ladder_all_marked(ladder_trace):
     return apply_sampling(ladder_trace, SamplingPolicy.bernoulli(1.0, 0))
 
 
+def trace_text(tr: Trace) -> str:
+    """``tr`` in the text format, as ``racelab gen`` writes it."""
+    out = io.StringIO()
+    write_trace(tr, out)
+    return out.getvalue()
+
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mix64(z: int) -> int:
+    """The splitmix64 finalizer."""
+    z &= _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def bernoulli_hit(seed: int, event_index: int, rate: float) -> bool:
+    """The mark decision for one event, the reference for
+    ``racelab.trace.bernoulli_marks``: ``mix64(seed + index * GOLDEN)``
+    (mod 2**64) compared against ``floor(rate * 2**64)``, so it depends only
+    on (seed, event index)."""
+    z = mix64((seed + event_index * _GOLDEN) & _MASK64)
+    return z < int(rate * (1 << 64))
+
+
 def empty_trace(threads: int, locks: int, variables: int) -> Trace:
     """A trace with no events and the given dimensions, to size an engine."""
     return Trace(array("i"), array("b"), array("i"), b"", threads, locks, variables)
@@ -68,10 +99,11 @@ def rows(tr: Trace):
     return list(zip(count(1), tr.threads, tr.kinds, tr.targets, map(bool, tr.marks)))
 
 
-def run_prefix(token: str, tr: Trace, n: int, **kwargs):
-    """A fresh ``token`` engine sized for ``tr`` after ``Engine.run`` on the
-    first ``n`` events of ``tr``, sliced from its columns."""
-    engine = create_engine(token, tr, **kwargs)
+def run_prefix(token: str, tr: Trace, n: int, make=create_engine, **kwargs):
+    """A fresh ``token`` engine, built by ``make`` and sized for ``tr``,
+    after ``Engine.run`` on the first ``n`` events of ``tr``, sliced from its
+    columns."""
+    engine = make(token, tr, **kwargs)
     engine.run(Trace(
         tr.threads[:n], tr.kinds[:n], tr.targets[:n], tr.marks[:n],
         tr.num_threads, tr.num_locks, tr.num_vars,
@@ -82,9 +114,16 @@ def run_prefix(token: str, tr: Trace, n: int, **kwargs):
 def skip_decisions(engine, tr: Trace) -> dict:
     """Run ``engine`` over ``tr``; map each acquire's index to True if the
     engine skipped it.  The ``on_event`` hook reads the skip counter after
-    every event."""
+    every event, after any hook the engine already has."""
     skipped = [0]  # the counter after event i is skipped[i]
-    engine.on_event = lambda index, eff: skipped.append(engine.metrics.acquires_skipped)
+    hook = engine.on_event
+
+    def note(index, eff):
+        if hook is not None:
+            hook(index, eff)
+        skipped.append(engine.metrics.acquires_skipped)
+
+    engine.on_event = note
     engine.run(tr)
     return {i: skipped[i] > skipped[i - 1] for i, _, kind, _, _ in rows(tr) if kind == ACQ}
 

@@ -50,6 +50,14 @@ def _config(rng: random.Random, max_events: int) -> GenConfig:
     )
 
 
+def _run_engines(tr, mode: str, tokens) -> dict:
+    """Each engine named in ``tokens`` after ``run`` on ``tr``, by token."""
+    engines = {token: create_engine(token, tr, mode=mode) for token in tokens}
+    for engine in engines.values():
+        engine.run(tr)
+    return engines
+
+
 @pytest.fixture(scope="module")
 def suite1():
     """One pass over the criterion-1 trace suite, accumulating all evidence."""
@@ -66,7 +74,7 @@ def suite1():
             marked = apply_sampling(tr, SamplingPolicy.bernoulli(rate, 77_000 + i))
             data["rate_runs"] += 1
             s, t, l = marked.sample_size, marked.num_threads, marked.num_locks
-            runs = differential.run_configs(marked, SAMPLED_ONLY, SAMPLING_FAMILY)
+            runs = _run_engines(marked, SAMPLED_ONLY, SAMPLING_FAMILY)
             sampling, uclock, olist = runs["sampling"], runs["uclock"], runs["orderedlist"]
 
             # criterion 1: engine equivalence against the oracle
@@ -106,7 +114,7 @@ def suite1():
                 )
 
             # criterion 9: extended mode equals its oracle within the budget
-            runs = differential.run_configs(marked, EXTENDED, ("sampling", "orderedlist"))
+            runs = _run_engines(marked, EXTENDED, ("sampling", "orderedlist"))
             racy_sets = {label: e.racy_set() for label, e in runs.items()}
             report = differential.racy_divergence(marked, EXTENDED, racy_sets)
             if report:

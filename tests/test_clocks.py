@@ -28,7 +28,7 @@ def acquire(a, b, engine):
     than thread 0 does, so the acquire joins instead of skipping.  Returns
     the engine after the acquire; ``a`` and ``b`` stay unchanged.
     """
-    e = ENGINES[engine](len(a), 1, 0, debug=True)
+    e = ENGINES[engine](len(a), 1, 0)
     e.c_threads[0] = list(a)
     e.c_locks[0] = list(b)
     if engine == "uclock":

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from conftest import LADDER_TEXT
+from conftest import LADDER_TEXT, bernoulli_hit, mix64, trace_text
 from racelab.engines import ENGINE_TOKENS, create_engine
 from racelab.gen import GenConfig, generate_trace
 from racelab.history import EXTENDED, SAMPLED_ONLY
@@ -23,12 +23,9 @@ from racelab.trace import (
     TraceSyntaxError,
     _validate_columns,
     apply_sampling,
-    bernoulli_hit,
     dump_trace,
     load_trace,
-    mix64,
     parse_trace,
-    serialize_trace,
 )
 
 
@@ -66,7 +63,7 @@ def test_trace_from_columns_round_trips_and_shares_them(ladder_trace):
         ladder_trace.var_names,
     )
     assert again == ladder_trace
-    assert serialize_trace(again) == LADDER_TEXT
+    assert trace_text(again) == LADDER_TEXT
     assert again.threads is ladder_trace.threads
     assert again.kinds is ladder_trace.kinds
     assert again.targets is ladder_trace.targets
@@ -149,7 +146,7 @@ def test_syntax_errors_take_precedence_over_later_discipline_checks():
 
 
 def test_parsed_trace_retains_at_most_16_bytes_per_event():
-    text = serialize_trace(generate_trace(GenConfig(threads=8, locks=8, vars=64, events=20_000), 4))
+    text = trace_text(generate_trace(GenConfig(threads=8, locks=8, vars=64, events=20_000), 4))
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import LADDER_TEXT, critical_section_traces, valid_traces
-from racelab.differential import diff_report, racy_divergence, run_configs
+from racelab.differential import diff_report, racy_divergence
+from racelab.engines import ENGINE_TOKENS, create_engine
 from racelab.history import EXTENDED, SAMPLED_ONLY
 from racelab.trace import parse_trace
 
@@ -46,14 +47,18 @@ def test_diff_builds_no_event_views():
         assert tr._events is None
 
 
-def test_run_configs_rejects_unknown_labels():
-    # A misspelt label must not shrink the run set: an empty one reads as a pass.
+def test_create_engine_rejects_unknown_tokens_and_options():
+    # A misspelt token must not build some other engine.
     tr = parse_trace(LADDER_TEXT)
-    with pytest.raises(ValueError, match="samplng.*known: sampling, uclock"):
-        run_configs(tr, SAMPLED_ONLY, ("sampling", "samplng"))
+    with pytest.raises(ValueError, match="'samplng'"):
+        create_engine("samplng", tr)
     # diff runs one configuration per engine; orderedlist has no second one.
-    with pytest.raises(ValueError, match="orderedlist-noopt"):
-        run_configs(tr, SAMPLED_ONLY, ["orderedlist-noopt"])
-    runs = run_configs(tr, SAMPLED_ONLY, ("sampling",))
-    assert list(runs) == ["sampling"]
-    assert racy_divergence(tr, SAMPLED_ONLY, {"sampling": runs["sampling"].racy_set()}) is None
+    with pytest.raises(ValueError, match="'orderedlist-noopt'"):
+        create_engine("orderedlist-noopt", tr)
+    # The engines have no self-checking mode: tests/invariants.py checks them.
+    for token in ENGINE_TOKENS:
+        with pytest.raises(TypeError, match="debug"):
+            create_engine(token, tr, debug=True)
+    engine = create_engine("sampling", tr)
+    engine.run(tr)
+    assert racy_divergence(tr, SAMPLED_ONLY, {"sampling": engine.racy_set()}) is None

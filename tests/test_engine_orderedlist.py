@@ -1,5 +1,6 @@
 import closure_oracle as closure
 from conftest import empty_trace, handoff_trace, random_traces, rows, run_prefix, skip_decisions
+from invariants import checked_engine
 from racelab import oracle
 from racelab.differential import diff_report
 from racelab.engines import create_engine
@@ -13,7 +14,7 @@ from racelab.trace import REL, SamplingPolicy, Trace, apply_sampling, parse_trac
 def test_ladder_skip_decisions_match_uclock(ladder_trace):
     results = {}
     for token in ("uclock", "orderedlist"):
-        e = create_engine(token, ladder_trace, debug=True)
+        e = checked_engine(token, ladder_trace)
         results[token] = (skip_decisions(e, ladder_trace), e)
     assert results["uclock"][0] == results["orderedlist"][0]
     skipped, engine = results["orderedlist"]
@@ -45,7 +46,7 @@ def test_freshness_gap_one_merge_visits_one_node():
 
 def test_release_without_sample_on_shared_list_is_free():
     tr = parse_trace("T1|acq(l)\nT1|rel(l)\nT1|acq(l)\nT1|rel(l)")
-    e = create_engine("orderedlist", tr, debug=True)
+    e = checked_engine("orderedlist", tr)
     e.run(tr)
     assert e.metrics.nodes_visited == 0
     assert e.metrics.deep_copies == 0
@@ -60,7 +61,7 @@ def test_republishing_an_unchanged_list_needs_no_copy():
     releases = [(index, t, lock) for index, t, kind, lock, _ in rows(tr) if kind == REL]
     assert len(releases) == 2
     for count, (index, t, lock) in enumerate(releases, start=1):
-        e = run_prefix("orderedlist", tr, index, debug=True)
+        e = run_prefix("orderedlist", tr, index, make=checked_engine)
         assert e.lock_views[lock] is e.o_threads[t]
         assert e.o_threads[t].refs == 2
         assert e.metrics.shallow_copies == count
@@ -69,7 +70,7 @@ def test_republishing_an_unchanged_list_needs_no_copy():
 
 def test_handoff_trace_skips_and_lazy_copies():
     tr = handoff_trace(100)
-    e = create_engine("orderedlist", tr, debug=True)
+    e = checked_engine("orderedlist", tr)
     e.run(tr)
     assert e.metrics.skip_ratio >= 0.95
     assert e.metrics.shallow_copies == e.metrics.releases_total
@@ -81,9 +82,8 @@ def test_equivalence_with_sampling_engine():
         snaps_ref = []
         ref.on_event = lambda ev, eff: snaps_ref.append(eff)
         ref.run(marked)
-        e = create_engine("orderedlist", marked, debug=True)
         snaps = []
-        e.on_event = lambda ev, eff: snaps.append(eff)
+        e = checked_engine("orderedlist", marked, on_event=lambda ev, eff: snaps.append(eff))
         e.run(marked)
         assert e.racy_set() == ref.racy_set() == oracle.racy_events(marked)
         assert snaps == snaps_ref
@@ -117,7 +117,7 @@ def test_instance_optimality_budget():
 
 def test_empty_sample_set_never_merges(ladder_trace):
     tr = apply_sampling(ladder_trace, SamplingPolicy.bernoulli(0.0, 0))
-    e = create_engine("orderedlist", tr, debug=True)
+    e = checked_engine("orderedlist", tr)
     e.run(tr)
     assert e.metrics.acquires_skipped == e.metrics.acquires_total
     assert e.metrics.deep_copies == 0
@@ -145,7 +145,7 @@ def test_unshare_path_folds_pending_epoch():
     for mode in (SAMPLED_ONLY, EXTENDED):
         assert diff_report(tr, mode)["verdict"] == "EQUIVALENT"
         assert oracle.racy_events(tr, mode) == set()
-        e = create_engine("orderedlist", tr, mode=mode, debug=True)
+        e = checked_engine("orderedlist", tr, mode=mode)
         e.run(tr)
         assert e.racy_set() == set(), mode
 
@@ -180,11 +180,11 @@ def test_whole_trace_diff_catches_the_unshare_fold_bug(monkeypatch):
         "DIVERGENT", "snapshot", "orderedlist", 19399
     )
 
-def test_refcount_invariant_holds_under_debug():
-    # debug=True makes every _ensure_exclusive check refs == 1 + live views.
+def test_refcount_invariant_holds_after_every_event():
+    # The checker asserts refs == 1 + live views after every event.
     for marked, _ in random_traces(seed=65, count=100):
         for mode in (SAMPLED_ONLY, EXTENDED):
-            e = create_engine("orderedlist", marked, mode=mode, debug=True)
+            e = checked_engine("orderedlist", marked, mode=mode)
             e.run(marked)
             for lst in e.o_threads:
                 views = sum(v is lst for v in e.lock_views)
@@ -202,7 +202,7 @@ def test_ping_pong_unshares_instead_of_copying():
         lines += [f"{thread}|acq(l)", f"{thread}|w(x)|*", f"{thread}|rel(l)"]
     tr = parse_trace("\n".join(lines))
     assert len(tr) == 15
-    e = create_engine("orderedlist", tr, debug=True)
+    e = checked_engine("orderedlist", tr)
     e.run(tr)
     m = e.metrics
     assert m.deep_copies == 0

@@ -1,5 +1,6 @@
 import closure_oracle as closure
 from conftest import L1, L2, L4, random_traces, rows, run_prefix
+from invariants import checked_engine
 from racelab import oracle
 from racelab.engines import create_engine
 from racelab.trace import SamplingPolicy, apply_sampling
@@ -56,7 +57,7 @@ def test_per_event_effective_snapshot_equals_declarative():
 
 def test_racy_set_matches_oracle():
     for marked, _ in random_traces(seed=43, count=120):
-        e = create_engine("sampling", marked, debug=True)
+        e = checked_engine("sampling", marked)
         e.run(marked)
         assert e.racy_set() == oracle.racy_events(marked)
 

@@ -1,5 +1,6 @@
 import closure_oracle as closure
 from conftest import empty_trace, handoff_trace, random_traces, skip_decisions
+from invariants import checked_engine
 from racelab import oracle
 from racelab.engines import create_engine
 from racelab.trace import SamplingPolicy, apply_sampling
@@ -48,7 +49,7 @@ def test_empty_sample_set_skips_everything(ladder_trace):
 
 def test_handoff_trace_skips_nearly_all_acquires():
     tr = handoff_trace(100)
-    e = create_engine("uclock", tr, debug=True)
+    e = checked_engine("uclock", tr)
     e.run(tr)
     assert e.metrics.skip_ratio >= 0.95
     assert e.metrics.releases_copied == 2
@@ -57,10 +58,9 @@ def test_handoff_trace_skips_nearly_all_acquires():
 def test_equivalence_with_sampling_engine():
     for marked, _ in random_traces(seed=51, count=120):
         a = create_engine("sampling", marked)
-        b = create_engine("uclock", marked, debug=True)
         snaps_a, snaps_b = [], []
+        b = checked_engine("uclock", marked, on_event=lambda ev, eff: snaps_b.append(eff))
         a.on_event = lambda ev, eff: snaps_a.append(eff)
-        b.on_event = lambda ev, eff: snaps_b.append(eff)
         a.run(marked)
         b.run(marked)
         assert a.racy_set() == b.racy_set() == oracle.racy_events(marked)

@@ -4,9 +4,9 @@ import tracemalloc
 
 import pytest
 
-from conftest import random_config, rows
+from conftest import random_config, rows, trace_text
 from racelab.gen import GenConfig, _below, generate_trace
-from racelab.trace import ACQ, READ, REL, InfeasibleConfigError, parse_trace, serialize_trace
+from racelab.trace import ACQ, READ, REL, InfeasibleConfigError, parse_trace
 
 
 def test_single_thread_single_lock_validates():
@@ -26,7 +26,7 @@ def test_fuzz_one_thousand_configs_validate():
         cfg = random_config(rng, max_events=120)
         tr = generate_trace(cfg, i)  # Trace construction re-validates
         assert len(tr) == cfg.events
-        assert parse_trace(serialize_trace(tr)) == tr
+        assert parse_trace(trace_text(tr)) == tr
 
 
 def test_all_critical_sections_closed():
@@ -132,7 +132,7 @@ _BENCHMARK_SHAPES = {
     ],
 )
 def test_benchmark_traces_are_pinned_byte_for_byte(shape, seed, digest):
-    text = serialize_trace(generate_trace(_BENCHMARK_SHAPES[shape], seed))
+    text = trace_text(generate_trace(_BENCHMARK_SHAPES[shape], seed))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
@@ -185,7 +185,7 @@ def test_benchmark_traces_are_pinned_byte_for_byte(shape, seed, digest):
     ],
 )
 def test_generator_corners_are_pinned_byte_for_byte(cfg, seed, digest):
-    text = serialize_trace(generate_trace(cfg, seed))
+    text = trace_text(generate_trace(cfg, seed))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
@@ -196,7 +196,7 @@ def test_closing_path_traces_are_pinned_byte_for_byte():
     for seed in range(40):
         for events in (6, 8, 12, 17):
             cfg = GenConfig(6, 6, 3, events, p_sync=0.9, contention=0.5, accesses_per_cs=6.0)
-            h.update(serialize_trace(generate_trace(cfg, seed)).encode("utf-8"))
+            h.update(trace_text(generate_trace(cfg, seed)).encode("utf-8"))
     assert h.hexdigest() == "63196266423c9454a3e5554e436bb6ad77226dcb068afecb7c3fff72983ac2bd"
 
 

@@ -3,7 +3,7 @@
 import random
 import tracemalloc
 
-from conftest import random_traces
+from conftest import random_traces, trace_text
 from racelab import differential, oracle
 from racelab.engines import create_engine
 from racelab.history import (
@@ -35,16 +35,10 @@ def test_minimal_conflicting_pair():
 def test_ladder_premarked_has_no_races(ladder_trace):
     # e5 is ordered before the only conflicting later event via the lock
     # hand-off; e15/e16 have no later conflicting event.
-    assert run(serialize(ladder_trace)) == set()
-    assert run(serialize(ladder_trace), mode=EXTENDED) == set()
+    assert run(trace_text(ladder_trace)) == set()
+    assert run(trace_text(ladder_trace), mode=EXTENDED) == set()
     assert oracle.racy_events(ladder_trace, SAMPLED_ONLY) == set()
     assert oracle.racy_events(ladder_trace, EXTENDED) == set()
-
-
-def serialize(tr):
-    from racelab.trace import serialize_trace
-
-    return serialize_trace(tr)
 
 
 def test_ladder_all_marked_races_at_e9(ladder_all_marked):
@@ -101,9 +95,10 @@ def test_extended_mode_rechecks_a_write_after_a_marked_event_that_keeps_the_max(
     full = oracle.racy_events_full(tr)  # djitp samples every access
     assert full == sampled | {(3, WRITE_WRITE)}
     tokens = ["sampling", "uclock", "orderedlist", "djitp"]
-    runs = differential.run_configs(tr, EXTENDED)
-    assert list(runs) == list(differential.CONFIGS) == tokens
-    for token, engine in runs.items():
+    assert list(differential.CONFIGS) == tokens
+    for token in tokens:
+        engine = create_engine(token, tr, mode=EXTENDED)
+        engine.run(tr)
         assert engine.racy_set() == (full if token == "djitp" else sampled), token
         assert engine.histories.race_checks == 4, token
     # diff runs exactly the four engines, one each, in that order.

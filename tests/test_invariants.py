@@ -1,0 +1,81 @@
+"""The invariant checker catches planted engine bugs.
+
+Each bug is one edit to the source of one engine method, compiled and
+monkeypatched in for the test.  ``checked_engine`` must raise
+``AssertionError`` on at least one trace of a fixed list, and the test pins
+the first trace that catches it; the real engines pass on every trace.
+"""
+
+import inspect
+import textwrap
+
+import pytest
+
+from conftest import handoff_trace, random_traces
+from invariants import checked_engine
+from racelab.engines import ENGINE_TOKENS
+from racelab.engines.orderedlist import OrderedListEngine
+from racelab.engines.sampling import SamplingEngine
+from racelab.engines.uclock import UclockEngine
+from racelab.history import EXTENDED, SAMPLED_ONLY
+
+
+def _traces():
+    """``(name, trace)``: 60 generator traces at mixed rates, then two
+    threads handing one lock back and forth."""
+    out = [(f"random_traces(65)[{i}]", tr) for i, (tr, _) in enumerate(random_traces(65, 60))]
+    return out + [("handoff_trace(5)", handoff_trace(5))]
+
+
+TRACES = _traces()
+
+
+def _planted(cls, method: str, old: str, new: str):
+    """``cls.method`` with the one source fragment ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(getattr(cls, method)))
+    assert source.count(old) == 1, f"{cls.__name__}.{method} has no single {old!r}"
+    namespace = dict(vars(inspect.getmodule(cls)))
+    exec(compile(source.replace(old, new), f"<planted {method}>", "exec"), namespace)
+    return namespace[method]
+
+
+# (name, class, method, source fragment, its replacement, engine tokens run,
+# the first trace that catches it)
+BUGS = [
+    ("publish-keeps-old-view-ref", OrderedListEngine, "_publish",
+     "self.lock_views[lock].refs -= 1", "pass",
+     ("orderedlist",), "random_traces(65)[0]"),
+    ("guard-lets-self-handoff-through", OrderedListEngine, "_acquire",
+     "if freshness <= ut[lr]:", "if freshness <= ut[lr] and lr != t:",
+     ("orderedlist",), "random_traces(65)[0]"),
+    ("lock-freshness-above-thread", UclockEngine, "_publish",
+     "self.u_locks[lock] = list(ut)", "self.u_locks[lock] = list(ut); self.u_locks[lock][t] += 1",
+     ("uclock",), "random_traces(65)[0]"),
+    ("join-overwrites", SamplingEngine, "_acquire",
+     "if c > ct[s]:", "if c != ct[s]:",
+     ("sampling", "djitp"), "random_traces(65)[0]"),
+]
+
+
+def _first_catch(tokens):
+    for name, tr in TRACES:
+        for token in tokens:
+            for mode in (SAMPLED_ONLY, EXTENDED):
+                try:
+                    checked_engine(token, tr, mode=mode).run(tr)
+                except AssertionError:
+                    return name
+    return None
+
+
+def test_the_real_engines_pass_the_checker():
+    assert _first_catch(ENGINE_TOKENS) is None
+
+
+@pytest.mark.parametrize(
+    "cls, method, old, new, tokens, caught_by",
+    [pytest.param(*bug[1:], id=bug[0]) for bug in BUGS],
+)
+def test_the_checker_catches_a_planted_bug(monkeypatch, cls, method, old, new, tokens, caught_by):
+    monkeypatch.setattr(cls, method, _planted(cls, method, old, new))
+    assert _first_catch(tokens) == caught_by

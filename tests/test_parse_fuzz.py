@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rows, valid_traces
+from conftest import rows, trace_text, valid_traces
 from racelab import trace as trace_mod
 from racelab.trace import (
     _TOKENS,
@@ -20,7 +20,6 @@ from racelab.trace import (
     TraceSyntaxError,
     load_trace,
     parse_trace,
-    serialize_trace,
 )
 
 FUZZ = settings(max_examples=100, deadline=None)
@@ -135,7 +134,7 @@ def test_near_miss_lines_raise_only_trace_errors(lines):
 def test_valid_traces_round_trip_and_view_as_generated(case):
     text, expected = case
     tr = parse_trace(text)
-    assert serialize_trace(tr) == text
+    assert trace_text(tr) == text
     assert rows(tr) == expected
     assert parse_trace(text.encode("utf-8")) == tr
 

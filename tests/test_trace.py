@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import LADDER_TEXT, random_config, rows
+from conftest import LADDER_TEXT, bernoulli_hit, random_config, rows, trace_text
 from racelab.gen import GenConfig, generate_trace
 from racelab.trace import (
     READ,
@@ -12,9 +12,7 @@ from racelab.trace import (
     SamplingPolicy,
     TraceSyntaxError,
     apply_sampling,
-    bernoulli_hit,
     parse_trace,
-    serialize_trace,
 )
 
 
@@ -74,11 +72,11 @@ def test_str_with_a_lone_surrogate_is_a_syntax_error_at_its_line():
 
 def test_serialize_empty():
     tr = parse_trace("")
-    assert serialize_trace(tr) == ""
+    assert trace_text(tr) == ""
 
 
 def test_serialize_ladder_example(ladder_trace):
-    text = serialize_trace(ladder_trace)
+    text = trace_text(ladder_trace)
     lines = text.strip().split("\n")
     assert len(lines) == 18
     assert [i + 1 for i, l in enumerate(lines) if l.endswith("|*")] == [5, 15, 16]
@@ -90,7 +88,7 @@ def test_round_trip_on_random_traces():
     for i in range(100):
         tr = generate_trace(random_config(rng), i)
         marked = apply_sampling(tr, SamplingPolicy.bernoulli(0.2, i))
-        assert parse_trace(serialize_trace(marked)) == marked
+        assert parse_trace(trace_text(marked)) == marked
 
 
 def test_parse_accepts_bytes():
