@@ -3,10 +3,10 @@
 Thread timestamps live in move-to-front ordered lists.  A release publishes
 the thread's list itself to the lock as a shared, read-only view, together
 with the releaser id and a freshness scalar; an acquire that learns anything
-new traverses only a prefix of the lock's list, as long as the freshness gap,
-and deep-copies its own list at most once per mutation batch.  Before any
-release a lock holds a view of one bottom list, and its releaser and
-freshness are 0, which the freshness guard always skips.
+new walks only a prefix of the lock's list, as long as the freshness gap,
+and writes what is newer in one pass after at most one deep copy.  Before
+any release every lock views one bottom list, and its releaser and freshness
+are 0, which the freshness guard always skips.
 
 A release does not fold the new local time into the list at all: the value
 is kept aside as a pending epoch (0 when there is none, since epochs start at
@@ -16,11 +16,12 @@ time the list must change, in place or in a deep copy.  Folding it at the
 release would change the list while an earlier release's view may still
 share it, at the cost of a deep copy.
 
-A thread's list is shared after a release and stays shared while a lock
-still holds a view of it (its reference count is above one).  When the list
-must change, the thread mutates it in place if every view has since been
-dropped, and deep-copies it otherwise.  Re-publishing a list to the lock
-that already holds it drops and adds one reference and allocates nothing.
+A release adds a reference to the thread's list and drops the one of the
+view it replaces, so re-publishing a list to the lock that already holds it
+allocates nothing.  A thread's list is shared while a lock still holds a
+view of it (its reference count is above one).  When the list must change,
+the thread mutates it in place if every view has since been dropped, and
+deep-copies it otherwise.
 """
 
 from __future__ import annotations
@@ -38,11 +39,11 @@ class OrderedListEngine(Engine):
         self.u_threads = [[0] * num_threads for _ in range(num_threads)]
         self.pending_local = [0] * num_threads
         bottom = OrderedList(num_threads)
-        self.lock_views = [bottom.shallow_copy() for _ in range(num_locks)]
+        bottom.refs += num_locks
+        self.lock_views = [bottom] * num_locks
         self.last_releaser = [0] * num_locks
         self.lock_freshness = [0] * num_locks
         self.lock_epoch = [0] * num_locks
-        self.deep_copies_per_thread = [0] * num_threads
 
     # -- views -------------------------------------------------------------
 
@@ -51,13 +52,8 @@ class OrderedListEngine(Engine):
         # the race checks ignore.
         return self.o_threads[thread].times
 
-    def _get_merged(self, thread: int, tstar: int) -> int:
-        """Component view used by merge guards; consults the pending epoch."""
-        if tstar == thread and self.pending_local[thread]:
-            return self.pending_local[thread]
-        return self.o_threads[thread].get(tstar)
-
-    def _ensure_exclusive(self, thread: int) -> None:
+    def _ensure_exclusive(self, thread: int) -> OrderedList:
+        """The thread's list, made exclusive, with its pending epoch folded in."""
         lst = self.o_threads[thread]
         if lst.refs > 1:
             fresh = lst.deep_copy()
@@ -65,7 +61,6 @@ class OrderedListEngine(Engine):
             self.o_threads[thread] = lst = fresh
             self.metrics.deep_copies += 1
             self.metrics.full_traversals += 1
-            self.deep_copies_per_thread[thread] += 1
         pending = self.pending_local[thread]
         if pending:
             # Fold point for the disentangled epoch, on both the copy and the
@@ -75,6 +70,7 @@ class OrderedListEngine(Engine):
             # waits here for the list's next change.
             lst.set(thread, pending)
             self.pending_local[thread] = 0
+        return lst
 
     # -- handlers ------------------------------------------------------------
 
@@ -87,19 +83,21 @@ class OrderedListEngine(Engine):
             return
         d = freshness - ut[lr]
         ut[lr] = freshness
-        # Self hand-offs always fail the guard, so the merged view is never
-        # the thread's own list.  Filtering against the list alone drops no
-        # entry the merge needs: a pending epoch can only raise the thread's
-        # own component.
-        for tstar, n in self.lock_views[lock].newer_in_prefix(d, self.o_threads[t]):
-            if n > self._get_merged(t, tstar):
-                self._ensure_exclusive(t)
-                self.o_threads[t].set(tstar, n)
-                ut[t] += 1
+        # Self hand-offs always fail the guard, so lr != t.  The walk compares
+        # with the list, which lacks only the pending epoch: drop an own
+        # entry at or below it.
+        pairs = self.lock_views[lock].newer_in_prefix(d, self.o_threads[t])
+        pending = self.pending_local[t]
+        if pending:
+            pairs = [p for p in pairs if p[0] != t or p[1] > pending]
+        if pairs:
+            lst = self._ensure_exclusive(t)
+            for tstar, n in pairs:
+                lst.set(tstar, n)
+            ut[t] += len(pairs)
         epoch = self.lock_epoch[lock]
-        if epoch > self._get_merged(t, lr):
-            self._ensure_exclusive(t)
-            self.o_threads[t].set(lr, epoch)
+        if epoch > self.o_threads[t].get(lr):
+            self._ensure_exclusive(t).set(lr, epoch)
             ut[t] += 1
         visited = min(d, self.num_threads)
         self.metrics.nodes_visited += visited
@@ -111,8 +109,9 @@ class OrderedListEngine(Engine):
 
     def _publish(self, t, lock):
         self.lock_views[lock].refs -= 1
-        self.lock_views[lock] = self.o_threads[t].shallow_copy()
+        self.lock_views[lock] = lst = self.o_threads[t]
+        lst.refs += 1
         self.metrics.shallow_copies += 1
         self.last_releaser[lock] = t
         self.lock_freshness[lock] = self.u_threads[t][t]
-        self.lock_epoch[lock] = self.pending_local[t] or self.o_threads[t].get(t)
+        self.lock_epoch[lock] = self.pending_local[t] or lst.get(t)

@@ -8,6 +8,13 @@ skipped when the lock's freshness for the last releaser does not exceed the
 acquirer's; a release skips the copy when the thread's own freshness equals
 the lock's record of it.  A never-released lock has releaser 0 and an
 all-zero freshness clock, so the same guard skips its acquires.
+
+A join that is not skipped takes a clock component only where the lock is
+fresher.  Freshness f for thread s names s's clock after its f-th change,
+C_s(f).  Clocks and freshness travel together, so every thread or lock clock
+is at least C_s(f) for its freshness f on s, and its component s is at most
+C_s(f)'s.  Where the acquirer is as fresh as the lock on s, its component s
+is therefore at least the lock's.
 """
 
 from __future__ import annotations
@@ -30,16 +37,17 @@ class UclockEngine(SamplingEngine):
             return
         ct, cl = self.c_threads[t], self.c_locks[lock]
         # No lock knows t's freshness better than t does, so the join below
-        # never moves ut[t]: only this acquire's changes bump it.
+        # never moves ut[t]: only this acquire's changes bump it.  Only the
+        # components the lock is fresher on can be newer (module docstring).
         changes = 0  # one pass joins both clock pairs
         for s in range(self.num_threads):
             u = ul[s]
             if u > ut[s]:
                 ut[s] = u
-            c = cl[s]
-            if c > ct[s]:
-                ct[s] = c
-                changes += 1
+                c = cl[s]
+                if c > ct[s]:
+                    ct[s] = c
+                    changes += 1
         ut[t] += changes
         self.metrics.full_traversals += 2
 

@@ -7,8 +7,8 @@ entries are therefore always a prefix.
 
 The list keeps only what the orderedlist engine calls: O(1) ``get`` and
 ``set``, ``newer_in_prefix`` (the entries among the first k that are newer
-than another list), the dense views ``times`` and ``snapshot``, and the two
-copies.
+than another list), the dense views ``times`` and ``snapshot``, and
+``deep_copy``.
 
 The list is array-backed: ``_time[t]`` is thread t's component, and
 ``_next[t]``/``_prev[t]`` are the neighbouring thread ids in list order, with
@@ -19,8 +19,8 @@ an entry costs three list slots, 24 bytes on a 64-bit build, and no int
 object of its own.
 
 Sharing is single-writer copy-on-write.  A published view (a lock's
-timestamp) is the list itself: ``shallow_copy`` adds one to ``refs`` and
-returns it, and dropping a view is ``refs -= 1``.  ``refs`` counts the owner
+timestamp) is the list itself: whoever publishes it adds one to ``refs``,
+and dropping a view is ``refs -= 1``.  ``refs`` counts the owner
 plus every live view and is the only sharing state: the list is shared while
 ``refs > 1``.  Mutating a shared list is a contract violation and raises;
 once the last view is dropped the owner mutates it in place again, and
@@ -55,12 +55,15 @@ class OrderedList:
         self._next = ids[2:]
         self._prev = ids[:width]
         self._head = 0 if width else -1
-        self.refs = 1  # owning thread; shallow copies add views
+        self.refs = 1  # the owner; each published view adds one
 
     def get(self, tid: int) -> int:
         return self._time[tid]
 
-    def _move_to_head(self, tid: int) -> None:
+    def set(self, tid: int, time: int) -> None:
+        if self.refs > 1:
+            raise SharedMutationError("set() on a shared ordered list")
+        self._time[tid] = time
         head = self._head
         if tid == head:
             return
@@ -73,12 +76,6 @@ class OrderedList:
         nxt[tid] = head
         prev[head] = tid
         self._head = tid
-
-    def set(self, tid: int, time: int) -> None:
-        if self.refs > 1:
-            raise SharedMutationError("set() on a shared ordered list")
-        self._time[tid] = time
-        self._move_to_head(tid)
 
     def newer_in_prefix(self, k: int, other: "OrderedList") -> List[Tuple[int, int]]:
         """The (tid, time) pairs among the first k entries whose time exceeds
@@ -104,11 +101,6 @@ class OrderedList:
     def snapshot(self) -> List[int]:
         """Dense clock view: component t = get(t)."""
         return self._time[:]
-
-    def shallow_copy(self) -> "OrderedList":
-        """Publish a read-only view: the list itself, one more ref."""
-        self.refs += 1
-        return self
 
     def deep_copy(self) -> "OrderedList":
         """Structurally identical, exclusively owned copy (same values, same order)."""

@@ -128,6 +128,31 @@ def skip_decisions(engine, tr: Trace) -> dict:
     return {i: skipped[i] > skipped[i - 1] for i, _, kind, _, _ in rows(tr) if kind == ACQ}
 
 
+def tally_deep_copies(engine, tr: Trace) -> list:
+    """Count an orderedlist ``engine``'s deep copies per thread while it runs
+    ``tr``; returns the counts, filled in as the run goes.
+
+    Only an acquire's ``_ensure_exclusive`` replaces a thread's list, and at
+    most once per event, so the ``on_event`` hook compares the acting
+    thread's list with the one it saw last: O(1) per event.  The hook runs
+    after any hook the engine already has."""
+    counts = [0] * tr.num_threads
+    seen = list(engine.o_threads)
+    hook, threads = engine.on_event, tr.threads
+
+    def note(index, eff):
+        if hook is not None:
+            hook(index, eff)
+        t = threads[index - 1]
+        lst = engine.o_threads[t]
+        if lst is not seen[t]:
+            seen[t] = lst
+            counts[t] += 1
+
+    engine.on_event = note
+    return counts
+
+
 def handoff_trace(k: int = 100):
     """One sampled access followed by k redundant lock handoffs between two threads."""
     lines = ["T1|acq(l)", "T1|w(x)|*", "T1|rel(l)"]

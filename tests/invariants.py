@@ -15,6 +15,10 @@ returns:
   release replaces them with its own;
 * uclock: no lock records a thread's freshness above the thread's own,
   ``u_locks[l][t] <= u_threads[t][t]``, so a join never moves ``ut[t]``;
+* uclock: for the thread that acted (every thread after ``run``), every
+  lock and every s, ``u_threads[t][s] >= u_locks[l][s]`` implies
+  ``c_threads[t][s] >= c_locks[l][s]``, the premise of the join that takes
+  only the components the lock is fresher on;
 * orderedlist: each thread's list has ``refs == 1 +`` the number of lock
   views that are that list;
 * uclock and orderedlist: an acquire of a lock whose last releaser is the
@@ -32,6 +36,11 @@ from racelab.engines import create_engine
 from racelab.engines.orderedlist import OrderedListEngine
 from racelab.engines.uclock import UclockEngine
 from racelab.trace import ACQ, REL
+
+
+def _stale(ut, ul, ct, cl) -> bool:
+    """One component on which the thread is as fresh as the lock but behind it."""
+    return ut >= ul and ct < cl
 
 
 def _clocks(engine) -> list:
@@ -78,9 +87,9 @@ class _Checker:
             )
         if kind == REL:
             self.releaser[target] = thread
-        self.check(where)
+        self.check(where, (thread,))
 
-    def check(self, where: str) -> None:
+    def check(self, where: str, threads) -> None:
         engine = self.engine
         clocks = _clocks(engine)
         for (name, old), (_, new) in zip(self.clocks, clocks):
@@ -93,6 +102,12 @@ class _Checker:
                 assert all(map(le, u, own)), (
                     f"{where}: lock {lock} freshness {u} above the threads' own {own}"
                 )
+            for t in threads:
+                ut, ct = engine.u_threads[t], engine.c_threads[t]
+                for lock, (ul, cl) in enumerate(zip(engine.u_locks, engine.c_locks)):
+                    assert not any(map(_stale, ut, ul, ct, cl)), (
+                        f"{where}: thread {t} as fresh as lock {lock} but behind its clock"
+                    )
         if isinstance(engine, OrderedListEngine):
             for t, lst in enumerate(engine.o_threads):
                 views = sum(v is lst for v in engine.lock_views)
@@ -109,7 +124,7 @@ def checked_engine(token: str, tr, **kwargs):
     def checked_run(trace):
         checker.trace = trace
         reports = run(trace)
-        checker.check("after run")
+        checker.check("after run", range(engine.num_threads))
         return reports
 
     engine.run = checked_run

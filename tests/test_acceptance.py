@@ -16,7 +16,14 @@ import numpy as np
 import pytest
 
 import closure_oracle as closure
-from conftest import empty_trace, handoff_trace, rows, run_prefix, skip_decisions
+from conftest import (
+    empty_trace,
+    handoff_trace,
+    rows,
+    run_prefix,
+    skip_decisions,
+    tally_deep_copies,
+)
 from racelab import differential, oracle
 from racelab.engines import create_engine
 from racelab.gen import GenConfig, generate_trace
@@ -74,7 +81,10 @@ def suite1():
             marked = apply_sampling(tr, SamplingPolicy.bernoulli(rate, 77_000 + i))
             data["rate_runs"] += 1
             s, t, l = marked.sample_size, marked.num_threads, marked.num_locks
-            runs = _run_engines(marked, SAMPLED_ONLY, SAMPLING_FAMILY)
+            runs = {token: create_engine(token, marked) for token in SAMPLING_FAMILY}
+            copies = tally_deep_copies(runs["orderedlist"], marked)
+            for engine in runs.values():
+                engine.run(marked)
             sampling, uclock, olist = runs["sampling"], runs["uclock"], runs["orderedlist"]
 
             # criterion 1: engine equivalence against the oracle
@@ -94,7 +104,9 @@ def suite1():
             m = olist.metrics
             if m.deep_copies > s * t + t:
                 data["c6"].append(f"trace {i} rate {rate}: deep copies {m.deep_copies}")
-            if max(olist.deep_copies_per_thread, default=0) > s + 1:
+            if sum(copies) != m.deep_copies:
+                data["c6"].append(f"trace {i} rate {rate}: deep copy tally {sum(copies)}")
+            if max(copies, default=0) > s + 1:
                 data["c6"].append(f"trace {i} rate {rate}: per-thread deep copies")
             if m.nodes_visited > s * t * t:
                 data["c6"].append(f"trace {i} rate {rate}: nodes {m.nodes_visited}")
@@ -304,7 +316,8 @@ def test_criterion_10_golden_worked_examples(ladder_trace):
     for tid, val in [(4, 1), (2, 3), (0, 8), (1, 18)]:
         ol.o_threads[1].set(tid, val)
     ol.u_threads[1] = [14, 22, 3, 0, 1, 0]
-    ol.lock_views[0] = donor.shallow_copy()
+    donor.refs += 1
+    ol.lock_views[0] = donor
     ol.last_releaser[0] = 0
     ol.lock_freshness[0] = 15
     ol._acquire(1, 1, 0, False)

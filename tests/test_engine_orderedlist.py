@@ -1,5 +1,15 @@
+import pytest
+
 import closure_oracle as closure
-from conftest import empty_trace, handoff_trace, random_traces, rows, run_prefix, skip_decisions
+from conftest import (
+    empty_trace,
+    handoff_trace,
+    random_traces,
+    rows,
+    run_prefix,
+    skip_decisions,
+    tally_deep_copies,
+)
 from invariants import checked_engine
 from racelab import oracle
 from racelab.differential import diff_report
@@ -22,6 +32,13 @@ def test_ladder_skip_decisions_match_uclock(ladder_trace):
     assert engine.o_threads[1].snapshot() == [2, 0]
 
 
+def _share(e, lock, lst):
+    """Make ``lst`` lock ``lock``'s view, as a release would."""
+    e.lock_views[lock].refs -= 1
+    e.lock_views[lock] = lst
+    lst.refs += 1
+
+
 def test_freshness_gap_one_merge_visits_one_node():
     # Lock list published by t0, head entry (t0 : 9); freshness gap 15-14 = 1
     # so exactly the head is visited and exactly one set lands on t1's list.
@@ -33,7 +50,7 @@ def test_freshness_gap_one_merge_visits_one_node():
     for tid, val in [(4, 1), (2, 3), (0, 8), (1, 18)]:
         own.set(tid, val)
     e.u_threads[1] = [14, 22, 3, 0, 1, 0]
-    e.lock_views[0] = donor.shallow_copy()
+    _share(e, 0, donor)
     e.last_releaser[0] = 0
     e.lock_freshness[0] = 15
     e._acquire(1, 1, 0, False)
@@ -42,6 +59,54 @@ def test_freshness_gap_one_merge_visits_one_node():
     assert e.u_threads[1][0] == 15
     assert e.u_threads[1][1] == 23
     assert e.metrics.entries_saved == 5  # six threads, one entry traversed
+
+
+def _handoff(own_entries, view_entries, pending, epoch):
+    """Three threads, two locks: t1 acquires lock 0 and returns the engine
+    and t1's list from before the acquire.
+
+    t1's list holds ``own_entries`` and its pending epoch ``pending``, and
+    is shared through lock 1's view.  Lock 0 was last released by t0 with
+    freshness 5, a view holding ``view_entries`` and the lock epoch
+    ``epoch``; t1 knows t0 at freshness 4, so the walk visits the view's
+    head only."""
+    e = create_engine("orderedlist", empty_trace(3, 2, 1))
+    own, view = e.o_threads[1], OrderedList(3)
+    for lst, entries in ((own, own_entries), (view, view_entries)):
+        for tid, time in entries:
+            lst.set(tid, time)
+    _share(e, 1, own)
+    _share(e, 0, view)
+    e.pending_local[1] = pending
+    e.u_threads[1] = [4, 7, 0]
+    e.last_releaser[0] = 0
+    e.lock_freshness[0] = 5
+    e.lock_epoch[0] = epoch
+    e._acquire(1, 1, 0, False)
+    return e, own
+
+
+@pytest.mark.parametrize("own_time", [4, 5])
+def test_own_entry_at_or_below_the_pending_epoch_merges_nothing(own_time):
+    # The view's head, its only entry newer than t1's list, is t1's own
+    # component; t1's pending epoch 5 already covers it, and the lock epoch
+    # 2 is no news either.
+    e, own = _handoff([(0, 2)], [(0, 2), (1, own_time)], pending=5, epoch=2)
+    assert e.o_threads[1] is own and e.metrics.deep_copies == 0
+    assert own.snapshot() == [2, 0, 0]  # the pending epoch is not folded
+    assert e.pending_local[1] == 5
+    assert e.u_threads[1] == [5, 7, 0]
+    assert e.metrics.nodes_visited == 1
+
+
+def test_prefix_sets_the_releasers_entry_below_the_lock_epoch():
+    # The view holds t0's component 3, but t0's pending epoch 6 was
+    # published as the lock epoch: the walk sets 3, then the epoch sets 6.
+    e, own = _handoff([(0, 1)], [(0, 3)], pending=0, epoch=6)
+    assert e.metrics.deep_copies == 1
+    lst = e.o_threads[1]
+    assert lst is not own and lst.snapshot() == [6, 0, 0] and own.get(0) == 1
+    assert e.u_threads[1] == [5, 9, 0]  # two sets
 
 
 def test_release_without_sample_on_shared_list_is_free():
@@ -99,9 +164,10 @@ def test_copy_and_traversal_budgets():
     for marked, _ in random_traces(seed=63, count=100):
         s, t = marked.sample_size, marked.num_threads
         e = create_engine("orderedlist", marked)
+        copies = tally_deep_copies(e, marked)
         e.run(marked)
-        assert e.metrics.deep_copies <= s * t + t
-        assert max(e.deep_copies_per_thread, default=0) <= s + 1
+        assert e.metrics.deep_copies == sum(copies) <= s * t + t
+        assert max(copies, default=0) <= s + 1
         assert e.metrics.nodes_visited <= s * t * t
 
 
@@ -163,10 +229,10 @@ def test_whole_trace_diff_catches_the_unshare_fold_bug(monkeypatch):
             self.o_threads[thread] = fresh
             self.metrics.deep_copies += 1
             self.metrics.full_traversals += 1
-            self.deep_copies_per_thread[thread] += 1
             if self.pending_local[thread]:
                 fresh.set(thread, self.pending_local[thread])
                 self.pending_local[thread] = 0
+        return self.o_threads[thread]
 
     monkeypatch.setattr(OrderedListEngine, "_ensure_exclusive", fold_on_copy_only)
     config = GenConfig(threads=64, locks=64, vars=256, events=25_000, p_sync=0.8,

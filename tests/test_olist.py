@@ -33,6 +33,13 @@ def mutate(o, op, tid, val):
         bump(o, tid, val)
 
 
+def publish(o):
+    """A read-only view of ``o`` as the engine publishes one: the list
+    itself, with one more ref."""
+    o.refs += 1
+    return o
+
+
 def olist_lines(call, *args):
     """Lines of ``olist.py`` executed by ``call(*args)``."""
     lines = 0
@@ -130,7 +137,7 @@ def test_lists_of_one_width_share_their_id_ints():
 
 def test_shared_view_blocks_mutation():
     o = OrderedList(3)
-    view = o.shallow_copy()
+    view = publish(o)
     assert view is o and o.refs == 2
     assert view.snapshot() == o.snapshot()
     with pytest.raises(SharedMutationError):
@@ -147,7 +154,7 @@ def test_shared_view_blocks_mutation():
 
 def test_share_count_tracking():
     o = OrderedList(2)
-    v1, v2 = o.shallow_copy(), o.shallow_copy()
+    v1, v2 = publish(o), publish(o)
     assert o.refs == 3
     v1.refs -= 1
     assert o.refs == 2
@@ -216,13 +223,13 @@ def test_newer_in_prefix_filters_prefix(mutations, other_mutations, k):
             mutate(lst, op, tid, val)
     want = [(tid, n) for tid, n in order(o)[:k] if n > other.get(tid)]
     assert o.newer_in_prefix(k, other) == want
-    assert o.shallow_copy().newer_in_prefix(k, other) == want
+    assert publish(o).newer_in_prefix(k, other) == want
 
 
 def test_unshare_waits_for_the_last_view():
     o = OrderedList(3)
     o.set(1, 2)  # never shared: mutable
-    v1, v2 = o.shallow_copy(), o.shallow_copy()
+    v1, v2 = publish(o), publish(o)
     v1.refs -= 1
     with pytest.raises(SharedMutationError):
         o.set(0, 4)  # one view is still live
@@ -272,10 +279,8 @@ class OrderedListModel(RuleBasedStateMachine):
         self._mutate(tid, apply)
 
     @rule()
-    def shallow_copy(self):
-        view = self.lst.shallow_copy()
-        assert view is self.lst
-        self.views.append(view)
+    def publish_view(self):
+        self.views.append(publish(self.lst))
         self.refs[id(self.lst)] += 1
 
     @precondition(lambda self: self.views)
