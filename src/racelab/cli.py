@@ -3,22 +3,27 @@
 Subcommands:
 
 * ``gen``      write a synthetic trace file
-* ``analyze``  run one engine over a trace; exit 0 = no race, 1 = races, 2 = error
+* ``analyze``  run one engine over a trace; exit 0 = no race, 1 = races, 2 = error.
+               The race list is written a block of events at a time
+               (``Engine.stream``), so its memory does not grow with the
+               number of races
 * ``diff``     run the four engines plus the oracle on identical marks and
                report the first divergence, or EQUIVALENT; the comparison is
                ``racelab.differential.diff_report``
 * ``bench``    one CSV row of counters per (engine, trace file, rate, seed)
 
 Bad input, an unreadable file and running out of memory exit 2 with one
-``error:`` line, even where an output file was already written: exit 1 is a
-result (races found, or DIVERGENT).  Any other exception is an internal
-error: its traceback, then one ``error: internal error:`` line, and exit 2.
+``error:`` line, even where an output file was already written, or a race
+file partly written: exit 1 is a result (races found, or DIVERGENT).  Any
+other exception is an internal error: its traceback, then one ``error:
+internal error:`` line, and exit 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import List, Optional
 
 from .history import EXTENDED, SAMPLED_ONLY, render_reports
@@ -50,12 +55,16 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-def _write(path: Optional[str], text: str) -> None:
+def _open(path: Optional[str]):
+    """A text stream to write ``path``, or stdout for ``-``, to use in ``with``."""
     if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        return nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+def _write(path: Optional[str], text: str) -> None:
+    with _open(path) as fh:
+        fh.write(text)
 
 
 def _policy(args) -> SamplingPolicy:
@@ -96,8 +105,9 @@ def cmd_analyze(args) -> int:
 
     tr = apply_sampling(load_trace(args.trace), _policy(args))
     engine = create_engine(args.engine, tr, mode=args.mode)
-    reports = engine.run(tr)
-    _write(args.out_races, render_reports(reports, tr.var_names))
+    with _open(args.out_races) as out:
+        for block in engine.stream(tr):
+            out.write(render_reports(block, tr.var_names))
     labels = {
         "engine": args.engine,
         "trace": args.trace,
@@ -105,7 +115,7 @@ def cmd_analyze(args) -> int:
         "seed": args.seed,
     }
     _write(args.out_metrics, metrics_mod.emit(engine.metrics, labels))
-    return 1 if reports else 0
+    return 1 if engine.metrics.race_count else 0
 
 
 def cmd_diff(args) -> int:
@@ -131,7 +141,8 @@ def cmd_bench(args) -> int:
             marked = apply_sampling(tr, SamplingPolicy.bernoulli(rate, args.seed))
             for token in ENGINE_TOKENS:
                 engine = create_engine(token, marked, mode=args.mode)
-                engine.run(marked)
+                for _ in engine.stream(marked):
+                    pass  # the counters are all bench reads
                 labels = {"engine": token, "trace": name, "rate": rate, "seed": args.seed}
                 rows.append(engine.metrics.as_dict(labels))
     _write(args.out, metrics_mod.emit_csv_rows(rows))

@@ -47,9 +47,9 @@ def _checked_run(
     tr: Trace, token: str, mode: str
 ) -> Tuple[Set, Optional[Tuple[int, List[int], List[int]]]]:
     """Run one engine, comparing each event's effective timestamp
-    with the oracle's as it happens.  Returns the racy set and the first
-    mismatch as ``(event index, engine value, oracle value)``, or ``None``;
-    the engine is dropped on return."""
+    with the oracle's as it happens.  Returns the racy set, gathered block
+    by block, and the first mismatch as ``(event index, engine value,
+    oracle value)``, or ``None``; the engine is dropped on return."""
     expected = oracle.timestamps(tr, full=token == "djitp")
     mismatch: List[Tuple[int, List[int], List[int]]] = []
 
@@ -60,8 +60,10 @@ def _checked_run(
                 mismatch.append((index, eff, want))
 
     engine = create_engine(token, tr, mode=mode, on_event=compare)
-    engine.run(tr)
-    return engine.racy_set(), (mismatch[0] if mismatch else None)
+    racy: Set = set()
+    for _ in engine.stream(tr):
+        racy |= engine.racy_set()
+    return racy, (mismatch[0] if mismatch else None)
 
 
 def diff_report(tr: Trace, mode: str) -> dict:

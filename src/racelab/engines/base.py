@@ -1,12 +1,19 @@
 """The engine core: one driver loop, epochs, the access path and the release skeleton.
 
 Engines process one validated trace in order, one instance per analysis
-stream.  ``Engine.run`` walks the trace's columns and dispatches on the int
-kind code to four handlers, ``_acquire``, ``_release``, ``_read`` and
-``_write``, each called as ``(index, thread, target, marked)``; no ``Event``
-is built.  ``Engine.process(ev)`` feeds one ``Trace.events`` view through
-the same loop and the same tally; only ``perfbench/layers.py`` and its
-guard tests call it.
+stream.  The driver loop, ``Engine._walk``, walks the trace's columns in
+blocks of ``BLOCK`` events and dispatches on the int kind code to four
+handlers, ``_acquire``, ``_release``, ``_read`` and ``_write``, each called
+as ``(index, thread, target, marked)``; no ``Event`` is built.
+``Engine.stream(tr)`` yields each block's reports once the block ends and
+drops them when the next block starts, so a caller that writes or folds
+them block by block (``analyze``, ``diff``, ``bench``) holds one block's
+reports at a time, however many races the trace has.  Every report of an
+event is appended inside that event's handler, so no event's reports span
+two blocks.  ``Engine.run(tr)`` keeps them all and returns the list.
+``Engine.process(ev)`` feeds one ``Trace.events`` view through the same
+loop and the same tally; only ``perfbench/layers.py`` and its guard tests
+call it.
 
 Every engine is the paper's sampling algorithm and differs only in how it
 timestamps.  ``Engine`` keeps only what every engine shares: the per-thread
@@ -36,14 +43,18 @@ The driver loop is the same with and without a hook.
 
 from __future__ import annotations
 
-from itertools import count, repeat
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from itertools import count, islice, repeat
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..history import EXTENDED, SAMPLED_ONLY, AccessHistories, Report
 from ..metrics import RunMetrics
 from ..trace import ACQ, REL, Event, Trace
 
 SnapshotHook = Callable[[int, List[int]], None]
+
+# Events per block of the driver loop: a caller of ``Engine.stream`` holds
+# at most this many events' reports.
+BLOCK = 4096
 
 
 class Engine:
@@ -131,27 +142,34 @@ class Engine:
 
     # -- driver ---------------------------------------------------------------
 
-    def _walk(self, rows: Iterable[Tuple[int, int, int, int, bool]]) -> None:
-        """The driver loop over ``(index, kind, thread, target, marked)`` rows.
+    def _walk(self, rows: Iterable[Tuple[int, int, int, int, bool]], n: int) -> Iterator[None]:
+        """The driver loop over ``n`` ``(index, kind, thread, target, marked)``
+        rows, ``BLOCK`` at a time; yields after each block, once the block's
+        reports are counted in ``race_count``.
 
         Releases call the hook mid-handler; every other event calls it here.
         """
         handlers = (self._acquire, self._release, self._read, self._write)
         hook = self.on_event
-        for i, k, t, x, mk in rows:
-            handlers[k](i, t, x, mk)
-            if hook is not None and k != REL:
-                hook(i, self._effective(t))
+        m = self.metrics
+        rows = iter(rows)
+        for _ in range(0, n, BLOCK):
+            before = len(self.reports)
+            for i, k, t, x, mk in islice(rows, BLOCK):
+                handlers[k](i, t, x, mk)
+                if hook is not None and k != REL:
+                    hook(i, self._effective(t))
+            m.race_count += len(self.reports) - before
+            yield
 
-    def _tally(self, before: int, events: int, acquires: int, releases: int, sampled: int) -> None:
-        """Count walked events and the races reported since ``before``."""
+    def _tally(self, events: int, acquires: int, releases: int, sampled: int) -> None:
+        """Count walked events."""
         m = self.metrics
         m.events_total += events
         m.acquires_total += acquires
         m.releases_total += releases
         m.accesses_total += events - acquires - releases
         m.accesses_sampled += sampled
-        m.race_count += len(self.reports) - before
         m.race_checks = self.histories.race_checks
 
     def process(self, ev: Event) -> List[Report]:
@@ -159,16 +177,30 @@ class Engine:
         Only ``perfbench/layers.py`` and its guard tests call it."""
         k = ev.kind
         before = len(self.reports)
-        self._walk(((ev.index, k, ev.thread, ev.target, ev.marked or self.sample_all),))
-        self._tally(before, 1, k == ACQ, k == REL, ev.marked and ev.is_access)
+        for _ in self._walk(((ev.index, k, ev.thread, ev.target, ev.marked or self.sample_all),), 1):
+            pass
+        self._tally(1, k == ACQ, k == REL, ev.marked and ev.is_access)
         return self.reports[before:]
 
-    def run(self, tr: Trace) -> List[Report]:
-        before = len(self.reports)
+    def stream(self, tr: Trace) -> Iterator[List[Report]]:
+        """Walk ``tr`` and yield each block's reports, in event order, as
+        ``self.reports``; the engine drops them when the next block starts,
+        and holds none before the first block or after the last."""
         marks = repeat(True) if self.sample_all else tr.marks
-        self._walk(zip(count(1), tr.kinds, tr.threads, tr.targets, marks))
-        self._tally(before, len(tr), tr.kinds.count(ACQ), tr.kinds.count(REL), tr.sample_size)
-        return self.reports
+        self.reports = []
+        for _ in self._walk(zip(count(1), tr.kinds, tr.threads, tr.targets, marks), len(tr)):
+            yield self.reports
+            self.reports = []
+        self._tally(len(tr), tr.kinds.count(ACQ), tr.kinds.count(REL), tr.sample_size)
+
+    def run(self, tr: Trace) -> List[Report]:
+        """Walk ``tr`` whole; ``self.reports`` keeps every report, and is returned."""
+        kept = self.reports
+        for block in self.stream(tr):
+            kept += block
+        self.reports = kept
+        return kept
 
     def racy_set(self) -> set:
+        """``(event index, kind)`` of every report the engine holds."""
         return {(index, kind) for index, _var, kind in self.reports}

@@ -173,7 +173,9 @@ def render_reports(reports, var_names=None) -> str:
     ``reports`` holds ``(event_index, variable, kind)`` tuples; a variable
     is named ``var_names[variable]``, or ``x<variable>`` without names.  The
     engines emit reports in event order, so ``dict.fromkeys`` keeps that
-    order and the sort is linear.
+    order and the sort is linear.  Every report of an event is emitted with
+    it, so rendering the reports of consecutive blocks of events one block
+    at a time gives the same text as rendering them whole.
     """
     unique = sorted(dict.fromkeys(reports))
     if var_names is None:

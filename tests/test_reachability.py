@@ -25,6 +25,7 @@ NOT_RUN = {
     "engines/base.py:Engine._fold": "abstract stub; every engine overrides it",
     "engines/base.py:Engine._publish": "abstract stub; every engine overrides it",
     "engines/base.py:Engine.process": "perfbench/layers.py times it per event",
+    "engines/base.py:Engine.run": "perfbench/layers.py times it (engines.run_s); the commands stream",
     "trace.py:Trace.events": "perfbench/layers.py feeds these views to Engine.process",
     "trace.py:Event.is_access": "perfbench/layers.py counts sync events with it",
     "olist.py:OrderedList.snapshot": "perfbench/layers.py times it (olist.snapshot_s)",
