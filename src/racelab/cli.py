@@ -31,6 +31,7 @@ from .trace import (
     ACQ,
     REL,
     SamplingPolicy,
+    Trace,
     TraceError,
     apply_sampling,
     dump_trace,
@@ -67,10 +68,13 @@ def _write(path: Optional[str], text: str) -> None:
         fh.write(text)
 
 
-def _policy(args) -> SamplingPolicy:
+def _load(args) -> Trace:
+    """``--trace`` with Bernoulli marks at ``--rate``, or with its own marks
+    when ``--rate`` is omitted."""
+    tr = load_trace(args.trace)
     if args.rate is None:
-        return SamplingPolicy.premarked()
-    return SamplingPolicy.bernoulli(args.rate, args.seed)
+        return tr
+    return apply_sampling(tr, SamplingPolicy.bernoulli(args.rate, args.seed))
 
 
 def cmd_gen(args) -> int:
@@ -103,7 +107,7 @@ def cmd_analyze(args) -> int:
     from . import metrics as metrics_mod
     from .engines import create_engine
 
-    tr = apply_sampling(load_trace(args.trace), _policy(args))
+    tr = _load(args)
     engine = create_engine(args.engine, tr, mode=args.mode)
     with _open(args.out_races) as out:
         for block in engine.stream(tr):
@@ -123,7 +127,7 @@ def cmd_diff(args) -> int:
 
     from .differential import diff_report
 
-    tr = apply_sampling(load_trace(args.trace), _policy(args))
+    tr = _load(args)
     report = diff_report(tr, args.mode)
     _write(args.out, json.dumps(report, sort_keys=False) + "\n")
     return 0 if report["verdict"] == "EQUIVALENT" else 1

@@ -44,7 +44,7 @@ The driver loop is the same with and without a hook.
 from __future__ import annotations
 
 from itertools import count, islice, repeat
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from ..history import EXTENDED, SAMPLED_ONLY, AccessHistories, Report
 from ..metrics import RunMetrics
@@ -58,8 +58,16 @@ BLOCK = 4096
 
 
 class Engine:
-    """Base class; subclasses implement ``_acquire``, ``_row``, ``_fold``
-    and ``_publish``."""
+    """Base class; every subclass defines the four timestamping methods:
+
+    * ``_acquire(index, thread, lock, marked)``: the acquire handler;
+    * ``_row(thread)``: the thread's live clock, not copied; callers must
+      not mutate or keep it;
+    * ``_fold(thread)``: at a sample-consuming release, write the epoch
+      into the clock;
+    * ``_publish(thread, lock)``: at every release, after the epoch step,
+      hand the clock to the lock.
+    """
 
     # Every access counts as marked and every release ends an epoch.
     sample_all = False
@@ -82,23 +90,6 @@ class Engine:
         self.reports: List[Report] = []
         self.epochs = [1] * num_threads
         self.new_sample = [self.sample_all] * num_threads
-
-    # -- timestamping, per engine ---------------------------------------------
-
-    def _acquire(self, index: int, thread: int, lock: int, marked: bool) -> None:
-        raise NotImplementedError
-
-    def _row(self, thread: int) -> Sequence[int]:
-        """The thread's live clock, not copied; callers must not mutate or keep it."""
-        raise NotImplementedError
-
-    def _fold(self, thread: int) -> None:
-        """At a sample-consuming release: write the epoch into the clock."""
-        raise NotImplementedError
-
-    def _publish(self, thread: int, lock: int) -> None:
-        """At every release, after the epoch step: hand the clock to the lock."""
-        raise NotImplementedError
 
     def _effective(self, thread: int) -> List[int]:
         """Thread clock with the own component replaced by the current epoch;

@@ -2,8 +2,10 @@
 
 Used by ``racelab gen`` and the tests only; no other command loads this
 module.  A generated trace is validated by the same ``_validate_columns``
-as a parsed one and has dense ids by first appearance, so it round-trips
-through the text format event for event.
+as a parsed one.  Each event's ids are numbered as it is appended, in the
+one pass that draws it, by the parser's ``_Ids`` tables, so both ways into
+a ``Trace`` give dense ids by first appearance and a generated trace
+round-trips through the text format event for event.
 
 A trace is a function of (config, seed) alone, pinned byte for byte by the
 tests.  The event loop draws from ``random.Random(seed)`` in a fixed order.
@@ -61,7 +63,6 @@ class GenConfig:
 
 _NEST_PROB = 0.15
 _MAX_DEPTH = 3
-_RELABEL_CHUNK = 4096  # events per relabel pass; its temporaries stay small
 
 
 def _below(bits, n: int) -> int:
@@ -83,6 +84,8 @@ def generate_trace(cfg: GenConfig, seed: int) -> Trace:
     locks it holds and all open critical sections are closed before the event
     budget runs out.  Raises InfeasibleConfigError when that is impossible
     (an odd event budget with p_sync >= 1, which admits no access padding).
+    Thread, lock and var ids are drawn from ``range(n)`` and appended as
+    their dense first-appearance ids, so ids that never appear are dropped.
     """
     if cfg.p_sync >= 1.0 and cfg.events % 2 == 1:
         raise InfeasibleConfigError(
@@ -98,7 +101,6 @@ def generate_trace(cfg: GenConfig, seed: int) -> Trace:
     p_close = 1.0 / (1.0 + cfg.accesses_per_cs)
     p_nest = _NEST_PROB * p_sync
     held = [[] for _ in range(n_threads)]  # per-thread lock stack
-    lock_free = bytearray(b"\1") * cfg.locks
     free = list(range(cfg.locks))  # ascending
     fresh = list(range(cfg.locks))  # never acquired, so free; ascending
     last_released = None
@@ -106,10 +108,14 @@ def generate_trace(cfg: GenConfig, seed: int) -> Trace:
     remaining = cfg.events
     threads, kinds, targets = array("i"), array("b"), array("i")
     put_thread, put_kind, put_target = threads.append, kinds.append, targets.append
+    thread_ids, lock_ids, var_ids = _Ids(), _Ids(), _Ids()  # raw id -> dense id
+    thread_id, lock_id = thread_ids.__getitem__, lock_ids.__getitem__
+    var_id = var_ids.__getitem__
 
     def pick_lock():
         # Contention first, then never-acquired locks, then any free lock.
-        if last_released is not None and lock_free[last_released] and uniform() < contention:
+        # ``last_released`` is None once that lock is acquired again.
+        if last_released is not None and uniform() < contention:
             return last_released
         pool = fresh or free
         return pool[_below(bits, len(pool))] if pool else None
@@ -137,21 +143,21 @@ def generate_trace(cfg: GenConfig, seed: int) -> Trace:
             continue  # all-sync config and no lock available right now
         else:
             kind = READ
-        put_thread(thread)
+        put_thread(thread_id(thread))
         remaining -= 1
         if kind == REL:
             lock = stack.pop()
             put_kind(REL)
-            put_target(lock)
-            lock_free[lock] = 1
+            put_target(lock_id(lock))
             insort(free, lock)
             last_released = lock
             open_total -= 1
         elif kind == ACQ:
             put_kind(ACQ)
-            put_target(lock)
+            put_target(lock_id(lock))
             stack.append(lock)
-            lock_free[lock] = 0
+            if lock == last_released:
+                last_released = None
             del free[bisect_left(free, lock)]
             i = bisect_left(fresh, lock)
             if i < len(fresh) and fresh[i] == lock:  # its first acquire
@@ -162,7 +168,7 @@ def generate_trace(cfg: GenConfig, seed: int) -> Trace:
             x = bits(k_vars)  # _below(bits, n_vars), inlined
             while x >= n_vars:
                 x = bits(k_vars)
-            put_target(x)
+            put_target(var_id(x))
 
     # Out of slack (remaining == open_total): close the open critical
     # sections, innermost first, each on a thread drawn from those holding a
@@ -172,33 +178,13 @@ def generate_trace(cfg: GenConfig, seed: int) -> Trace:
         i = _below(bits, len(busy))
         thread = busy[i]
         stack = held[thread]
-        put_thread(thread)
+        put_thread(thread_id(thread))
         put_kind(REL)
-        put_target(stack.pop())
+        put_target(lock_id(stack.pop()))
         if not stack:
             del busy[i]
         remaining -= 1
 
-    return _relabel_by_first_appearance(threads, kinds, targets)
-
-
-def _relabel_by_first_appearance(threads: array, kinds: array, targets: array) -> Trace:
-    """Renumber thread/lock/var ids densely by first appearance, in place.
-
-    Keeps the dense-id invariant that parse_trace establishes, so generated
-    traces round-trip through the text format event-for-event; ids that never
-    appear are dropped.  Each chunk of an id column is rewritten by one
-    C-level ``map`` over the id tables (``_Ids.__missing__`` assigns a new
-    id), so no second copy of a column is ever alive.  The columns become
-    the trace's own.
-    """
-    thread_ids, lock_ids, var_ids = _Ids(), _Ids(), _Ids()
-    tables = (lock_ids, lock_ids, var_ids, var_ids)  # by kind code
-    thread_id, table_of, target_id = thread_ids.__getitem__, tables.__getitem__, _Ids.__getitem__
-    for lo in range(0, len(kinds), _RELABEL_CHUNK):
-        hi = lo + _RELABEL_CHUNK
-        threads[lo:hi] = array("i", map(thread_id, threads[lo:hi]))
-        targets[lo:hi] = array("i", map(target_id, map(table_of, kinds[lo:hi]), targets[lo:hi]))
     num_threads = max(len(thread_ids), 1)
     marks = bytes(len(kinds))
     _validate_columns(threads, kinds, targets, marks, num_threads, len(lock_ids), len(var_ids))

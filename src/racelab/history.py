@@ -167,19 +167,17 @@ class AccessHistories:
             h.seen_w[thread] = h.gen_r + h.gen_w
 
 
-def render_reports(reports, var_names=None) -> str:
+def render_reports(reports, var_names) -> str:
     """One line per distinct race, sorted by event index, variable, then kind.
 
     ``reports`` holds ``(event_index, variable, kind)`` tuples; a variable
-    is named ``var_names[variable]``, or ``x<variable>`` without names.  The
-    engines emit reports in event order, so ``dict.fromkeys`` keeps that
-    order and the sort is linear.  Every report of an event is emitted with
-    it, so rendering the reports of consecutive blocks of events one block
-    at a time gives the same text as rendering them whole.
+    is named ``var_names[variable]``.  The engines emit reports in event
+    order, so ``dict.fromkeys`` keeps that order and the sort is linear.
+    Every report of an event is emitted with it, so rendering the reports of
+    consecutive blocks of events one block at a time gives the same text as
+    rendering them whole.
     """
     unique = sorted(dict.fromkeys(reports))
-    if var_names is None:
-        lines = [f"RACE {kind} at e{index} on x{var}\n" for index, var, kind in unique]
-    else:
-        lines = [f"RACE {kind} at e{index} on {var_names[var]}\n" for index, var, kind in unique]
-    return "".join(lines)
+    return "".join([
+        f"RACE {kind} at e{index} on {var_names[var]}\n" for index, var, kind in unique
+    ])

@@ -439,40 +439,32 @@ def bernoulli_marks(kinds: Sequence[int], seed: int, rate: float) -> bytes:
 
 
 class SamplingPolicy:
-    """How the sample set is chosen: ``mode`` is "premarked" (keep the
-    trace's own marks) or "bernoulli" (with ``rate`` and ``seed``; rate 0
-    clears every mark)."""
+    """Bernoulli sampling: each access event is marked with probability
+    ``rate``, decided from (``seed``, event index) by ``bernoulli_marks``;
+    rate 0 clears every mark.  A trace that keeps its own marks is not
+    sampled at all."""
 
-    __slots__ = ("mode", "rate", "seed")
+    __slots__ = ("rate", "seed")
 
-    def __init__(self, mode: str, rate: float = 0.0, seed: int = 0):
-        if mode not in ("premarked", "bernoulli"):
-            raise ValueError(f"unknown sampling mode {mode!r}")
+    def __init__(self, rate: float, seed: int):
         if not 0.0 <= rate <= 1.0:
             raise ValueError("rate must lie in [0, 1]")
-        self.mode = mode
         self.rate = rate
         self.seed = seed
 
     @classmethod
-    def premarked(cls) -> "SamplingPolicy":
-        return cls("premarked")
-
-    @classmethod
     def bernoulli(cls, rate: float, seed: int) -> "SamplingPolicy":
-        return cls("bernoulli", rate, seed)
+        return cls(rate, seed)
 
 
 def apply_sampling(tr: Trace, policy: SamplingPolicy) -> Trace:
     """Return ``tr`` with the marks ``policy`` chooses.
 
-    Synchronization events are never marked.  ``premarked`` returns ``tr``
-    itself; ``bernoulli`` re-decides each access event independently from
-    (seed, event index), and at rate 0 clears all marks.  Only the mark
-    vector is new; the other columns are shared with ``tr``.
+    Each access event is re-decided independently from (seed, event index),
+    and at rate 0 every mark is cleared; synchronization events are never
+    marked.  Only the mark vector is new; the other columns are shared with
+    ``tr``.
     """
-    if policy.mode == "premarked":
-        return tr
     return Trace(
         tr.threads, tr.kinds, tr.targets, bernoulli_marks(tr.kinds, policy.seed, policy.rate),
         tr.num_threads, tr.num_locks, tr.num_vars, tr.thread_names, tr.lock_names, tr.var_names,

@@ -94,10 +94,6 @@ def test_sampling_shares_all_columns_but_the_marks(ladder_trace):
     assert marked.marks != ladder_trace.marks
 
 
-def test_premarked_policy_returns_the_trace_itself(ladder_trace):
-    assert apply_sampling(ladder_trace, SamplingPolicy.premarked()) is ladder_trace
-
-
 # The mark kernel decides 4096 events per chunk: lengths on both sides of one
 # and two chunk boundaries, seeds that wrap, the largest threshold below 2**64
 # (no float rate reaches it), and thresholds at and just above the mix of

@@ -201,8 +201,9 @@ def test_closing_path_traces_are_pinned_byte_for_byte():
 
 
 def test_generate_trace_peaks_at_most_twice_the_retained_bytes():
-    # The generator emits into the array columns and relabels them in place,
-    # so no list of events or second copy of a column is ever alive.
+    # The generator appends each event's dense ids to the array columns as
+    # it draws it, so no list of events or second copy of a column is ever
+    # alive.
     cfg = GenConfig(threads=8, locks=8, vars=64, events=20_000)
     tracemalloc.start()
     try:

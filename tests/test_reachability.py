@@ -20,10 +20,6 @@ from racelab import cli
 SRC = Path(cli.__file__).parent
 
 NOT_RUN = {
-    "engines/base.py:Engine._acquire": "abstract stub; every engine overrides it",
-    "engines/base.py:Engine._row": "abstract stub; every engine overrides it",
-    "engines/base.py:Engine._fold": "abstract stub; every engine overrides it",
-    "engines/base.py:Engine._publish": "abstract stub; every engine overrides it",
     "engines/base.py:Engine.process": "perfbench/layers.py times it per event",
     "engines/base.py:Engine.run": "perfbench/layers.py times it (engines.run_s); the commands stream",
     "trace.py:Trace.events": "perfbench/layers.py feeds these views to Engine.process",
