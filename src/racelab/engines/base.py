@@ -11,6 +11,11 @@ them block by block (``analyze``, ``diff``, ``bench``) holds one block's
 reports at a time, however many races the trace has.  Every report of an
 event is appended inside that event's handler, so no event's reports span
 two blocks.  ``Engine.run(tr)`` keeps them all and returns the list.
+Reports arrive sorted, each once: events are walked in index order, and an
+access appends its reports in kind order (a read at most ``write-read``, a
+write ``read-write`` then ``write-write``), so they increase strictly by
+``(event index, variable, kind)``.  ``render_reports`` relies on it without
+sorting, and the tests' checker asserts it after every event.
 ``Engine.process(ev)`` feeds one ``Trace.events`` view through the same
 loop and the same tally; only ``perfbench/layers.py`` and its guard tests
 call it.

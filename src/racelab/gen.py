@@ -1,11 +1,11 @@
 """Synthetic trace generation: ``GenConfig`` and ``generate_trace``.
 
 Used by ``racelab gen`` and the tests only; no other command loads this
-module.  A generated trace is validated by the same ``_validate_columns``
-as a parsed one.  Each event's ids are numbered as it is appended, in the
-one pass that draws it, by the parser's ``_Ids`` tables, so both ways into
-a ``Trace`` give dense ids by first appearance and a generated trace
-round-trips through the text format event for event.
+module.  A generated trace's lock discipline is checked by the same
+``_validate_columns`` as a parsed one's.  Each event's ids are numbered as
+it is appended, in the one pass that draws it, by the parser's ``_Ids``
+tables, so both ways into a ``Trace`` give dense ids by first appearance
+and a generated trace round-trips through the text format event for event.
 
 A trace is a function of (config, seed) alone, pinned byte for byte by the
 tests.  The event loop draws from ``random.Random(seed)`` in a fixed order.
@@ -187,5 +187,5 @@ def generate_trace(cfg: GenConfig, seed: int) -> Trace:
 
     num_threads = max(len(thread_ids), 1)
     marks = bytes(len(kinds))
-    _validate_columns(threads, kinds, targets, marks, num_threads, len(lock_ids), len(var_ids))
+    _validate_columns(threads, kinds, targets, len(lock_ids))
     return Trace(threads, kinds, targets, marks, num_threads, len(lock_ids), len(var_ids))

@@ -64,9 +64,8 @@ WRITE_READ = "write-read"  # earlier write races a later read
 READ_WRITE = "read-write"  # earlier read races a later write
 
 # One detected race: (event index, variable id, kind), where the event is the
-# later one of the pair.  A plain tuple, so hashing and ordering (event
-# index, then variable, then kind) run in C when thousands of reports are
-# deduplicated and sorted.
+# later one of the pair.  A plain tuple; the engines emit reports in its
+# order (event index, then variable, then kind), each once.
 Report = Tuple[int, int, str]
 
 
@@ -168,16 +167,14 @@ class AccessHistories:
 
 
 def render_reports(reports, var_names) -> str:
-    """One line per distinct race, sorted by event index, variable, then kind.
+    """One line per report, in the order given.
 
     ``reports`` holds ``(event_index, variable, kind)`` tuples; a variable
-    is named ``var_names[variable]``.  The engines emit reports in event
-    order, so ``dict.fromkeys`` keeps that order and the sort is linear.
-    Every report of an event is emitted with it, so rendering the reports of
-    consecutive blocks of events one block at a time gives the same text as
-    rendering them whole.
+    is named ``var_names[variable]``.  The engines emit each race once, in
+    tuple order (see ``racelab.engines.base``), so the text comes out sorted,
+    and rendering consecutive blocks of reports one at a time gives the same
+    text as rendering them whole.
     """
-    unique = sorted(dict.fromkeys(reports))
     return "".join([
-        f"RACE {kind} at e{index} on {var_names[var]}\n" for index, var, kind in unique
+        f"RACE {kind} at e{index} on {var_names[var]}\n" for index, var, kind in reports
     ])

@@ -22,12 +22,12 @@ The parser reads UTF-8 bytes (a ``str`` is encoded first) in chunks of
 ``_SPLIT_ROWS`` call.  A chunk holding a comment, a blank line, surrounding
 whitespace (a CR too) or a bad line is split again one stripped line at a
 time, which skips comments and blanks and is the only source of syntax
-errors.  Either split fills the columns by the same C-level passes.  The
-filled columns go to ``_validate_columns``, the one check of ids, marks and
-lock discipline, which also guards ``racelab.gen``; the ``Trace``
-constructor itself only wraps columns.  A syntax error on any line
-therefore beats a discipline error, and ``load_trace`` never holds the
-whole file, its text or a list of its lines.
+errors.  Either split fills the columns by the same C-level passes, with
+dense ids and no mark on acq/rel by construction.  The filled columns go to
+``_validate_columns``, the one lock discipline check, which also guards
+``racelab.gen``; the ``Trace`` constructor itself only wraps columns.  A
+syntax error on any line therefore beats a discipline error, and
+``load_trace`` never holds the whole file, its text or a list of its lines.
 
 In memory a trace is a set of columns, one entry per event: ``threads`` and
 ``targets`` are ``array('i')`` of dense ids, ``kinds`` is an ``array('b')``
@@ -48,7 +48,7 @@ import io
 import re
 from array import array
 from functools import cache
-from itertools import count, islice
+from itertools import compress, count, islice
 from typing import Iterator, NamedTuple, Sequence, Tuple
 
 
@@ -177,30 +177,19 @@ class Trace:
         return self.marks.count(1)
 
 
-def _validate_columns(
-    threads: Sequence[int],
-    kinds: Sequence[int],
-    targets: Sequence[int],
-    marks: Sequence[int],
-    num_threads: int,
-    num_locks: int,
-    num_vars: int,
-) -> None:
-    """Check id ranges, mark placement and the locking discipline, in event
-    order: the first offending event is reported.  The only discipline check
-    in the package; the parser calls it once the whole text has parsed."""
+# ``bytes(kinds).translate(_SYNC_MASK)``: 1 for each acquire or release, 0 otherwise.
+_SYNC_MASK = bytes(k in (ACQ, REL) for k in range(256))
+
+
+def _validate_columns(threads, kinds, targets, num_locks: int) -> None:
+    """Check the locking discipline on the acquires and releases alone, in
+    event order; the first offender is named by its index among all events.
+    Ids and marks are right by construction: the parser and ``racelab.gen``
+    number ids densely, and neither marks an acq/rel.  The parser calls it
+    once the whole text has parsed."""
     holder = [-1] * num_locks  # lock id -> holding thread id, -1 if free
-    for pos, t, k, x, m in zip(count(1), threads, kinds, targets, marks):
-        if not 0 <= t < num_threads:
-            raise TraceError(f"event {pos}: thread id {t} out of range")
-        if k >= READ:
-            if not 0 <= x < num_vars:
-                raise TraceError(f"event {pos}: target id {x} out of range")
-            continue
-        if not 0 <= x < num_locks:
-            raise TraceError(f"event {pos}: target id {x} out of range")
-        if m:
-            raise TraceError(f"event {pos}: mark on non-access event")
+    sync = bytes(kinds).translate(_SYNC_MASK)
+    for pos, t, k, x in compress(zip(count(1), threads, kinds, targets), sync):
         h = holder[x]
         if k == ACQ:
             if h >= 0:
@@ -286,7 +275,7 @@ def _parse_lines(lines) -> Trace:
         del parts  # so that no two chunks' splits are alive at once
         line_no += len(chunk)
     marks = bytes(marks)
-    _validate_columns(tcol, kcol, xcol, marks, len(thread_ids), len(lock_ids), len(var_ids))
+    _validate_columns(tcol, kcol, xcol, len(lock_ids))
     return Trace(
         tcol, kcol, xcol, marks, len(thread_ids), len(lock_ids), len(var_ids),
         tuple(thread_ids), tuple(lock_ids), tuple(var_ids),

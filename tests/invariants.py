@@ -6,6 +6,9 @@ event on to the ``on_event`` hook given in ``kwargs``, if any, and checks
 the whole engine state after every event and once more when ``run``
 returns:
 
+* every report the event appended compares greater than the report before
+  it, so the engine's reports increase strictly by ``(event index,
+  variable, kind)``: sorted and distinct, as ``render_reports`` assumes;
 * no thread clock and no lock clock has decreased since the last check.
   For ``orderedlist`` a thread's clock is its list with the pending epoch
   folded in, and a lock's clock is its view with the lock epoch as the last
@@ -68,11 +71,27 @@ class _Checker:
     def __init__(self, engine, hook):
         self.engine = engine
         self.hook = hook
-        self.trace = None  # the trace ``run`` was last called with
+        self.start(None)
         self.guarded = isinstance(engine, (UclockEngine, OrderedListEngine))
         self.clocks = _clocks(engine)
         self.skipped = engine.metrics.acquires_skipped
         self.releaser = {}  # lock -> the thread that released it last
+
+    def start(self, trace) -> None:
+        """Begin a run of ``trace``, before any report."""
+        self.trace = trace
+        self.reports, self.seen, self.last = None, 0, (0,)  # (0,) sorts first
+
+    def check_order(self, where: str) -> None:
+        """The reports appended since the last event follow the last one
+        seen.  ``stream`` starts a new report list each block."""
+        reports = self.engine.reports
+        if reports is not self.reports:
+            self.reports, self.seen = reports, 0
+        for report in reports[self.seen:]:
+            assert report > self.last, f"{where}: report {report} after {self.last}"
+            self.last = report
+        self.seen = len(reports)
 
     def __call__(self, index, eff):
         if self.hook is not None:
@@ -87,6 +106,7 @@ class _Checker:
             )
         if kind == REL:
             self.releaser[target] = thread
+        self.check_order(where)
         self.check(where, (thread,))
 
     def check(self, where: str, threads) -> None:
@@ -122,7 +142,7 @@ def checked_engine(token: str, tr, **kwargs):
     run = engine.run
 
     def checked_run(trace):
-        checker.trace = trace
+        checker.start(trace)
         reports = run(trace)
         checker.check("after run", range(engine.num_threads))
         return reports

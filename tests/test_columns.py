@@ -1,6 +1,7 @@
 """The columnar trace core: columns, mark vectors, Event views, retained size."""
 
 import tracemalloc
+from array import array
 from fractions import Fraction
 from itertools import product
 
@@ -16,10 +17,10 @@ from racelab.trace import (
     READ,
     REL,
     WRITE,
+    LockDisciplineError,
     OpKind,
     SamplingPolicy,
     Trace,
-    TraceError,
     TraceSyntaxError,
     _validate_columns,
     apply_sampling,
@@ -70,19 +71,28 @@ def test_trace_from_columns_round_trips_and_shares_them(ladder_trace):
     assert again.marks is ladder_trace.marks
 
 
+# (thread, kind, target) events over one lock, the offending event's 1-based
+# index and the reason.  Accesses come before the offender, so its index
+# counts every event, not only the acquires and releases.
 @pytest.mark.parametrize(
-    "event,message",
+    "events, index, reason",
     [
-        ((3, READ, 0, 0), "thread id 3 out of range"),
-        ((0, ACQ, 5, 0), "target id 5 out of range"),
-        ((0, ACQ, 0, 1), "mark on non-access event"),
-        ((0, REL, 0, 0), "release-of-free-lock"),
+        pytest.param([(0, REL, 0)], 1, "release-of-free-lock", id="release-of-free-lock"),
+        pytest.param(
+            [(0, READ, 0), (0, ACQ, 0), (1, WRITE, 1), (1, ACQ, 0)], 4, "acquire-of-held-lock",
+            id="acquire-of-held-lock",
+        ),
+        pytest.param(
+            [(0, ACQ, 0), (1, READ, 0), (1, WRITE, 2), (1, REL, 0)], 4, "release-by-non-holder",
+            id="release-by-non-holder",
+        ),
     ],
 )
-def test_columns_are_validated(event, message):
-    threads, kinds, targets, marks = ([value] for value in event)
-    with pytest.raises(TraceError, match=message):
-        _validate_columns(threads, kinds, targets, marks, 1, 1, 1)
+def test_columns_are_validated(events, index, reason):
+    threads, kinds, targets = zip(*events)
+    with pytest.raises(LockDisciplineError, match=f"^event {index}: {reason}$") as err:
+        _validate_columns(array("i", threads), array("b", kinds), array("i", targets), 1)
+    assert (err.value.event_index, err.value.reason) == (index, reason)
 
 
 def test_sampling_shares_all_columns_but_the_marks(ladder_trace):
