@@ -23,18 +23,18 @@ call it.
 Every engine is the paper's sampling algorithm and differs only in how it
 timestamps.  ``Engine`` keeps only what every engine shares: the per-thread
 epochs, the new-sample flags, the one access path, the release skeleton,
-the driver loop and its tally.  A subclass supplies ``_acquire``, ``_row``
-(the thread's live clock, read in place by the race checks and copied only
-for the snapshot hook), ``_fold`` (write the epoch into the clock at a
-sample-consuming release) and ``_publish`` (hand the clock to the lock at
-every release).  An access is handed to the histories only if it is marked
-or ``AccessHistories.will_check`` says it will be checked, so an unchecked
-access costs O(1).  A checked one is a single ``check_and_update`` call
-that reads the live row and appends any ``(event_index, variable, kind)``
-reports to ``self.reports``; it builds no timestamp and no list.  With
-``sample_all`` set (Djit+), every access is sampled and every release ends
-an epoch; since no access then reaches ``will_check``, the histories are
-sampled-only in either mode.
+the driver loop and its tally.  A subclass supplies ``_acquire``, ``_fold``
+(write the epoch into the clock at a sample-consuming release) and
+``_publish`` (hand the clock to the lock at every release), and keeps
+``rows``: ``rows[t]`` is thread t's live clock, read in place by the race
+checks and copied only for the snapshot hook.  An access is handed to the
+histories only if it is marked or ``AccessHistories.will_check`` says it
+will be checked, so an unchecked access costs O(1).  A checked one is a
+single ``check_and_update`` call that reads the live row and appends any
+``(event_index, variable, kind)`` reports to ``self.reports``; it builds no
+timestamp and no list.  With ``sample_all`` set (Djit+), every access is
+sampled and every release ends an epoch; since no access then reaches
+``will_check``, the histories are sampled-only in either mode.
 
 The optional ``on_event`` hook receives ``(index, effective_timestamp)`` at
 the event's timestamp point: after the acquire join or access handling, and
@@ -63,11 +63,11 @@ BLOCK = 4096
 
 
 class Engine:
-    """Base class; every subclass defines the four timestamping methods:
+    """Base class; every subclass keeps ``rows`` (``rows[t]`` is thread t's
+    live clock, not copied; callers must not mutate or keep it) and defines
+    the three timestamping methods:
 
     * ``_acquire(index, thread, lock, marked)``: the acquire handler;
-    * ``_row(thread)``: the thread's live clock, not copied; callers must
-      not mutate or keep it;
     * ``_fold(thread)``: at a sample-consuming release, write the epoch
       into the clock;
     * ``_publish(thread, lock)``: at every release, after the epoch step,
@@ -99,7 +99,7 @@ class Engine:
     def _effective(self, thread: int) -> List[int]:
         """Thread clock with the own component replaced by the current epoch;
         a fresh list, built only for the snapshot hook."""
-        eff = list(self._row(thread))
+        eff = list(self.rows[thread])
         eff[thread] = self.epochs[thread]
         return eff
 
@@ -111,7 +111,7 @@ class Engine:
         elif not self.histories.will_check(thread, var, False):
             return
         self.histories.check_and_update(
-            index, thread, var, False, self._row(thread), self.epochs[thread], marked, self.reports
+            index, thread, var, False, self.rows[thread], self.epochs[thread], marked, self.reports
         )
 
     def _write(self, index, thread, var, marked):
@@ -120,7 +120,7 @@ class Engine:
         elif not self.histories.will_check(thread, var, True):
             return
         self.histories.check_and_update(
-            index, thread, var, True, self._row(thread), self.epochs[thread], marked, self.reports
+            index, thread, var, True, self.rows[thread], self.epochs[thread], marked, self.reports
         )
 
     def _release(self, index, thread, lock, marked):
@@ -138,9 +138,9 @@ class Engine:
 
     # -- driver ---------------------------------------------------------------
 
-    def _walk(self, rows: Iterable[Tuple[int, int, int, int, bool]], n: int) -> Iterator[None]:
+    def _walk(self, events: Iterable[Tuple[int, int, int, int, bool]], n: int) -> Iterator[None]:
         """The driver loop over ``n`` ``(index, kind, thread, target, marked)``
-        rows, ``BLOCK`` at a time; yields after each block, once the block's
+        events, ``BLOCK`` at a time; yields after each block, once the block's
         reports are counted in ``race_count``.
 
         Releases call the hook mid-handler; every other event calls it here.
@@ -148,10 +148,10 @@ class Engine:
         handlers = (self._acquire, self._release, self._read, self._write)
         hook = self.on_event
         m = self.metrics
-        rows = iter(rows)
+        events = iter(events)
         for _ in range(0, n, BLOCK):
             before = len(self.reports)
-            for i, k, t, x, mk in islice(rows, BLOCK):
+            for i, k, t, x, mk in islice(events, BLOCK):
                 handlers[k](i, t, x, mk)
                 if hook is not None and k != REL:
                     hook(i, self._effective(t))

@@ -14,7 +14,13 @@ is kept aside as a pending epoch (0 when there is none, since epochs start at
 acquirers merge as one extra candidate, and folded into the list the next
 time the list must change, in place or in a deep copy.  Folding it at the
 release would change the list while an earlier release's view may still
-share it, at the cost of a deep copy.
+share it, at the cost of a deep copy.  So ``rows[t]``, the list's dense
+clock that the race checks read, lags only on the own component, which they
+ignore.  An acquirer's prefix walk, which compares with its list, may find
+the lock newer on that component while an epoch is pending, and drops the
+entry outright: a thread's component enters another clock only through its
+own releases, the latest of which is the pending epoch, so the entry is at
+or below it.
 
 A release adds a reference to the thread's list and drops the one of the
 view it replaces, so re-publishing a list to the lock that already holds it
@@ -26,8 +32,6 @@ deep-copies it otherwise.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 from ..olist import OrderedList
 from .base import Engine
 
@@ -36,6 +40,7 @@ class OrderedListEngine(Engine):
     def __init__(self, num_threads, num_locks, num_vars, **kwargs):
         super().__init__(num_threads, num_locks, num_vars, **kwargs)
         self.o_threads = [OrderedList(num_threads) for _ in range(num_threads)]
+        self.rows = [lst.times for lst in self.o_threads]
         self.u_threads = [[0] * num_threads for _ in range(num_threads)]
         self.pending_local = [0] * num_threads
         bottom = OrderedList(num_threads)
@@ -47,11 +52,6 @@ class OrderedListEngine(Engine):
 
     # -- views -------------------------------------------------------------
 
-    def _row(self, thread: int) -> Sequence[int]:
-        # The pending epoch only ever stands for the own component, which
-        # the race checks ignore.
-        return self.o_threads[thread].times
-
     def _ensure_exclusive(self, thread: int) -> OrderedList:
         """The thread's list, made exclusive, with its pending epoch folded in."""
         lst = self.o_threads[thread]
@@ -59,6 +59,7 @@ class OrderedListEngine(Engine):
             fresh = lst.deep_copy()
             lst.refs -= 1
             self.o_threads[thread] = lst = fresh
+            self.rows[thread] = lst.times
             self.metrics.deep_copies += 1
             self.metrics.full_traversals += 1
         pending = self.pending_local[thread]
@@ -83,13 +84,10 @@ class OrderedListEngine(Engine):
             return
         d = freshness - ut[lr]
         ut[lr] = freshness
-        # Self hand-offs always fail the guard, so lr != t.  The walk compares
-        # with the list, which lacks only the pending epoch: drop an own
-        # entry at or below it.
+        # Self hand-offs fail the guard, so lr != t.  Own entries are stale.
         pairs = self.lock_views[lock].newer_in_prefix(d, self.o_threads[t])
-        pending = self.pending_local[t]
-        if pending:
-            pairs = [p for p in pairs if p[0] != t or p[1] > pending]
+        if self.pending_local[t]:
+            pairs = [p for p in pairs if p[0] != t]
         if pairs:
             lst = self._ensure_exclusive(t)
             for tstar, n in pairs:

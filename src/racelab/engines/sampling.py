@@ -4,7 +4,9 @@ Thread clocks start at bottom and the local time lives in a separate epoch
 counter.  Only the first release after a marked access folds the epoch into
 the thread clock and advances it, so clock components count exactly those
 releases and their sum stays bounded by the sample size.  Every release still
-copies the thread clock to the lock and every acquire still joins.
+copies the thread clock to the lock and every acquire still joins.  Locks
+never released share one bottom row: ``_acquire`` only reads lock rows and
+``_publish`` replaces them.
 """
 
 from __future__ import annotations
@@ -15,11 +17,8 @@ from .base import Engine
 class SamplingEngine(Engine):
     def __init__(self, num_threads, num_locks, num_vars, **kwargs):
         super().__init__(num_threads, num_locks, num_vars, **kwargs)
-        self.c_threads = [[0] * num_threads for _ in range(num_threads)]
-        self.c_locks = [[0] * num_threads for _ in range(num_locks)]
-
-    def _row(self, thread):
-        return self.c_threads[thread]
+        self.c_threads = self.rows = [[0] * num_threads for _ in range(num_threads)]
+        self.c_locks = [[0] * num_threads] * num_locks
 
     def _acquire(self, index, thread, lock, marked):
         ct = self.c_threads[thread]

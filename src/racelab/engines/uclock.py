@@ -6,8 +6,9 @@ the number of component changes applied to the sampling clock so far; locks
 carry both clocks plus the id of the last releasing thread.  An acquire is
 skipped when the lock's freshness for the last releaser does not exceed the
 acquirer's; a release skips the copy when the thread's own freshness equals
-the lock's record of it.  A never-released lock has releaser 0 and an
-all-zero freshness clock, so the same guard skips its acquires.
+the lock's record of it.  A never-released lock has releaser 0 and, like
+its clock, a shared all-zero freshness row, so the same guard skips its
+acquires.
 
 A join that is not skipped takes a clock component only where the lock is
 fresher.  Freshness f for thread s names s's clock after its f-th change,
@@ -26,7 +27,7 @@ class UclockEngine(SamplingEngine):
     def __init__(self, num_threads, num_locks, num_vars, **kwargs):
         super().__init__(num_threads, num_locks, num_vars, **kwargs)
         self.u_threads = [[0] * num_threads for _ in range(num_threads)]
-        self.u_locks = [[0] * num_threads for _ in range(num_locks)]
+        self.u_locks = [[0] * num_threads] * num_locks
         self.last_releaser = [0] * num_locks
 
     def _acquire(self, index, t, lock, marked):

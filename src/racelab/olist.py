@@ -78,16 +78,16 @@ class OrderedList:
         self._head = tid
 
     def newer_in_prefix(self, k: int, other: "OrderedList") -> List[Tuple[int, int]]:
-        """The (tid, time) pairs among the first k entries whose time exceeds
-        ``other``'s component for tid, in list order; read-only."""
+        """The (tid, time) pairs among the first ``min(k, width)`` entries
+        whose time exceeds ``other``'s component for tid, in list order;
+        read-only.  Every thread has one entry, so the walk needs no end test."""
         out: List[Tuple[int, int]] = []
         times, links, theirs = self._time, self._next, other._time
         tid = self._head
-        while k > 0 and tid != -1:
+        for _ in range(min(k, len(times))):
             if times[tid] > theirs[tid]:
                 out.append((tid, times[tid]))
             tid = links[tid]
-            k -= 1
         return out
 
     @property

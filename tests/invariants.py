@@ -24,6 +24,11 @@ returns:
   only the components the lock is fresher on;
 * orderedlist: each thread's list has ``refs == 1 +`` the number of lock
   views that are that list;
+* ``engine.rows[t]`` is thread t's live clock: ``o_threads[t].times`` for
+  orderedlist, ``c_threads[t]`` for the others;
+* the bottom row every lock starts on (``c_locks`` and uclock's
+  ``u_locks``; orderedlist's bottom list) is still all zeros, so no
+  release wrote a lock row in place;
 * uclock and orderedlist: an acquire of a lock whose last releaser is the
   acquirer is counted in ``acquires_skipped``.  The hook fires before a
   release's publish, so the checker notes the releaser itself.
@@ -44,6 +49,23 @@ from racelab.trace import ACQ, REL
 def _stale(ut, ul, ct, cl) -> bool:
     """One component on which the thread is as fresh as the lock but behind it."""
     return ut >= ul and ct < cl
+
+
+def _bottoms(engine) -> list:
+    """The rows every lock starts on, before any event: one per clock kind."""
+    if isinstance(engine, OrderedListEngine):
+        return [view.times for view in engine.lock_views[:1]]
+    out = engine.c_locks[:1]
+    if isinstance(engine, UclockEngine):
+        out += engine.u_locks[:1]
+    return out
+
+
+def _live_rows(engine) -> list:
+    """What ``engine.rows`` must hold: each thread's live clock."""
+    if isinstance(engine, OrderedListEngine):
+        return [lst.times for lst in engine.o_threads]
+    return engine.c_threads
 
 
 def _clocks(engine) -> list:
@@ -76,6 +98,7 @@ class _Checker:
         self.clocks = _clocks(engine)
         self.skipped = engine.metrics.acquires_skipped
         self.releaser = {}  # lock -> the thread that released it last
+        self.bottoms = _bottoms(engine)
 
     def start(self, trace) -> None:
         """Begin a run of ``trace``, before any report."""
@@ -116,6 +139,10 @@ class _Checker:
             assert all(map(le, old, new)), f"{where}: {name} decreased: {old} -> {new}"
         self.clocks = clocks
         self.skipped = engine.metrics.acquires_skipped
+        for t, (row, live) in enumerate(zip(engine.rows, _live_rows(engine), strict=True)):
+            assert row is live, f"{where}: rows[{t}] is not thread {t}'s live clock"
+        for row in self.bottoms:
+            assert not any(row), f"{where}: a lock's bottom row changed: {list(row)}"
         if isinstance(engine, UclockEngine):
             own = [u[t] for t, u in enumerate(engine.u_threads)]
             for lock, u in enumerate(engine.u_locks):

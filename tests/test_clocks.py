@@ -33,7 +33,7 @@ def acquire(a, b, engine):
         e, t = SamplingEngine(len(a), 1, 0), 0
     else:
         e, t = UclockEngine(len(a) + 1, 1, 0), len(a)
-        e.u_locks[0][:t] = [1] * t
+        e.u_locks[0] = [1] * t + [0]
         a, b = a + [0], b + [0]
     e.c_threads[t] = list(a)
     e.c_locks[0] = list(b)

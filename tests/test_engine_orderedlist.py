@@ -99,6 +99,53 @@ def test_own_entry_at_or_below_the_pending_epoch_merges_nothing(own_time):
     assert e.metrics.nodes_visited == 1
 
 
+def _walk_traces():
+    """conftest's random traces and small generator traces, each at rates
+    0.003 to 1.0."""
+    traces = [tr for tr, _ in random_traces(seed=66, count=100)]
+    for i, (threads, locks, p_sync) in enumerate([(8, 4, 0.3), (8, 8, 0.8), (64, 64, 0.8)]):
+        config = GenConfig(threads=threads, locks=locks, vars=16, events=5000, p_sync=p_sync,
+                           contention=0.3, accesses_per_cs=1.0)
+        traces.append(generate_trace(config, i + 1))
+    for tr in traces:
+        for rate in (0.003, 0.03, 0.3, 1.0):
+            yield apply_sampling(tr, SamplingPolicy.bernoulli(rate, 1))
+
+
+def test_the_prefix_walk_is_exact_and_its_own_entries_are_stale(monkeypatch):
+    # At every acquire that is not skipped, walking the lock's whole list
+    # finds no other thread's newer entry that the d-entry prefix missed, so
+    # the walk may stop at d entries.  An own entry, in either walk, appears
+    # only while the acquirer has an epoch pending and is at or below it, so
+    # ``_acquire`` may drop it outright.
+    walk = OrderedList.newer_in_prefix
+    current = [None]  # the engine running
+    seen = {"walks": 0, "cut": 0, "own": 0}
+
+    def spy(view, k, other):
+        engine = current[0]
+        t = next(t for t, lst in enumerate(engine.o_threads) if lst is other)
+        pending = engine.pending_local[t]
+        pairs = walk(view, k, other)
+        theirs = other.times
+        full = {(tid, n) for tid, n in enumerate(view.times) if n > theirs[tid]}
+        assert set(pairs) <= full and {p for p in full if p[0] != t} <= set(pairs), (k, pairs)
+        own = [n for tid, n in full if tid == t]
+        assert not own or 0 < own[0] <= pending, (t, own, pending)
+        seen["walks"] += 1
+        seen["cut"] += k < engine.num_threads
+        seen["own"] += bool(own)
+        return pairs
+
+    monkeypatch.setattr(OrderedList, "newer_in_prefix", spy)
+    for tr in _walk_traces():
+        for mode in (SAMPLED_ONLY, EXTENDED):
+            current[0] = engine = create_engine("orderedlist", tr, mode=mode)
+            engine.run(tr)
+    # Walks shorter than the list, and own entries, both occur.
+    assert min(seen.values()) > 0, seen
+
+
 def test_prefix_sets_the_releasers_entry_below_the_lock_epoch():
     # The view holds t0's component 3, but t0's pending epoch 6 was
     # published as the lock epoch: the walk sets 3, then the epoch sets 6.
@@ -227,6 +274,7 @@ def test_whole_trace_diff_catches_the_unshare_fold_bug(monkeypatch):
             fresh = lst.deep_copy()
             lst.refs -= 1
             self.o_threads[thread] = fresh
+            self.rows[thread] = fresh.times
             self.metrics.deep_copies += 1
             self.metrics.full_traversals += 1
             if self.pending_local[thread]:

@@ -3,7 +3,8 @@
 Each bug is one edit to the source of one engine method, compiled and
 monkeypatched in for the test.  ``checked_engine`` must raise
 ``AssertionError`` on at least one trace of a fixed list, and the test pins
-the first trace that catches it; the real engines pass on every trace.
+the first trace that catches it and the check that fails there; the real
+engines pass on every trace.
 """
 
 import inspect
@@ -40,31 +41,45 @@ def _planted(cls, method: str, old: str, new: str):
 
 
 # (name, class, method, source fragment, its replacement, engine tokens run,
-# the first trace that catches it)
+# the first trace that catches it, a fragment of the failed check's message)
 BUGS = [
     ("publish-keeps-old-view-ref", OrderedListEngine, "_publish",
      "self.lock_views[lock].refs -= 1", "pass",
-     ("orderedlist",), "random_traces(65)[0]"),
+     ("orderedlist",), "random_traces(65)[0]", "refs 3, 1 views"),
     ("guard-lets-self-handoff-through", OrderedListEngine, "_acquire",
      "if freshness <= ut[lr]:", "if freshness <= ut[lr] and lr != t:",
-     ("orderedlist",), "random_traces(65)[0]"),
+     ("orderedlist",), "random_traces(65)[0]", "freshness decreased"),
     ("lock-freshness-above-thread", UclockEngine, "_publish",
      "self.u_locks[lock] = list(ut)", "self.u_locks[lock] = list(ut); self.u_locks[lock][t] += 1",
-     ("uclock",), "random_traces(65)[0]"),
+     ("uclock",), "random_traces(65)[0]", "above the threads' own"),
     ("join-overwrites", SamplingEngine, "_acquire",
      "if c > ct[s]:", "if c != ct[s]:",
-     ("sampling", "djitp"), "random_traces(65)[0]"),
+     ("sampling", "djitp"), "random_traces(65)[0]", "clock decreased"),
+    # A deep copy that leaves ``rows`` on the old list: the race checks
+    # would read a clock the thread no longer updates.
+    ("copy-skips-rows-update", OrderedListEngine, "_ensure_exclusive",
+     "self.rows[thread] = lst.times", "pass",
+     ("orderedlist",), "random_traces(65)[0]", "is not thread 3's live clock"),
+    # Release writes into the lock's row, which before its first release is
+    # the bottom row every unreleased lock shares.
+    ("publish-writes-lock-row-in-place", SamplingEngine, "_publish",
+     "self.c_locks[lock] = list(self.c_threads[t])", "self.c_locks[lock][:] = self.c_threads[t]",
+     ("sampling", "djitp"), "random_traces(65)[0]", "bottom row changed"),
+    ("publish-writes-freshness-row-in-place", UclockEngine, "_publish",
+     "self.u_locks[lock] = list(ut)", "self.u_locks[lock][:] = ut",
+     ("uclock",), "random_traces(65)[0]", "bottom row changed"),
 ]
 
 
 def _first_catch(tokens):
+    """``(trace name, message)`` of the first checked run that fails, or None."""
     for name, tr in TRACES:
         for token in tokens:
             for mode in (SAMPLED_ONLY, EXTENDED):
                 try:
                     checked_engine(token, tr, mode=mode).run(tr)
-                except AssertionError:
-                    return name
+                except AssertionError as error:
+                    return name, str(error)
     return None
 
 
@@ -73,9 +88,11 @@ def test_the_real_engines_pass_the_checker():
 
 
 @pytest.mark.parametrize(
-    "cls, method, old, new, tokens, caught_by",
+    "cls, method, old, new, tokens, caught_by, check",
     [pytest.param(*bug[1:], id=bug[0]) for bug in BUGS],
 )
-def test_the_checker_catches_a_planted_bug(monkeypatch, cls, method, old, new, tokens, caught_by):
+def test_the_checker_catches_a_planted_bug(monkeypatch, cls, method, old, new, tokens, caught_by,
+                                           check):
     monkeypatch.setattr(cls, method, _planted(cls, method, old, new))
-    assert _first_catch(tokens) == caught_by
+    caught = _first_catch(tokens)
+    assert caught is not None and caught[0] == caught_by and check in caught[1], caught
