@@ -4,10 +4,10 @@ The paper's timestamping changes how timestamps are computed, never which
 races are reported.  This module is the one place that checks it, for
 ``racelab diff`` and the acceptance suite alike: ``racy_divergence``
 compares engines' racy sets, by engine token, with the oracle's.
-``diff_report`` runs the four engines on identical marks and also compares
-every event's effective timestamp with ``oracle.timestamps`` as the event
-happens, so it keeps no per-event table and checks traces of any length
-whole.
+``diff_report`` runs the four engines on identical marks and also
+``observe``s each, comparing every event's effective timestamp with
+``oracle.timestamps`` as the event happens, so it keeps no per-event table
+and checks traces of any length whole.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set, Tuple
 
 from . import oracle
-from .engines import create_engine
+from .engines import create_engine, observe
 from .trace import Trace
 
 # The engine tokens ``diff`` runs.  Divergences are looked for in this order:
@@ -59,7 +59,8 @@ def _checked_run(
             if eff != want:
                 mismatch.append((index, eff, want))
 
-    engine = create_engine(token, tr, mode=mode, on_event=compare)
+    engine = create_engine(token, tr, mode=mode)
+    observe(engine, compare)
     racy: Set = set()
     for _ in engine.stream(tr):
         racy |= engine.racy_set()

@@ -9,7 +9,7 @@ from __future__ import annotations
 from importlib import import_module
 
 from ..trace import Trace
-from .base import Engine
+from .base import Engine, observe
 
 ENGINE_TOKENS = ("djitp", "sampling", "uclock", "orderedlist")
 
@@ -32,4 +32,4 @@ def create_engine(token: str, tr: Trace, **kwargs) -> Engine:
     return cls(tr.num_threads, tr.num_locks, tr.num_vars, **kwargs)
 
 
-__all__ = ["ENGINE_TOKENS", "Engine", "create_engine"]
+__all__ = ["ENGINE_TOKENS", "Engine", "create_engine", "observe"]

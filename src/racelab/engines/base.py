@@ -27,7 +27,7 @@ the driver loop and its tally.  A subclass supplies ``_acquire``, ``_fold``
 (write the epoch into the clock at a sample-consuming release) and
 ``_publish`` (hand the clock to the lock at every release), and keeps
 ``rows``: ``rows[t]`` is thread t's live clock, read in place by the race
-checks and copied only for the snapshot hook.  An access is handed to the
+checks and copied only by ``observe``.  An access is handed to the
 histories only if it is marked or ``AccessHistories.will_check`` says it
 will be checked, so an unchecked access costs O(1).  A checked one is a
 single ``check_and_update`` call that reads the live row and appends any
@@ -36,26 +36,20 @@ timestamp and no list.  With ``sample_all`` set (Djit+), every access is
 sampled and every release ends an epoch; since no access then reaches
 ``will_check``, the histories are sampled-only in either mode.
 
-The optional ``on_event`` hook receives ``(index, effective_timestamp)`` at
-the event's timestamp point: after the acquire join or access handling, and
-at releases after the fold but before the epoch advances.  This is the
-per-event timestamp ``racelab diff`` compares with the oracle's.  The
-engines check no invariant of their own: the tests' checker
-(``tests/invariants.py``) is an ``on_event`` hook that asserts monotone
-clocks, the freshness bounds and the reference counts after every event.
-The driver loop is the same with and without a hook.
+``observe(engine, hook)`` hands ``hook`` each event's effective timestamp,
+the one ``racelab diff`` compares with the oracle's, by wrapping the
+handlers from outside.  The engines check no invariant of their own; the
+tests' checker (``tests/invariants.py``) observes them.
 """
 
 from __future__ import annotations
 
 from itertools import count, islice, repeat
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Tuple
 
 from ..history import EXTENDED, SAMPLED_ONLY, AccessHistories, Report
 from ..metrics import RunMetrics
 from ..trace import ACQ, REL, Event, Trace
-
-SnapshotHook = Callable[[int, List[int]], None]
 
 # Events per block of the driver loop: a caller of ``Engine.stream`` holds
 # at most this many events' reports.
@@ -77,17 +71,8 @@ class Engine:
     # Every access counts as marked and every release ends an epoch.
     sample_all = False
 
-    def __init__(
-        self,
-        num_threads: int,
-        num_locks: int,
-        num_vars: int,
-        *,
-        mode: str = SAMPLED_ONLY,
-        on_event: Optional[SnapshotHook] = None,
-    ):
+    def __init__(self, num_threads: int, num_locks: int, num_vars: int, *, mode: str = SAMPLED_ONLY):
         self.num_threads = num_threads
-        self.on_event = on_event
         if self.sample_all and mode == EXTENDED:
             mode = SAMPLED_ONLY  # extended mode's watermarks would go unread
         self.histories = AccessHistories(num_vars, num_threads, mode)
@@ -95,13 +80,6 @@ class Engine:
         self.reports: List[Report] = []
         self.epochs = [1] * num_threads
         self.new_sample = [self.sample_all] * num_threads
-
-    def _effective(self, thread: int) -> List[int]:
-        """Thread clock with the own component replaced by the current epoch;
-        a fresh list, built only for the snapshot hook."""
-        eff = list(self.rows[thread])
-        eff[thread] = self.epochs[thread]
-        return eff
 
     # -- the access path and the release skeleton ------------------------------
 
@@ -124,16 +102,11 @@ class Engine:
         )
 
     def _release(self, index, thread, lock, marked):
-        hook = self.on_event
         if self.new_sample[thread]:
             self._fold(thread)
-            if hook is not None:
-                hook(index, self._effective(thread))
             self.epochs[thread] += 1
             self.metrics.epoch_increments += 1
             self.new_sample[thread] = self.sample_all
-        elif hook is not None:
-            hook(index, self._effective(thread))
         self._publish(thread, lock)
 
     # -- driver ---------------------------------------------------------------
@@ -141,20 +114,15 @@ class Engine:
     def _walk(self, events: Iterable[Tuple[int, int, int, int, bool]], n: int) -> Iterator[None]:
         """The driver loop over ``n`` ``(index, kind, thread, target, marked)``
         events, ``BLOCK`` at a time; yields after each block, once the block's
-        reports are counted in ``race_count``.
-
-        Releases call the hook mid-handler; every other event calls it here.
-        """
+        reports are counted in ``race_count``.  It reads the four handlers
+        once per call, so ``observe`` an engine before its walk starts."""
         handlers = (self._acquire, self._release, self._read, self._write)
-        hook = self.on_event
         m = self.metrics
         events = iter(events)
         for _ in range(0, n, BLOCK):
             before = len(self.reports)
             for i, k, t, x, mk in islice(events, BLOCK):
                 handlers[k](i, t, x, mk)
-                if hook is not None and k != REL:
-                    hook(i, self._effective(t))
             m.race_count += len(self.reports) - before
             yield
 
@@ -200,3 +168,28 @@ class Engine:
     def racy_set(self) -> set:
         """``(event index, kind)`` of every report the engine holds."""
         return {(index, kind) for index, _var, kind in self.reports}
+
+
+def observe(engine: Engine, hook: Callable[[int, List[int]], None]) -> None:
+    """Call ``hook(index, eff)`` after each event ``engine`` handles, by
+    replacing its four handlers with instance attributes that wrap them.
+    ``eff`` is a copy of ``rows[t]`` whose own component is the epoch read
+    before the handler ran.  Acquires and accesses leave ``epochs`` as it
+    is; a release's ``_fold`` writes only the own component and
+    ``_publish`` no thread row, so at a release ``eff`` is the clock after
+    the fold, before the epoch advances.  Calls stack, the first hook
+    called first."""
+    rows, epochs = engine.rows, engine.epochs
+
+    def wrap(handler):
+        def observed(index, thread, target, marked):
+            epoch = epochs[thread]
+            handler(index, thread, target, marked)
+            eff = list(rows[thread])
+            eff[thread] = epoch
+            hook(index, eff)
+
+        return observed
+
+    for name in ("_acquire", "_release", "_read", "_write"):
+        setattr(engine, name, wrap(getattr(engine, name)))

@@ -14,11 +14,10 @@ streaming pass per question:
 * ``racy_events`` replays last-access summaries (the histories every engine
   keeps), each a (thread, local position) pair, and decides every check on
   C_e.
-* ``timestamps`` yields each event's declarative timestamp, the value an
-  engine's ``on_event`` hook must report for it.  A thread's local time is
-  one plus its ticks before the event: every release ticks for the full
-  detector, and only the first release after a marked access for the
-  sampling engines.  Component u is the local time of u's latest recorded
+* ``timestamps`` yields each event's declarative timestamp, the value
+  ``observe`` must hand on for it.  A thread's local time is one plus its
+  ticks before the event: every release ticks for the full detector, and
+  only the first release after a marked access for the sampling engines.  Component u is the local time of u's latest recorded
   event that happens-before e (0 if none), where the full detector records
   every event and the sampling engines the marked accesses; the event's own
   component is its own local time, which makes it the effective timestamp.

@@ -11,7 +11,7 @@ from itertools import count
 import pytest
 from hypothesis import strategies as st
 
-from racelab.engines import create_engine
+from racelab.engines import create_engine, observe
 from racelab.gen import GenConfig, generate_trace
 from racelab.trace import (
     _TOKENS,
@@ -113,17 +113,10 @@ def run_prefix(token: str, tr: Trace, n: int, make=create_engine, **kwargs):
 
 def skip_decisions(engine, tr: Trace) -> dict:
     """Run ``engine`` over ``tr``; map each acquire's index to True if the
-    engine skipped it.  The ``on_event`` hook reads the skip counter after
-    every event, after any hook the engine already has."""
+    engine skipped it.  An ``observe`` hook reads the skip counter after
+    every event."""
     skipped = [0]  # the counter after event i is skipped[i]
-    hook = engine.on_event
-
-    def note(index, eff):
-        if hook is not None:
-            hook(index, eff)
-        skipped.append(engine.metrics.acquires_skipped)
-
-    engine.on_event = note
+    observe(engine, lambda index, eff: skipped.append(engine.metrics.acquires_skipped))
     engine.run(tr)
     return {i: skipped[i] > skipped[i - 1] for i, _, kind, _, _ in rows(tr) if kind == ACQ}
 
@@ -133,23 +126,20 @@ def tally_deep_copies(engine, tr: Trace) -> list:
     ``tr``; returns the counts, filled in as the run goes.
 
     Only an acquire's ``_ensure_exclusive`` replaces a thread's list, and at
-    most once per event, so the ``on_event`` hook compares the acting
-    thread's list with the one it saw last: O(1) per event.  The hook runs
-    after any hook the engine already has."""
+    most once per event, so an ``observe`` hook compares the acting
+    thread's list with the one it saw last: O(1) per event."""
     counts = [0] * tr.num_threads
     seen = list(engine.o_threads)
-    hook, threads = engine.on_event, tr.threads
+    threads = tr.threads
 
     def note(index, eff):
-        if hook is not None:
-            hook(index, eff)
         t = threads[index - 1]
         lst = engine.o_threads[t]
         if lst is not seen[t]:
             seen[t] = lst
             counts[t] += 1
 
-    engine.on_event = note
+    observe(engine, note)
     return counts
 
 

@@ -1,10 +1,9 @@
 """The engines' invariants, checked from outside after every event.
 
 ``checked_engine(token, tr, **kwargs)`` builds the engine ``create_engine``
-would, with a checker as its ``on_event`` hook.  The checker hands each
-event on to the ``on_event`` hook given in ``kwargs``, if any, and checks
-the whole engine state after every event and once more when ``run``
-returns:
+would and ``observe``s it with a checker, which checks the whole engine
+state after every event and once more when ``run`` returns.  A test may
+observe the engine again; its hook runs after the checker's.  The checks:
 
 * every report the event appended compares greater than the report before
   it, so the engine's reports increase strictly by ``(event index,
@@ -16,6 +15,14 @@ returns:
   either.  A lock's freshness clock may: an acquire skipped on the last
   releaser's component joins none of the others, and the acquirer's
   release replaces them with its own;
+* a release of lock l by thread t published what t holds after it:
+  sampling and djitp ``c_locks[l] == c_threads[t]``; uclock that, with
+  ``last_releaser[l] == t`` and ``u_locks[l][t] == u_threads[t][t]`` (not
+  the whole freshness row: a join may raise another component's freshness
+  without changing the clock, and the copy is then skipped); orderedlist
+  the thread's list itself as the view, ``last_releaser[l] == t``,
+  ``lock_freshness[l] == u_threads[t][t]`` and ``lock_epoch[l] ==
+  epochs[t] - 1``;
 * uclock: no lock records a thread's freshness above the thread's own,
   ``u_locks[l][t] <= u_threads[t][t]``, so a join never moves ``ut[t]``;
 * uclock: for the thread that acted (every thread after ``run``), every
@@ -24,14 +31,15 @@ returns:
   only the components the lock is fresher on;
 * orderedlist: each thread's list has ``refs == 1 +`` the number of lock
   views that are that list;
+* orderedlist: each thread's pending epoch is 0 or ``epochs[t] - 1``, and
+  is 0 exactly when its list's own entry is ``epochs[t] - 1``;
 * ``engine.rows[t]`` is thread t's live clock: ``o_threads[t].times`` for
   orderedlist, ``c_threads[t]`` for the others;
 * the bottom row every lock starts on (``c_locks`` and uclock's
   ``u_locks``; orderedlist's bottom list) is still all zeros, so no
   release wrote a lock row in place;
-* uclock and orderedlist: an acquire of a lock whose last releaser is the
-  acquirer is counted in ``acquires_skipped``.  The hook fires before a
-  release's publish, so the checker notes the releaser itself.
+* uclock and orderedlist: an acquire of a lock whose ``last_releaser`` is
+  the acquirer is counted in ``acquires_skipped``.
 
 A broken invariant raises ``AssertionError`` naming the event.
 """
@@ -40,7 +48,7 @@ from __future__ import annotations
 
 from operator import le
 
-from racelab.engines import create_engine
+from racelab.engines import create_engine, observe
 from racelab.engines.orderedlist import OrderedListEngine
 from racelab.engines.uclock import UclockEngine
 from racelab.trace import ACQ, REL
@@ -90,14 +98,12 @@ def _clocks(engine) -> list:
 
 
 class _Checker:
-    def __init__(self, engine, hook):
+    def __init__(self, engine):
         self.engine = engine
-        self.hook = hook
         self.start(None)
         self.guarded = isinstance(engine, (UclockEngine, OrderedListEngine))
         self.clocks = _clocks(engine)
         self.skipped = engine.metrics.acquires_skipped
-        self.releaser = {}  # lock -> the thread that released it last
         self.bottoms = _bottoms(engine)
 
     def start(self, trace) -> None:
@@ -117,20 +123,42 @@ class _Checker:
         self.seen = len(reports)
 
     def __call__(self, index, eff):
-        if self.hook is not None:
-            self.hook(index, eff)
         i = index - 1
         kind, thread, target = self.trace.kinds[i], self.trace.threads[i], self.trace.targets[i]
         where = f"e{index}"
-        skipped = self.engine.metrics.acquires_skipped
-        if self.guarded and kind == ACQ and self.releaser.get(target) == thread:
+        engine = self.engine
+        skipped = engine.metrics.acquires_skipped
+        if self.guarded and kind == ACQ and engine.last_releaser[target] == thread:
             assert skipped == self.skipped + 1, (
                 f"{where}: thread {thread} re-acquired lock {target} without a skip"
             )
         if kind == REL:
-            self.releaser[target] = thread
+            self.check_release(where, thread, target)
         self.check_order(where)
         self.check(where, (thread,))
+
+    def check_release(self, where: str, t: int, lock: int) -> None:
+        """The release of ``lock`` by thread ``t`` handed the lock what the
+        thread holds after it."""
+        engine = self.engine
+        if isinstance(engine, OrderedListEngine):
+            assert engine.lock_views[lock] is engine.o_threads[t], (
+                f"{where}: lock {lock} does not view thread {t}'s list"
+            )
+            published = {
+                "freshness": (engine.lock_freshness[lock], engine.u_threads[t][t]),
+                "epoch": (engine.lock_epoch[lock], engine.epochs[t] - 1),
+            }
+        else:
+            published = {"clock": (engine.c_locks[lock], engine.c_threads[t])}
+            if isinstance(engine, UclockEngine):
+                published["own freshness"] = (engine.u_locks[lock][t], engine.u_threads[t][t])
+        if self.guarded:
+            published["releaser"] = (engine.last_releaser[lock], t)
+        for name, (got, want) in published.items():
+            assert got == want, (
+                f"{where}: thread {t}'s release published {name} {got} to lock {lock}, not {want}"
+            )
 
     def check(self, where: str, threads) -> None:
         engine = self.engine
@@ -159,13 +187,18 @@ class _Checker:
             for t, lst in enumerate(engine.o_threads):
                 views = sum(v is lst for v in engine.lock_views)
                 assert lst.refs == 1 + views, f"{where}: thread {t}: refs {lst.refs}, {views} views"
+                pending, own, last = engine.pending_local[t], lst.get(t), engine.epochs[t] - 1
+                assert pending in (0, last) and (pending == 0) == (own == last), (
+                    f"{where}: thread {t}: pending epoch {pending}, own entry {own}, "
+                    f"epoch {engine.epochs[t]}"
+                )
 
 
 def checked_engine(token: str, tr, **kwargs):
-    """``create_engine(token, tr, **kwargs)`` under the invariant checker."""
+    """``create_engine(token, tr, **kwargs)``, observed by the invariant checker."""
     engine = create_engine(token, tr, **kwargs)
-    checker = _Checker(engine, engine.on_event)
-    engine.on_event = checker
+    checker = _Checker(engine)
+    observe(engine, checker)
     run = engine.run
 
     def checked_run(trace):

@@ -25,7 +25,7 @@ from conftest import (
     tally_deep_copies,
 )
 from racelab import differential, oracle
-from racelab.engines import create_engine
+from racelab.engines import create_engine, observe
 from racelab.gen import GenConfig, generate_trace
 from racelab.history import EXTENDED, SAMPLED_ONLY
 from racelab.olist import OrderedList
@@ -166,7 +166,7 @@ def suite3():
 
         uc = create_engine("uclock", marked)
         seen = []  # the acting thread's freshness clock after each event
-        uc.on_event = lambda index, eff: seen.append(list(uc.u_threads[marked.threads[index - 1]]))
+        observe(uc, lambda index, eff: seen.append(list(uc.u_threads[marked.threads[index - 1]])))
         uc.run(marked)
         assert len(seen) == len(marked)
         for pos, (ut, thread) in enumerate(zip(seen, marked.threads)):

@@ -8,7 +8,7 @@ from itertools import product
 import pytest
 
 from conftest import LADDER_TEXT, bernoulli_hit, mix64, trace_text
-from racelab.engines import ENGINE_TOKENS, create_engine
+from racelab.engines import ENGINE_TOKENS, create_engine, observe
 from racelab.gen import GenConfig, generate_trace
 from racelab.history import EXTENDED, SAMPLED_ONLY
 from racelab.olist import OrderedList
@@ -217,7 +217,7 @@ def _snapshot_calls(monkeypatch):
 @pytest.mark.parametrize("mode", [SAMPLED_ONLY, EXTENDED])
 def test_only_checked_accesses_build_a_timestamp(monkeypatch, mode):
     # Not even checked ones: a check reads the thread's live clock row, so a
-    # run without a snapshot hook copies no clock at all.
+    # run that nothing observes copies no clock at all.
     tr = generate_trace(GenConfig(threads=6, locks=3, vars=8, events=3000), 2)
     marked = apply_sampling(tr, SamplingPolicy.bernoulli(0.01, 5))
     calls = _snapshot_calls(monkeypatch)
@@ -234,20 +234,23 @@ def test_only_checked_accesses_build_a_timestamp(monkeypatch, mode):
 def test_run_and_process_agree(token):
     tr = generate_trace(GenConfig(threads=5, locks=3, vars=4, events=1500, p_sync=0.4), 6)
     marked = apply_sampling(tr, SamplingPolicy.bernoulli(0.1, 1))
-    for mode, hooked in product((SAMPLED_ONLY, EXTENDED), (False, True)):
+    for mode, observed in product((SAMPLED_ONLY, EXTENDED), (False, True)):
         snaps = {"fast": [], "slow": []}
 
-        def hook(key):
-            return (lambda index, eff: snaps[key].append((index, eff))) if hooked else None
+        def engine(key):
+            e = create_engine(token, marked, mode=mode)
+            if observed:
+                observe(e, lambda index, eff: snaps[key].append((index, eff)))
+            return e
 
-        fast = create_engine(token, marked, mode=mode, on_event=hook("fast"))
+        fast = engine("fast")
         fast.run(marked)
-        slow = create_engine(token, marked, mode=mode, on_event=hook("slow"))
+        slow = engine("slow")
         for ev in marked.events:
             slow.process(ev)
         assert fast.reports == slow.reports
         assert fast.metrics.as_dict() == slow.metrics.as_dict()
         assert fast.metrics.race_checks == fast.histories.race_checks
         assert snaps["fast"] == snaps["slow"]
-        if hooked:  # one timestamp per event, in trace order
+        if observed:  # one timestamp per event, in trace order
             assert [index for index, _ in snaps["fast"]] == list(range(1, len(marked) + 1))

@@ -1,19 +1,19 @@
 import closure_oracle as closure
 from conftest import L1, random_traces, run_prefix
 from racelab import oracle
-from racelab.engines import create_engine
+from racelab.engines import create_engine, observe
 from racelab.history import EXTENDED, SAMPLED_ONLY, WRITE_WRITE
 from racelab.trace import parse_trace
 
 
 def test_ladder_clock_checkpoints(ladder_trace):
     e = run_prefix("djitp", ladder_trace, 6)
-    # after e6 (release of l1): epoch advanced, lock carries the copy
-    assert e._effective(0) == [2, 0]
+    # after e6 (release of l1): epoch 1 folded in and advanced, lock carries the copy
+    assert e.c_threads[0] == e.c_locks[L1] == [1, 0]
     assert e.epochs[0] == 2
-    assert e.c_locks[L1] == [1, 0]
     e = run_prefix("djitp", ladder_trace, 8)
-    assert e._effective(1) == [1, 1]  # e8 joined l1's clock
+    assert e.c_threads[1] == [1, 0]  # e8 joined l1's clock
+    assert e.epochs[1] == 1
 
 
 def test_unordered_writes_race():
@@ -40,7 +40,8 @@ def test_per_event_clock_equals_declarative_causal_timestamp():
     for marked, _ in random_traces(seed=32, count=60):
         tables = closure.declarative_timestamps(marked)
         snaps = []
-        e = create_engine("djitp", marked, on_event=lambda ev, eff: snaps.append(eff))
+        e = create_engine("djitp", marked)
+        observe(e, lambda ev, eff: snaps.append(eff))
         e.run(marked)
         for pos in range(len(marked)):
             assert snaps[pos] == tables.ct_ft[pos]
@@ -62,7 +63,8 @@ def test_history_mode_changes_nothing(ladder_trace):
         runs = []
         for mode in (SAMPLED_ONLY, EXTENDED):
             snaps = []
-            e = create_engine("djitp", tr, mode=mode, on_event=lambda *snap: snaps.append(snap))
+            e = create_engine("djitp", tr, mode=mode)
+            observe(e, lambda *snap: snaps.append(snap))
             e.run(tr)
             assert not e.histories.extended
             runs.append((e.reports, e.metrics.as_dict(), snaps))

@@ -13,7 +13,7 @@ from conftest import (
 from invariants import checked_engine
 from racelab import oracle
 from racelab.differential import diff_report
-from racelab.engines import create_engine
+from racelab.engines import create_engine, observe
 from racelab.engines.orderedlist import OrderedListEngine
 from racelab.gen import GenConfig, generate_trace
 from racelab.history import EXTENDED, SAMPLED_ONLY
@@ -192,10 +192,11 @@ def test_equivalence_with_sampling_engine():
     for marked, _ in random_traces(seed=61, count=120):
         ref = create_engine("sampling", marked)
         snaps_ref = []
-        ref.on_event = lambda ev, eff: snaps_ref.append(eff)
+        observe(ref, lambda ev, eff: snaps_ref.append(eff))
         ref.run(marked)
         snaps = []
-        e = checked_engine("orderedlist", marked, on_event=lambda ev, eff: snaps.append(eff))
+        e = checked_engine("orderedlist", marked)
+        observe(e, lambda ev, eff: snaps.append(eff))
         e.run(marked)
         assert e.racy_set() == ref.racy_set() == oracle.racy_events(marked)
         assert snaps == snaps_ref

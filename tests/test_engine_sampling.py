@@ -2,7 +2,7 @@ import closure_oracle as closure
 from conftest import L1, L2, L4, random_traces, rows, run_prefix
 from invariants import checked_engine
 from racelab import oracle
-from racelab.engines import create_engine
+from racelab.engines import create_engine, observe
 from racelab.trace import SamplingPolicy, apply_sampling
 
 
@@ -48,7 +48,8 @@ def test_per_event_effective_snapshot_equals_declarative():
     for marked, _ in random_traces(seed=42, count=60):
         tables = closure.declarative_timestamps(marked)
         snaps = []
-        e = create_engine("sampling", marked, on_event=lambda ev, eff: snaps.append(eff))
+        e = create_engine("sampling", marked)
+        observe(e, lambda ev, eff: snaps.append(eff))
         e.run(marked)
         assert len(snaps) == len(marked)
         for index, thread, *_ in rows(marked):

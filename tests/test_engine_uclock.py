@@ -2,7 +2,7 @@ import closure_oracle as closure
 from conftest import empty_trace, handoff_trace, random_traces, skip_decisions
 from invariants import checked_engine
 from racelab import oracle
-from racelab.engines import create_engine
+from racelab.engines import create_engine, observe
 from racelab.trace import SamplingPolicy, apply_sampling
 
 
@@ -59,8 +59,9 @@ def test_equivalence_with_sampling_engine():
     for marked, _ in random_traces(seed=51, count=120):
         a = create_engine("sampling", marked)
         snaps_a, snaps_b = [], []
-        b = checked_engine("uclock", marked, on_event=lambda ev, eff: snaps_b.append(eff))
-        a.on_event = lambda ev, eff: snaps_a.append(eff)
+        b = checked_engine("uclock", marked)
+        observe(a, lambda ev, eff: snaps_a.append(eff))
+        observe(b, lambda ev, eff: snaps_b.append(eff))
         a.run(marked)
         b.run(marked)
         assert a.racy_set() == b.racy_set() == oracle.racy_events(marked)
@@ -75,7 +76,7 @@ def test_freshness_soundness_per_event():
         tables = closure.declarative_timestamps(marked)
         e = create_engine("uclock", marked)
         seen = []  # the acting thread's freshness clock after each event
-        e.on_event = lambda index, eff: seen.append(list(e.u_threads[marked.threads[index - 1]]))
+        observe(e, lambda index, eff: seen.append(list(e.u_threads[marked.threads[index - 1]])))
         e.run(marked)
         assert len(seen) == len(marked)
         for pos, (ut, thread) in enumerate(zip(seen, marked.threads)):

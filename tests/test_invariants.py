@@ -48,10 +48,15 @@ BUGS = [
      ("orderedlist",), "random_traces(65)[0]", "refs 3, 1 views"),
     ("guard-lets-self-handoff-through", OrderedListEngine, "_acquire",
      "if freshness <= ut[lr]:", "if freshness <= ut[lr] and lr != t:",
-     ("orderedlist",), "random_traces(65)[0]", "freshness decreased"),
+     ("orderedlist",), "random_traces(65)[0]", "re-acquired lock 0 without a skip"),
     ("lock-freshness-above-thread", UclockEngine, "_publish",
      "self.u_locks[lock] = list(ut)", "self.u_locks[lock] = list(ut); self.u_locks[lock][t] += 1",
-     ("uclock",), "random_traces(65)[0]", "above the threads' own"),
+     ("uclock",), "random_traces(65)[0]", "published own freshness 2 to lock 0"),
+    # A release that publishes the list's own entry, not the pending epoch
+    # the list has yet to fold in: acquirers miss the releaser's last epoch.
+    ("lock-epoch-drops-pending", OrderedListEngine, "_publish",
+     "self.pending_local[t] or lst.get(t)", "lst.get(t)",
+     ("orderedlist",), "random_traces(65)[0]", "published epoch 0 to lock 0, not 1"),
     ("join-overwrites", SamplingEngine, "_acquire",
      "if c > ct[s]:", "if c != ct[s]:",
      ("sampling", "djitp"), "random_traces(65)[0]", "clock decreased"),
