@@ -24,8 +24,8 @@ Every engine is the paper's sampling algorithm and differs only in how it
 timestamps.  ``Engine`` keeps only what every engine shares: the per-thread
 epochs, the new-sample flags, the one access path, the release skeleton,
 the driver loop and its tally.  A subclass supplies ``_acquire``, ``_fold``
-(write the epoch into the clock at a sample-consuming release) and
-``_publish`` (hand the clock to the lock at every release), and keeps
+(the clock's side of a sample-consuming release, before the epoch advances)
+and ``_publish`` (hand the clock to the lock at every release), and keeps
 ``rows``: ``rows[t]`` is thread t's live clock, read in place by the race
 checks and copied only by ``observe``.  An access is handed to the
 histories only if it is marked or ``AccessHistories.will_check`` says it
@@ -63,7 +63,7 @@ class Engine:
 
     * ``_acquire(index, thread, lock, marked)``: the acquire handler;
     * ``_fold(thread)``: at a sample-consuming release, write the epoch
-      into the clock;
+      into the clock (orderedlist's list takes it only when it next changes);
     * ``_publish(thread, lock)``: at every release, after the epoch step,
       hand the clock to the lock.
     """
@@ -175,7 +175,7 @@ def observe(engine: Engine, hook: Callable[[int, List[int]], None]) -> None:
     replacing its four handlers with instance attributes that wrap them.
     ``eff`` is a copy of ``rows[t]`` whose own component is the epoch read
     before the handler ran.  Acquires and accesses leave ``epochs`` as it
-    is; a release's ``_fold`` writes only the own component and
+    is; a release's ``_fold`` writes at most the own component and
     ``_publish`` no thread row, so at a release ``eff`` is the clock after
     the fold, before the epoch advances.  Calls stack, the first hook
     called first."""

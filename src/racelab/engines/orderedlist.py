@@ -8,19 +8,18 @@ and writes what is newer in one pass after at most one deep copy.  Before
 any release every lock views one bottom list, and its releaser and freshness
 are 0, which the freshness guard always skips.
 
-A release does not fold the new local time into the list at all: the value
-is kept aside as a pending epoch (0 when there is none, since epochs start at
-1), published as the lock's epoch, the releaser's own component, which
-acquirers merge as one extra candidate, and folded into the list the next
-time the list must change, in place or in a deep copy.  Folding it at the
-release would change the list while an earlier release's view may still
-share it, at the cost of a deep copy.  So ``rows[t]``, the list's dense
-clock that the race checks read, lags only on the own component, which they
-ignore.  An acquirer's prefix walk, which compares with its list, may find
+A thread's own time lives only in ``epochs``: a release does not fold it
+into the list, whose own entry may lag the last folded epoch ``epochs[t] -
+1``; the gap is the pending epoch.  The release publishes ``epochs[t] - 1``
+as the lock's epoch, the releaser's own component, which acquirers merge as
+one extra candidate, and the list takes it when it next changes, in place or
+in a deep copy.  Folding it at the release would change the list while an
+earlier release's view may still share it, at the cost of a deep copy.  So
+``rows[t]``, the list's dense clock that the race checks read, lags only on
+the own component, which they ignore.  An acquirer's prefix walk may find
 the lock newer on that component while an epoch is pending, and drops the
 entry outright: a thread's component enters another clock only through its
-own releases, the latest of which is the pending epoch, so the entry is at
-or below it.
+own releases, which published at most ``epochs[t] - 1``.
 
 A release adds a reference to the thread's list and drops the one of the
 view it replaces, so re-publishing a list to the lock that already holds it
@@ -42,7 +41,6 @@ class OrderedListEngine(Engine):
         self.o_threads = [OrderedList(num_threads) for _ in range(num_threads)]
         self.rows = [lst.times for lst in self.o_threads]
         self.u_threads = [[0] * num_threads for _ in range(num_threads)]
-        self.pending_local = [0] * num_threads
         bottom = OrderedList(num_threads)
         bottom.refs += num_locks
         self.lock_views = [bottom] * num_locks
@@ -53,7 +51,7 @@ class OrderedListEngine(Engine):
     # -- views -------------------------------------------------------------
 
     def _ensure_exclusive(self, thread: int) -> OrderedList:
-        """The thread's list, made exclusive, with its pending epoch folded in."""
+        """The thread's list, made exclusive, with its own entry ``epochs[thread] - 1``."""
         lst = self.o_threads[thread]
         if lst.refs > 1:
             fresh = lst.deep_copy()
@@ -62,15 +60,12 @@ class OrderedListEngine(Engine):
             self.rows[thread] = lst.times
             self.metrics.deep_copies += 1
             self.metrics.full_traversals += 1
-        pending = self.pending_local[thread]
-        if pending:
-            # Fold point for the disentangled epoch, on both the copy and the
+        last = self.epochs[thread] - 1
+        if lst.get(thread) != last:
+            # Fold point for the pending epoch, on both the copy and the
             # in-place path; the freshness bump for this change was already
-            # counted at the release that recorded it.  Only ``_fold`` sets a
-            # pending epoch, right before ``_publish`` shares the list, so it
-            # waits here for the list's next change.
-            lst.set(thread, pending)
-            self.pending_local[thread] = 0
+            # counted at the release that advanced the epoch.
+            lst.set(thread, last)
         return lst
 
     # -- handlers ------------------------------------------------------------
@@ -86,7 +81,7 @@ class OrderedListEngine(Engine):
         ut[lr] = freshness
         # Self hand-offs fail the guard, so lr != t.  Own entries are stale.
         pairs = self.lock_views[lock].newer_in_prefix(d, self.o_threads[t])
-        if self.pending_local[t]:
+        if self.rows[t][t] != self.epochs[t] - 1:
             pairs = [p for p in pairs if p[0] != t]
         if pairs:
             lst = self._ensure_exclusive(t)
@@ -102,7 +97,6 @@ class OrderedListEngine(Engine):
         self.metrics.entries_saved += self.num_threads - visited
 
     def _fold(self, t):
-        self.pending_local[t] = self.epochs[t]
         self.u_threads[t][t] += 1
 
     def _publish(self, t, lock):
@@ -112,4 +106,4 @@ class OrderedListEngine(Engine):
         self.metrics.shallow_copies += 1
         self.last_releaser[lock] = t
         self.lock_freshness[lock] = self.u_threads[t][t]
-        self.lock_epoch[lock] = self.pending_local[t] or lst.get(t)
+        self.lock_epoch[lock] = self.epochs[t] - 1

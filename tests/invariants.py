@@ -9,10 +9,10 @@ observe the engine again; its hook runs after the checker's.  The checks:
   it, so the engine's reports increase strictly by ``(event index,
   variable, kind)``: sorted and distinct, as ``render_reports`` assumes;
 * no thread clock and no lock clock has decreased since the last check.
-  For ``orderedlist`` a thread's clock is its list with the pending epoch
-  folded in, and a lock's clock is its view with the lock epoch as the last
-  releaser's component.  The threads' freshness clocks must not decrease
-  either.  A lock's freshness clock may: an acquire skipped on the last
+  For ``orderedlist`` a thread's clock is its list with ``epochs[t] - 1``
+  as its own component, and a lock's clock is its view with the lock epoch
+  as the last releaser's component.  The threads' freshness clocks must not
+  decrease either.  A lock's freshness clock may: an acquire skipped on the last
   releaser's component joins none of the others, and the acquirer's
   release replaces them with its own;
 * a release of lock l by thread t published what t holds after it:
@@ -31,8 +31,10 @@ observe the engine again; its hook runs after the checker's.  The checks:
   only the components the lock is fresher on;
 * orderedlist: each thread's list has ``refs == 1 +`` the number of lock
   views that are that list;
-* orderedlist: each thread's pending epoch is 0 or ``epochs[t] - 1``, and
-  is 0 exactly when its list's own entry is ``epochs[t] - 1``;
+* a thread's own component is its last folded epoch: ``c_threads[t][t] ==
+  epochs[t] - 1`` for sampling, uclock and djitp; for orderedlist, whose
+  list takes the epoch only when it next changes, ``o_threads[t].get(t) <=
+  epochs[t] - 1``;
 * ``engine.rows[t]`` is thread t's live clock: ``o_threads[t].times`` for
   orderedlist, ``c_threads[t]`` for the others;
 * the bottom row every lock starts on (``c_locks`` and uclock's
@@ -82,8 +84,7 @@ def _clocks(engine) -> list:
     if isinstance(engine, OrderedListEngine):
         for t, lst in enumerate(engine.o_threads):
             clock = lst.snapshot()
-            if engine.pending_local[t]:
-                clock[t] = engine.pending_local[t]
+            clock[t] = engine.epochs[t] - 1
             out.append((f"thread {t} clock", clock))
         for lock, view in enumerate(engine.lock_views):
             clock = view.snapshot()
@@ -183,15 +184,16 @@ class _Checker:
                     assert not any(map(_stale, ut, ul, ct, cl)), (
                         f"{where}: thread {t} as fresh as lock {lock} but behind its clock"
                     )
-        if isinstance(engine, OrderedListEngine):
+        ol = isinstance(engine, OrderedListEngine)
+        for t, epoch in enumerate(engine.epochs):
+            own = engine.o_threads[t].get(t) if ol else engine.c_threads[t][t]
+            assert (own <= epoch - 1) if ol else (own == epoch - 1), (
+                f"{where}: thread {t}: own component {own}, epoch {epoch}"
+            )
+        if ol:
             for t, lst in enumerate(engine.o_threads):
                 views = sum(v is lst for v in engine.lock_views)
                 assert lst.refs == 1 + views, f"{where}: thread {t}: refs {lst.refs}, {views} views"
-                pending, own, last = engine.pending_local[t], lst.get(t), engine.epochs[t] - 1
-                assert pending in (0, last) and (pending == 0) == (own == last), (
-                    f"{where}: thread {t}: pending epoch {pending}, own entry {own}, "
-                    f"epoch {engine.epochs[t]}"
-                )
 
 
 def checked_engine(token: str, tr, **kwargs):

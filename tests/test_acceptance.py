@@ -315,6 +315,7 @@ def test_criterion_10_golden_worked_examples(ladder_trace):
         donor.set(tid, val)
     for tid, val in [(4, 1), (2, 3), (0, 8), (1, 18)]:
         ol.o_threads[1].set(tid, val)
+    ol.epochs[1] = 19
     ol.u_threads[1] = [14, 22, 3, 0, 1, 0]
     donor.refs += 1
     ol.lock_views[0] = donor

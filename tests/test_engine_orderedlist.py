@@ -49,6 +49,7 @@ def test_freshness_gap_one_merge_visits_one_node():
     own = e.o_threads[1]
     for tid, val in [(4, 1), (2, 3), (0, 8), (1, 18)]:
         own.set(tid, val)
+    e.epochs[1] = 19  # 18 is t1's last folded epoch
     e.u_threads[1] = [14, 22, 3, 0, 1, 0]
     _share(e, 0, donor)
     e.last_releaser[0] = 0
@@ -61,15 +62,15 @@ def test_freshness_gap_one_merge_visits_one_node():
     assert e.metrics.entries_saved == 5  # six threads, one entry traversed
 
 
-def _handoff(own_entries, view_entries, pending, epoch):
+def _handoff(own_entries, view_entries, last, epoch):
     """Three threads, two locks: t1 acquires lock 0 and returns the engine
     and t1's list from before the acquire.
 
-    t1's list holds ``own_entries`` and its pending epoch ``pending``, and
-    is shared through lock 1's view.  Lock 0 was last released by t0 with
-    freshness 5, a view holding ``view_entries`` and the lock epoch
-    ``epoch``; t1 knows t0 at freshness 4, so the walk visits the view's
-    head only."""
+    t1's list holds ``own_entries`` and is shared through lock 1's view;
+    t1's last folded epoch is ``last``, pending while the list's own entry
+    is below it.  Lock 0 was last released by t0 with freshness 5, a view
+    holding ``view_entries`` and the lock epoch ``epoch``; t1 knows t0 at
+    freshness 4, so the walk visits the view's head only."""
     e = create_engine("orderedlist", empty_trace(3, 2, 1))
     own, view = e.o_threads[1], OrderedList(3)
     for lst, entries in ((own, own_entries), (view, view_entries)):
@@ -77,7 +78,7 @@ def _handoff(own_entries, view_entries, pending, epoch):
             lst.set(tid, time)
     _share(e, 1, own)
     _share(e, 0, view)
-    e.pending_local[1] = pending
+    e.epochs[1] = last + 1
     e.u_threads[1] = [4, 7, 0]
     e.last_releaser[0] = 0
     e.lock_freshness[0] = 5
@@ -91,10 +92,10 @@ def test_own_entry_at_or_below_the_pending_epoch_merges_nothing(own_time):
     # The view's head, its only entry newer than t1's list, is t1's own
     # component; t1's pending epoch 5 already covers it, and the lock epoch
     # 2 is no news either.
-    e, own = _handoff([(0, 2)], [(0, 2), (1, own_time)], pending=5, epoch=2)
+    e, own = _handoff([(0, 2)], [(0, 2), (1, own_time)], last=5, epoch=2)
     assert e.o_threads[1] is own and e.metrics.deep_copies == 0
     assert own.snapshot() == [2, 0, 0]  # the pending epoch is not folded
-    assert e.pending_local[1] == 5
+    assert e.epochs[1] - 1 == 5  # still pending over the list's own entry 0
     assert e.u_threads[1] == [5, 7, 0]
     assert e.metrics.nodes_visited == 1
 
@@ -125,13 +126,13 @@ def test_the_prefix_walk_is_exact_and_its_own_entries_are_stale(monkeypatch):
     def spy(view, k, other):
         engine = current[0]
         t = next(t for t, lst in enumerate(engine.o_threads) if lst is other)
-        pending = engine.pending_local[t]
+        last = engine.epochs[t] - 1
         pairs = walk(view, k, other)
         theirs = other.times
         full = {(tid, n) for tid, n in enumerate(view.times) if n > theirs[tid]}
         assert set(pairs) <= full and {p for p in full if p[0] != t} <= set(pairs), (k, pairs)
         own = [n for tid, n in full if tid == t]
-        assert not own or 0 < own[0] <= pending, (t, own, pending)
+        assert not own or 0 < own[0] <= last, (t, own, last)
         seen["walks"] += 1
         seen["cut"] += k < engine.num_threads
         seen["own"] += bool(own)
@@ -149,7 +150,8 @@ def test_the_prefix_walk_is_exact_and_its_own_entries_are_stale(monkeypatch):
 def test_prefix_sets_the_releasers_entry_below_the_lock_epoch():
     # The view holds t0's component 3, but t0's pending epoch 6 was
     # published as the lock epoch: the walk sets 3, then the epoch sets 6.
-    e, own = _handoff([(0, 1)], [(0, 3)], pending=0, epoch=6)
+    # t1 has no epoch pending: its own entry 0 is its last folded epoch.
+    e, own = _handoff([(0, 1)], [(0, 3)], last=0, epoch=6)
     assert e.metrics.deep_copies == 1
     lst = e.o_threads[1]
     assert lst is not own and lst.snapshot() == [6, 0, 0] and own.get(0) == 1
@@ -201,10 +203,9 @@ def test_equivalence_with_sampling_engine():
         assert e.racy_set() == ref.racy_set() == oracle.racy_events(marked)
         assert snaps == snaps_ref
         for t in range(marked.num_threads):
-            # The conceptual clock: the list with the pending epoch folded in.
+            # The conceptual clock: the list with its last folded epoch.
             clock = e.o_threads[t].snapshot()
-            if e.pending_local[t]:
-                clock[t] = e.pending_local[t]
+            clock[t] = e.epochs[t] - 1
             assert clock == ref.c_threads[t]
 
 
@@ -278,9 +279,9 @@ def test_whole_trace_diff_catches_the_unshare_fold_bug(monkeypatch):
             self.rows[thread] = fresh.times
             self.metrics.deep_copies += 1
             self.metrics.full_traversals += 1
-            if self.pending_local[thread]:
-                fresh.set(thread, self.pending_local[thread])
-                self.pending_local[thread] = 0
+            last = self.epochs[thread] - 1
+            if fresh.get(thread) != last:
+                fresh.set(thread, last)
         return self.o_threads[thread]
 
     monkeypatch.setattr(OrderedListEngine, "_ensure_exclusive", fold_on_copy_only)

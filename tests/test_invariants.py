@@ -52,11 +52,16 @@ BUGS = [
     ("lock-freshness-above-thread", UclockEngine, "_publish",
      "self.u_locks[lock] = list(ut)", "self.u_locks[lock] = list(ut); self.u_locks[lock][t] += 1",
      ("uclock",), "random_traces(65)[0]", "published own freshness 2 to lock 0"),
-    # A release that publishes the list's own entry, not the pending epoch
-    # the list has yet to fold in: acquirers miss the releaser's last epoch.
+    # A release that publishes the list's own entry, not the last folded
+    # epoch the list has yet to take: acquirers miss the releaser's epoch.
     ("lock-epoch-drops-pending", OrderedListEngine, "_publish",
-     "self.pending_local[t] or lst.get(t)", "lst.get(t)",
+     "self.epochs[t] - 1", "lst.get(t)",
      ("orderedlist",), "random_traces(65)[0]", "published epoch 0 to lock 0, not 1"),
+    # A fold one epoch ahead: the race checks ignore the own component, so
+    # only the own-component check sees it.
+    ("fold-writes-next-epoch", SamplingEngine, "_fold",
+     "self.epochs[t]", "self.epochs[t] + 1",
+     ("sampling", "uclock", "djitp"), "random_traces(65)[0]", "own component 2, epoch 2"),
     ("join-overwrites", SamplingEngine, "_acquire",
      "if c > ct[s]:", "if c != ct[s]:",
      ("sampling", "djitp"), "random_traces(65)[0]", "clock decreased"),
