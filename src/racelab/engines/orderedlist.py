@@ -61,7 +61,7 @@ class OrderedListEngine(Engine):
             self.metrics.deep_copies += 1
             self.metrics.full_traversals += 1
         last = self.epochs[thread] - 1
-        if lst.get(thread) != last:
+        if self.rows[thread][thread] != last:
             # Fold point for the pending epoch, on both the copy and the
             # in-place path; the freshness bump for this change was already
             # counted at the release that advanced the epoch.
