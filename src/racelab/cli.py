@@ -34,7 +34,6 @@ from .trace import (
     Trace,
     TraceError,
     apply_sampling,
-    dump_trace,
     load_trace,
     write_trace,
 )
@@ -90,10 +89,8 @@ def cmd_gen(args) -> int:
         accesses_per_cs=args.accesses_per_cs,
     )
     tr = generate_trace(cfg, args.seed)
-    if args.out is None or args.out == "-":
-        write_trace(tr, sys.stdout)
-    else:
-        dump_trace(tr, args.out)
+    with _open(args.out) as fh:
+        write_trace(tr, fh)
     accesses = len(tr) - tr.kinds.count(ACQ) - tr.kinds.count(REL)
     print(
         f"generated {len(tr)} events: {tr.num_threads} threads, "

@@ -63,7 +63,7 @@ class Engine:
 
     * ``_acquire(index, thread, lock, marked)``: the acquire handler;
     * ``_fold(thread)``: at a sample-consuming release, write the epoch
-      into the clock (orderedlist's list takes it only when it next changes);
+      into the clock's own component;
     * ``_publish(thread, lock)``: at every release, after the epoch step,
       hand the clock to the lock.
     """

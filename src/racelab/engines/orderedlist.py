@@ -5,27 +5,24 @@ the thread's list itself to the lock as a shared, read-only view, together
 with the releaser id and a freshness scalar; an acquire that learns anything
 new walks only a prefix of the lock's list, as long as the freshness gap,
 and writes what is newer in one pass after at most one deep copy.  Before
-any release every lock views one bottom list, and its releaser and freshness
-are 0, which the freshness guard always skips.
+any release every lock views one bottom list, built for thread 0, and its
+releaser and freshness are 0, which the freshness guard always skips.
 
-A thread's own time lives only in ``epochs``: a release does not fold it
-into the list, whose own entry may lag the last folded epoch ``epochs[t] -
-1``; the gap is the pending epoch.  The release publishes ``epochs[t] - 1``
-as the lock's epoch, the releaser's own component, which acquirers merge as
-one extra candidate, and the list takes it when it next changes, in place or
-in a deep copy.  Folding it at the release would change the list while an
-earlier release's view may still share it, at the cost of a deep copy.  So
-``rows[t]``, the list's dense clock that the race checks read, lags only on
-the own component, which they ignore.  An acquirer's prefix walk may find
-the lock newer on that component while an epoch is pending, and drops the
-entry outright: a thread's component enters another clock only through its
-own releases, which published at most ``epochs[t] - 1``.
+A thread's list links every entry but its own, which is private to the
+thread: no prefix walk reaches it, so a sample-consuming release writes the
+epoch there in place, as the other engines do, even while a lock still
+views the list.  That write counts as one change in the thread's freshness.
+Since a view's own entry keeps moving after the release, the release also
+publishes its epoch ``epochs[t] - 1`` as the lock's epoch, the releaser's
+component, which acquirers merge as one extra candidate.  An acquirer's own
+entry in a view is never newer than its own: a thread's component enters
+another clock only through its releases' lock epochs.
 
 A release adds a reference to the thread's list and drops the one of the
 view it replaces, so re-publishing a list to the lock that already holds it
 allocates nothing.  A thread's list is shared while a lock still holds a
 view of it (its reference count is above one).  When the list must change,
-the thread mutates it in place if every view has since been dropped, and
+the thread sets it in place if every view has since been dropped, and
 deep-copies it otherwise.
 """
 
@@ -38,10 +35,10 @@ from .base import Engine
 class OrderedListEngine(Engine):
     def __init__(self, num_threads, num_locks, num_vars, **kwargs):
         super().__init__(num_threads, num_locks, num_vars, **kwargs)
-        self.o_threads = [OrderedList(num_threads) for _ in range(num_threads)]
+        self.o_threads = [OrderedList(num_threads, t) for t in range(num_threads)]
         self.rows = [lst.times for lst in self.o_threads]
         self.u_threads = [[0] * num_threads for _ in range(num_threads)]
-        bottom = OrderedList(num_threads)
+        bottom = OrderedList(num_threads, 0)
         bottom.refs += num_locks
         self.lock_views = [bottom] * num_locks
         self.last_releaser = [0] * num_locks
@@ -51,21 +48,14 @@ class OrderedListEngine(Engine):
     # -- views -------------------------------------------------------------
 
     def _ensure_exclusive(self, thread: int) -> OrderedList:
-        """The thread's list, made exclusive, with its own entry ``epochs[thread] - 1``."""
+        """The thread's list, made exclusive."""
         lst = self.o_threads[thread]
         if lst.refs > 1:
-            fresh = lst.deep_copy()
             lst.refs -= 1
-            self.o_threads[thread] = lst = fresh
+            self.o_threads[thread] = lst = lst.deep_copy()
             self.rows[thread] = lst.times
             self.metrics.deep_copies += 1
             self.metrics.full_traversals += 1
-        last = self.epochs[thread] - 1
-        if self.rows[thread][thread] != last:
-            # Fold point for the pending epoch, on both the copy and the
-            # in-place path; the freshness bump for this change was already
-            # counted at the release that advanced the epoch.
-            lst.set(thread, last)
         return lst
 
     # -- handlers ------------------------------------------------------------
@@ -79,24 +69,23 @@ class OrderedListEngine(Engine):
             return
         d = freshness - ut[lr]
         ut[lr] = freshness
-        # Self hand-offs fail the guard, so lr != t.  Own entries are stale.
+        # Self hand-offs fail the guard, so lr != t.
         pairs = self.lock_views[lock].newer_in_prefix(d, self.o_threads[t])
-        if self.rows[t][t] != self.epochs[t] - 1:
-            pairs = [p for p in pairs if p[0] != t]
         if pairs:
             lst = self._ensure_exclusive(t)
             for tstar, n in pairs:
                 lst.set(tstar, n)
             ut[t] += len(pairs)
         epoch = self.lock_epoch[lock]
-        if epoch > self.o_threads[t].get(lr):
+        if epoch > self.rows[t][lr]:
             self._ensure_exclusive(t).set(lr, epoch)
             ut[t] += 1
-        visited = min(d, self.num_threads)
+        visited = min(d, self.num_threads - 1)
         self.metrics.nodes_visited += visited
         self.metrics.entries_saved += self.num_threads - visited
 
     def _fold(self, t):
+        self.rows[t][t] = self.epochs[t]
         self.u_threads[t][t] += 1
 
     def _publish(self, t, lock):

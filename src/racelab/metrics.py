@@ -8,7 +8,8 @@ Counting conventions:
   ordered-list engine.  Race-check comparisons are not counted here.
 * ``entries_saved`` accumulates, at each non-skipped acquire of the
   ordered-list engine, the difference between T and the number of list
-  entries actually traversed.
+  entries actually traversed.  A list links every entry but its owner's,
+  so a full walk is T - 1 entries and saves one.
 * ``epoch_increments`` counts local-epoch advances (every release for the
   baseline full detector, only sample-consuming releases for the sampling
   engines).

@@ -1,13 +1,16 @@
 """Move-to-front ordered-list timestamps with copy-on-write sharing.
 
 An OrderedList stores a vector timestamp as a doubly linked sequence of
-(tid, time) entries, exactly one per thread, ordered by recency of update:
-every set moves the touched entry to the head.  The d most recently changed
-entries are therefore always a prefix.
+(tid, time) entries, ordered by recency of update: every set moves the
+touched entry to the head.  The d most recently changed entries are
+therefore always a prefix.  Each list has an owner, the thread whose clock
+it is, and links every thread's entry but the owner's: that entry is
+private, so no walk reaches it, and the owner writes it in place through
+``times``, even while views share the list.
 
-The list keeps only what the orderedlist engine calls: O(1) ``get`` and
-``set``, ``newer_in_prefix`` (the entries among the first k that are newer
-than another list), the dense views ``times`` and ``snapshot``, and
+The list keeps only what the orderedlist engine calls: O(1) ``set``,
+``newer_in_prefix`` (the entries among the first k that are newer than
+another list), the dense views ``times`` and ``snapshot``, and
 ``deep_copy``.
 
 The list is array-backed: ``_time[t]`` is thread t's component, and
@@ -22,8 +25,8 @@ Sharing is single-writer copy-on-write.  A published view (a lock's
 timestamp) is the list itself: whoever publishes it adds one to ``refs``,
 and dropping a view is ``refs -= 1``.  ``refs`` counts the owner
 plus every live view and is the only sharing state: the list is shared while
-``refs > 1``.  Mutating a shared list is a contract violation and raises;
-once the last view is dropped the owner mutates it in place again, and
+``refs > 1``.  A set on a shared list is a contract violation and raises;
+once the last view is dropped the owner sets it in place again, and
 ``deep_copy`` materializes an exclusive copy at any time.
 """
 
@@ -45,20 +48,25 @@ def _ids(width: int) -> List[int]:
 
 
 class OrderedList:
-    """Array-backed doubly linked (tid, time) list with O(1) get/set."""
+    """Array-backed doubly linked (tid, time) list with O(1) set."""
 
     __slots__ = ("_time", "_next", "_prev", "_head", "refs")
 
-    def __init__(self, width: int):
+    def __init__(self, width: int, owner: int):
         ids = _ids(width)
         self._time = [0] * width
         self._next = ids[2:]
         self._prev = ids[:width]
-        self._head = 0 if width else -1
+        self._head = 0
         self.refs = 1  # the owner; each published view adds one
-
-    def get(self, tid: int) -> int:
-        return self._time[tid]
+        # Unlink the owner's entry: its neighbours link past it.
+        before, after = owner - 1, owner + 1 if owner + 1 < width else -1
+        if before == -1:
+            self._head = after
+        else:
+            self._next[before] = after
+        if after != -1:
+            self._prev[after] = before
 
     def set(self, tid: int, time: int) -> None:
         if self.refs > 1:
@@ -78,13 +86,14 @@ class OrderedList:
         self._head = tid
 
     def newer_in_prefix(self, k: int, other: "OrderedList") -> List[Tuple[int, int]]:
-        """The (tid, time) pairs among the first ``min(k, width)`` entries
-        whose time exceeds ``other``'s component for tid, in list order;
-        read-only.  Every thread has one entry, so the walk needs no end test."""
+        """The (tid, time) pairs among the first ``min(k, width - 1)``
+        entries whose time exceeds ``other``'s component for tid, in list
+        order; read-only.  Every thread but the owner has one entry, so the
+        walk needs no end test."""
         out: List[Tuple[int, int]] = []
         times, links, theirs = self._time, self._next, other._time
         tid = self._head
-        for _ in range(min(k, len(times))):
+        for _ in range(min(k, len(times) - 1)):
             if times[tid] > theirs[tid]:
                 out.append((tid, times[tid]))
             tid = links[tid]
@@ -92,14 +101,15 @@ class OrderedList:
 
     @property
     def times(self) -> Sequence[int]:
-        """The live dense clock, not copied: component t = get(t).
+        """The live dense clock, not copied: component t is thread t's time.
 
-        Read-only for callers; it changes with the list, so read it at once.
+        Read-only for callers, except the owner's entry, which the owner
+        writes in place; it changes with the list, so read it at once.
         """
         return self._time
 
     def snapshot(self) -> List[int]:
-        """Dense clock view: component t = get(t)."""
+        """A copy of ``times``."""
         return self._time[:]
 
     def deep_copy(self) -> "OrderedList":

@@ -351,12 +351,6 @@ def write_trace(tr: Trace, fh) -> None:
         fh.write(chunk)
 
 
-def dump_trace(tr: Trace, path) -> None:
-    """Write ``tr`` to the file ``path`` with ``write_trace``."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        write_trace(tr, fh)
-
-
 # --- sampling -------------------------------------------------------------
 
 _MASK64 = (1 << 64) - 1

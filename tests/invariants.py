@@ -9,12 +9,12 @@ observe the engine again; its hook runs after the checker's.  The checks:
   it, so the engine's reports increase strictly by ``(event index,
   variable, kind)``: sorted and distinct, as ``render_reports`` assumes;
 * no thread clock and no lock clock has decreased since the last check.
-  For ``orderedlist`` a thread's clock is its list with ``epochs[t] - 1``
-  as its own component, and a lock's clock is its view with the lock epoch
-  as the last releaser's component.  The threads' freshness clocks must not
-  decrease either.  A lock's freshness clock may: an acquire skipped on the last
-  releaser's component joins none of the others, and the acquirer's
-  release replaces them with its own;
+  For ``orderedlist`` a thread's clock is its list, and a lock's clock is
+  its view with the lock epoch as the last releaser's component: the
+  releaser writes its own entry in place after the release.  The threads'
+  freshness clocks must not decrease either.  A lock's freshness clock
+  may: an acquire skipped on the last releaser's component joins none of
+  the others, and the acquirer's release replaces them with its own;
 * a release of lock l by thread t published what t holds after it:
   sampling and djitp ``c_locks[l] == c_threads[t]``; uclock that, with
   ``last_releaser[l] == t`` and ``u_locks[l][t] == u_threads[t][t]`` (not
@@ -31,9 +31,11 @@ observe the engine again; its hook runs after the checker's.  The checks:
   only the components the lock is fresher on;
 * orderedlist: each thread's list has ``refs == 1 +`` the number of lock
   views that are that list;
-* a thread's own component is its last folded epoch: ``c_threads[t][t] ==
-  epochs[t] - 1`` for sampling, uclock and djitp; for orderedlist, whose
-  list takes the epoch only when it next changes, ``o_threads[t].get(t) <=
+* orderedlist: the acting thread's list (after ``run``, every thread's
+  list and every lock's view) links each of the other ``T - 1`` threads'
+  entries once and never its owner's: the thread's own, or the last
+  releaser's for a view;
+* a thread's own component is its last folded epoch, ``rows[t][t] ==
   epochs[t] - 1``;
 * ``engine.rows[t]`` is thread t's live clock: ``o_threads[t].times`` for
   orderedlist, ``c_threads[t]`` for the others;
@@ -82,10 +84,7 @@ def _clocks(engine) -> list:
     """``(name, clock)`` for every clock that must never decrease."""
     out = []
     if isinstance(engine, OrderedListEngine):
-        for t, lst in enumerate(engine.o_threads):
-            clock = lst.snapshot()
-            clock[t] = engine.epochs[t] - 1
-            out.append((f"thread {t} clock", clock))
+        out += ((f"thread {t} clock", lst.snapshot()) for t, lst in enumerate(engine.o_threads))
         for lock, view in enumerate(engine.lock_views):
             clock = view.snapshot()
             clock[engine.last_releaser[lock]] = engine.lock_epoch[lock]
@@ -184,16 +183,31 @@ class _Checker:
                     assert not any(map(_stale, ut, ul, ct, cl)), (
                         f"{where}: thread {t} as fresh as lock {lock} but behind its clock"
                     )
-        ol = isinstance(engine, OrderedListEngine)
-        for t, epoch in enumerate(engine.epochs):
-            own = engine.o_threads[t].get(t) if ol else engine.c_threads[t][t]
-            assert (own <= epoch - 1) if ol else (own == epoch - 1), (
-                f"{where}: thread {t}: own component {own}, epoch {epoch}"
-            )
-        if ol:
+        for t, (row, epoch) in enumerate(zip(engine.rows, engine.epochs)):
+            assert row[t] == epoch - 1, f"{where}: thread {t}: own component {row[t]}, epoch {epoch}"
+        if isinstance(engine, OrderedListEngine):
             for t, lst in enumerate(engine.o_threads):
                 views = sum(v is lst for v in engine.lock_views)
                 assert lst.refs == 1 + views, f"{where}: thread {t}: refs {lst.refs}, {views} views"
+            check_links(where, ((t, engine.o_threads[t]) for t in threads))
+
+
+def _linked(lst) -> list:
+    """The thread ids ``lst`` links, head first; a cycle stops the walk
+    one entry past the list's width."""
+    out, tid = [], lst._head
+    while tid != -1 and len(out) <= len(lst.times):
+        out.append(tid)
+        tid = lst._next[tid]
+    return out
+
+
+def check_links(where: str, lists) -> None:
+    """Each ``(owner, list)`` links every thread's entry but the owner's, once."""
+    for owner, lst in lists:
+        linked = _linked(lst)
+        want = [s for s in range(len(lst.times)) if s != owner]
+        assert sorted(linked) == want, f"{where}: owner {owner}'s list links {linked}"
 
 
 def checked_engine(token: str, tr, **kwargs):
@@ -207,6 +221,8 @@ def checked_engine(token: str, tr, **kwargs):
         checker.start(trace)
         reports = run(trace)
         checker.check("after run", range(engine.num_threads))
+        if isinstance(engine, OrderedListEngine):
+            check_links("after run", zip(engine.last_releaser, engine.lock_views))
         return reports
 
     engine.run = checked_run

@@ -309,30 +309,37 @@ def test_criterion_10_golden_worked_examples(ladder_trace):
     uc._acquire(1, 1, 0, False)
     assert uc.c_threads[1] == [9, 18, 3, 0, 1, 0]
 
+    # The same for orderedlist: t0's own entry 9 is private to its list and
+    # reaches t1 as the lock epoch; the one-entry walk visits t1's entry.
     ol = create_engine("orderedlist", empty_trace(6, 1, 1))
-    donor = OrderedList(6)
-    for tid, val in [(4, 1), (2, 3), (1, 6), (0, 9)]:
+    donor = OrderedList(6, 0)
+    for tid, val in [(4, 1), (2, 3), (1, 6)]:
         donor.set(tid, val)
-    for tid, val in [(4, 1), (2, 3), (0, 8), (1, 18)]:
+    donor.times[0] = 9
+    for tid, val in [(4, 1), (2, 3), (0, 8)]:
         ol.o_threads[1].set(tid, val)
+    ol.o_threads[1].times[1] = 18
     ol.epochs[1] = 19
     ol.u_threads[1] = [14, 22, 3, 0, 1, 0]
     donor.refs += 1
     ol.lock_views[0] = donor
     ol.last_releaser[0] = 0
     ol.lock_freshness[0] = 15
+    ol.lock_epoch[0] = 9
     ol._acquire(1, 1, 0, False)
     assert ol.metrics.nodes_visited == 1
     assert ol.o_threads[1].snapshot() == [9, 18, 3, 0, 1, 0]
+    assert ol.u_threads[1][:2] == [15, 23]  # one set
 
-    # Ordered-list mutation example: set then increment, head-first prefix
-    o = OrderedList(5)
+    # Ordered-list mutation example: set then increment, head-first prefix;
+    # the list's owner, a sixth thread, is outside the five entries walked
+    o, bottom = OrderedList(6, 5), OrderedList(6, 5)
     for tid, time in [(3, 0), (2, 8), (4, 1), (1, 20), (0, 6)]:
         o.set(tid, time)
-    assert o.get(2) == 8
-    assert o.snapshot() == [6, 20, 8, 0, 1]
+    assert o.times[2] == 8
+    assert o.snapshot() == [6, 20, 8, 0, 1, 0]
     o.set(3, 6)
-    assert o.newer_in_prefix(1, OrderedList(5)) == [(3, 6)]
-    o.set(0, o.get(0) + 1)
-    assert o.newer_in_prefix(2, OrderedList(5)) == [(0, 7), (3, 6)]
+    assert o.newer_in_prefix(1, bottom) == [(3, 6)]
+    o.set(0, o.times[0] + 1)
+    assert o.newer_in_prefix(2, bottom) == [(0, 7), (3, 6)]
     print("CRITERION 10 (golden worked examples): PASS")

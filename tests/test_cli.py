@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import LADDER_TEXT, handoff_trace
+from conftest import LADDER_TEXT, handoff_trace, trace_text
 from racelab.cli import main
-from racelab.trace import dump_trace, parse_trace
+from racelab.trace import parse_trace
 
 
 def write(tmp_path, name, text):
@@ -68,6 +68,29 @@ def test_analyze_minimal_race_exit_1(tmp_path):
         assert (tmp_path / "races.txt").read_text() == "RACE write-write at e2 on x\n"
 
 
+def test_zero_and_one_thread_traces(tmp_path, capsys):
+    # An empty file is a trace of no thread, lock or variable: every engine
+    # finds no race and counts nothing, and diff reads EQUIVALENT on it as on
+    # a trace of one thread.
+    empty = write(tmp_path, "empty.trace", "")
+    races, out = tmp_path / "races.txt", tmp_path / "m.json"
+    for engine in ("djitp", "sampling", "uclock", "orderedlist"):
+        for mode in ("sampled-only", "extended"):
+            rc = main(["analyze", "--trace", empty, "--engine", engine, "--mode", mode,
+                       "--out-races", str(races), "--out-metrics", str(out)])
+            assert rc == 0 and races.read_text() == ""
+            metrics = json.loads(out.read_text())
+            for label in ("engine", "trace", "rate", "seed"):
+                del metrics[label]
+            assert not any(metrics.values()), (engine, mode, metrics)
+    one = write(tmp_path, "one.trace", "T1|acq(l)\nT1|w(x)|*\nT1|rel(l)\nT1|acq(l)\nT1|r(x)\n")
+    capsys.readouterr()
+    for trace in (empty, one):
+        for mode in ("sampled-only", "extended"):
+            assert main(["diff", "--trace", trace, "--mode", mode]) == 0
+            assert json.loads(capsys.readouterr().out)["verdict"] == "EQUIVALENT"
+
+
 def test_unknown_engine_exits_2(tmp_path, capsys):
     trace = write(tmp_path, "t.trace", "T1|w(x)\n")
     with pytest.raises(SystemExit) as err:
@@ -103,7 +126,7 @@ def test_diff_full_rate_equivalent_including_baseline(tmp_path, capsys):
     ["analyze", "--engine", "orderedlist"], ["diff"], ["bench", "--rates", "0.1"],
 ], ids=["analyze", "diff", "bench"])
 def test_local_epoch_opt_is_not_an_option(tmp_path, capsys, command):
-    # orderedlist has one algorithm, the deferred own-epoch path.
+    # orderedlist has one algorithm.
     trace = write(tmp_path, "ladder.trace", LADDER_TEXT)
     with pytest.raises(SystemExit) as err:
         main([*command, "--trace", trace, "--local-epoch-opt", "off"])
@@ -174,7 +197,7 @@ def test_bench_empty_rates_exits_2(tmp_path, capsys):
 
 def test_bench_skip_ratio_monotone_in_rate_on_handoff(tmp_path):
     path = str(tmp_path / "handoff.trace")
-    dump_trace(handoff_trace(100), path)
+    Path(path).write_text(trace_text(handoff_trace(100)), encoding="utf-8")
     out = str(tmp_path / "h.csv")
     assert main(["bench", "--trace", path, "--seed", "1", "--out", out]) == 0
     rows = list(csv.DictReader(io.StringIO(Path(out).read_text())))
@@ -231,7 +254,8 @@ def test_out_of_memory_exits_2_with_one_error_line(tmp_path, args):
     from racelab.gen import GenConfig, generate_trace
 
     trace = str(tmp_path / "wide.trace")
-    dump_trace(generate_trace(GenConfig(1024, 1024, 4096, 20_000), 1), trace)
+    text = trace_text(generate_trace(GenConfig(1024, 1024, 4096, 20_000), 1))
+    Path(trace).write_text(text, encoding="utf-8")
 
     def cap():
         limit = MEMORY_CAP_MB << 20

@@ -24,7 +24,6 @@ from racelab.trace import (
     TraceSyntaxError,
     _validate_columns,
     apply_sampling,
-    dump_trace,
     load_trace,
     parse_trace,
 )
@@ -168,7 +167,8 @@ def test_load_trace_peaks_at_most_twice_the_retained_bytes(tmp_path):
     # The file is parsed a line at a time: no copy of the whole file, its
     # text or its line list is ever alive next to the columns.
     path = tmp_path / "t.trace"
-    dump_trace(generate_trace(GenConfig(threads=8, locks=8, vars=64, events=20_000), 4), path)
+    text = trace_text(generate_trace(GenConfig(threads=8, locks=8, vars=64, events=20_000), 4))
+    path.write_text(text, encoding="utf-8")
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()

@@ -14,7 +14,6 @@ from invariants import checked_engine
 from racelab import oracle
 from racelab.differential import diff_report
 from racelab.engines import create_engine, observe
-from racelab.engines.orderedlist import OrderedListEngine
 from racelab.gen import GenConfig, generate_trace
 from racelab.history import EXTENDED, SAMPLED_ONLY
 from racelab.olist import OrderedList
@@ -40,42 +39,48 @@ def _share(e, lock, lst):
 
 
 def test_freshness_gap_one_merge_visits_one_node():
-    # Lock list published by t0, head entry (t0 : 9); freshness gap 15-14 = 1
-    # so exactly the head is visited and exactly one set lands on t1's list.
+    # Lock list published by t0 at epoch 9, head entry (t1 : 6); freshness
+    # gap 15-14 = 1, so exactly the head is visited.  It is no news to t1,
+    # and the lock epoch lands as the one set on t1's list.
     e = create_engine("orderedlist", empty_trace(6, 1, 1))
-    donor = OrderedList(6)
-    for tid, val in [(4, 1), (2, 3), (1, 6), (0, 9)]:  # head order: t0, t1, t2, t4
+    donor = OrderedList(6, 0)
+    for tid, val in [(4, 1), (2, 3), (1, 6)]:  # head order: t1, t2, t4
         donor.set(tid, val)
+    donor.times[0] = 9  # t0's own entry, private to t0
     own = e.o_threads[1]
-    for tid, val in [(4, 1), (2, 3), (0, 8), (1, 18)]:
+    for tid, val in [(4, 1), (2, 3), (0, 8)]:
         own.set(tid, val)
+    own.times[1] = 18
     e.epochs[1] = 19  # 18 is t1's last folded epoch
     e.u_threads[1] = [14, 22, 3, 0, 1, 0]
     _share(e, 0, donor)
     e.last_releaser[0] = 0
     e.lock_freshness[0] = 15
+    e.lock_epoch[0] = 9
     e._acquire(1, 1, 0, False)
     assert e.metrics.nodes_visited == 1
-    assert e.o_threads[1].get(0) == 9
+    assert e.o_threads[1].times[0] == 9
     assert e.u_threads[1][0] == 15
     assert e.u_threads[1][1] == 23
     assert e.metrics.entries_saved == 5  # six threads, one entry traversed
 
 
-def _handoff(own_entries, view_entries, last, epoch):
+def _handoff(own_entries, view_entries, last, epoch, releaser_own):
     """Three threads, two locks: t1 acquires lock 0 and returns the engine
     and t1's list from before the acquire.
 
-    t1's list holds ``own_entries`` and is shared through lock 1's view;
-    t1's last folded epoch is ``last``, pending while the list's own entry
-    is below it.  Lock 0 was last released by t0 with freshness 5, a view
-    holding ``view_entries`` and the lock epoch ``epoch``; t1 knows t0 at
-    freshness 4, so the walk visits the view's head only."""
+    t1's list holds ``own_entries`` and its own entry ``last``, t1's last
+    folded epoch, and is shared through lock 1's view.  Lock 0 was last
+    released by t0 with freshness 5 and the lock epoch ``epoch``; its view
+    is t0's list, holding ``view_entries`` and t0's own entry
+    ``releaser_own``.  t1 knows t0 at freshness 4, so the walk visits the
+    view's head only."""
     e = create_engine("orderedlist", empty_trace(3, 2, 1))
-    own, view = e.o_threads[1], OrderedList(3)
+    own, view = e.o_threads[1], OrderedList(3, 0)
     for lst, entries in ((own, own_entries), (view, view_entries)):
         for tid, time in entries:
             lst.set(tid, time)
+    own.times[1], view.times[0] = last, releaser_own
     _share(e, 1, own)
     _share(e, 0, view)
     e.epochs[1] = last + 1
@@ -88,13 +93,12 @@ def _handoff(own_entries, view_entries, last, epoch):
 
 
 @pytest.mark.parametrize("own_time", [4, 5])
-def test_own_entry_at_or_below_the_pending_epoch_merges_nothing(own_time):
-    # The view's head, its only entry newer than t1's list, is t1's own
-    # component; t1's pending epoch 5 already covers it, and the lock epoch
-    # 2 is no news either.
-    e, own = _handoff([(0, 2)], [(0, 2), (1, own_time)], last=5, epoch=2)
+def test_own_entry_at_or_below_the_last_folded_epoch_merges_nothing(own_time):
+    # The view's head is t1's component, which t1's own entry, its last
+    # folded epoch 5, already covers; the lock epoch 2 is no news either.
+    e, own = _handoff([(0, 2)], [(1, own_time)], last=5, epoch=2, releaser_own=2)
     assert e.o_threads[1] is own and e.metrics.deep_copies == 0
-    assert own.snapshot() == [2, 0, 0]  # the pending epoch is not folded
+    assert own.snapshot() == [2, 5, 0]
     assert e.u_threads[1] == [5, 7, 0]
     assert e.metrics.nodes_visited == 1
 
@@ -114,27 +118,25 @@ def _walk_traces():
 
 def test_the_prefix_walk_is_exact_and_its_own_entries_are_stale(monkeypatch):
     # At every acquire that is not skipped, walking the lock's whole list
-    # finds no other thread's newer entry that the d-entry prefix missed, so
-    # the walk may stop at d entries.  An own entry, in either walk, appears
-    # only while the acquirer has an epoch pending and is at or below it, so
-    # ``_acquire`` may drop it outright.
+    # finds no newer entry that the d-entry prefix missed, so the walk may
+    # stop at d entries.  The acquirer's own entry is never newer than its
+    # own time, so it appears in neither walk.  The releaser's entry, which
+    # the view does not link, may be newer: the lock epoch carries it.
     walk = OrderedList.newer_in_prefix
     current = [None]  # the engine running
-    seen = {"walks": 0, "cut": 0, "own": 0}
+    seen = {"walks": 0, "cut": 0, "releaser": 0}
 
     def spy(view, k, other):
         engine = current[0]
         t = next(t for t, lst in enumerate(engine.o_threads) if lst is other)
-        last = engine.epochs[t] - 1
+        lr = next(lr for lr, v in zip(engine.last_releaser, engine.lock_views) if v is view)
         pairs = walk(view, k, other)
-        theirs = other.times
-        full = {(tid, n) for tid, n in enumerate(view.times) if n > theirs[tid]}
-        assert set(pairs) <= full and {p for p in full if p[0] != t} <= set(pairs), (k, pairs)
-        own = [n for tid, n in full if tid == t]
-        assert not own or 0 < own[0] <= last, (t, own, last)
+        full = walk(view, engine.num_threads, other)
+        assert pairs == full[:len(pairs)] and set(pairs) == set(full), (k, pairs, full)
+        assert t not in [tid for tid, _ in full], (t, full)
         seen["walks"] += 1
-        seen["cut"] += k < engine.num_threads
-        seen["own"] += bool(own)
+        seen["cut"] += k < engine.num_threads - 1
+        seen["releaser"] += view.times[lr] > other.times[lr]
         return pairs
 
     monkeypatch.setattr(OrderedList, "newer_in_prefix", spy)
@@ -142,19 +144,20 @@ def test_the_prefix_walk_is_exact_and_its_own_entries_are_stale(monkeypatch):
         for mode in (SAMPLED_ONLY, EXTENDED):
             current[0] = engine = create_engine("orderedlist", tr, mode=mode)
             engine.run(tr)
-    # Walks shorter than the list, and own entries, both occur.
+    # Walks shorter than the list, and releasers newer than the acquirer,
+    # both occur.
     assert min(seen.values()) > 0, seen
 
 
-def test_prefix_sets_the_releasers_entry_below_the_lock_epoch():
-    # The view holds t0's component 3, but t0's pending epoch 6 was
-    # published as the lock epoch: the walk sets 3, then the epoch sets 6.
-    # t1 has no epoch pending: its own entry 0 is its last folded epoch.
-    e, own = _handoff([(0, 1)], [(0, 3)], last=0, epoch=6)
+def test_only_the_lock_epoch_sets_the_releasers_entry():
+    # t0 released lock 0 at epoch 6, the lock epoch, and has folded epoch 7
+    # into its own entry since.  The walk visits the view's head, t2's
+    # entry, and never t0's; the lock epoch sets t0's component to 6.
+    e, own = _handoff([(0, 1)], [(2, 4)], last=0, epoch=6, releaser_own=7)
     assert e.metrics.deep_copies == 1
     lst = e.o_threads[1]
-    assert lst is not own and lst.snapshot() == [6, 0, 0] and own.get(0) == 1
-    assert e.u_threads[1] == [5, 9, 0]  # two sets
+    assert lst is not own and lst.snapshot() == [6, 0, 4] and own.times[0] == 1
+    assert e.u_threads[1] == [5, 9, 0]  # one set for each of two components
 
 
 def test_release_without_sample_on_shared_list_is_free():
@@ -201,11 +204,7 @@ def test_equivalence_with_sampling_engine():
         e.run(marked)
         assert e.racy_set() == ref.racy_set() == oracle.racy_events(marked)
         assert snaps == snaps_ref
-        for t in range(marked.num_threads):
-            # The conceptual clock: the list with its last folded epoch.
-            clock = e.o_threads[t].snapshot()
-            clock[t] = e.epochs[t] - 1
-            assert clock == ref.c_threads[t]
+        assert [lst.snapshot() for lst in e.o_threads] == ref.c_threads
 
 
 def test_copy_and_traversal_budgets():
@@ -238,13 +237,14 @@ def test_empty_sample_set_never_merges(ladder_trace):
     assert all(o.snapshot() == [0, 0] for o in e.o_threads)
 
 
-# Trace 535 of the acceptance suite at rate 0.1, shrunk to 20 events.  At e14
-# T5 acquires l4 and merges T3's entry.  T5's list was published at e6, but
-# T2's release of l5 at e10 dropped that view, so T5 unshares in place.  Its
-# pending epoch (from the sampled write at e2) must be folded there, exactly as
-# on a deep copy.  Folded later instead, it lands ahead of T3's entry, so T2's
-# acquire of l7 at e19 walks a two-entry prefix that misses T3, and in extended
-# mode T2's read at e20 looks unordered after T3's write at e4.
+# Trace 535 of the acceptance suite at rate 0.1, shrunk to 20 events: a
+# regression trace from when a list took its thread's epoch only when it next
+# changed.  At e14 T5 acquires l4 and merges T3's entry.  T5's list was
+# published at e6, but T2's release of l5 at e10 dropped that view, so T5
+# unshares in place.  Had T5's epoch from the sampled write at e2 entered the
+# list's move-to-front order after T3's entry, T2's acquire of l7 at e19
+# would walk a two-entry prefix that misses T3, and in extended mode T2's
+# read at e20 would look unordered after T3's write at e4.
 UNSHARE_FOLD_TEXT = "\n".join([
     "T3|acq(l7)", "T5|w(x1)|*", "T2|w(x4)|*", "T3|w(x0)|*", "T5|acq(l5)",
     "T5|rel(l5)", "T3|acq(l4)", "T2|acq(l5)", "T3|rel(l4)", "T2|rel(l5)",
@@ -264,26 +264,15 @@ def test_unshare_path_folds_pending_epoch():
         assert e.racy_set() == set(), mode
 
 
-def test_whole_trace_diff_catches_the_unshare_fold_bug(monkeypatch):
-    # The bug UNSHARE_FOLD_TEXT pins, planted back: the pending epoch is
-    # folded on the deep-copy path only.  On the seed-1 sync-heavy benchmark
-    # trace the first 6000 events, what the benchmark's gate diffs, still
-    # read EQUIVALENT; the whole trace's timestamps diverge at e19399.
-    def fold_on_copy_only(self, thread):
-        lst = self.o_threads[thread]
-        if lst.refs > 1:
-            fresh = lst.deep_copy()
-            lst.refs -= 1
-            self.o_threads[thread] = fresh
-            self.rows[thread] = fresh.times
-            self.metrics.deep_copies += 1
-            self.metrics.full_traversals += 1
-            last = self.epochs[thread] - 1
-            if fresh.get(thread) != last:
-                fresh.set(thread, last)
-        return self.o_threads[thread]
-
-    monkeypatch.setattr(OrderedListEngine, "_ensure_exclusive", fold_on_copy_only)
+def test_whole_trace_diff_catches_a_capped_prefix_walk(monkeypatch):
+    # A prefix walk that stops at 16 entries, however long the freshness
+    # gap: an acquire then misses older changes of the releaser's list.  On
+    # the seed-1 sync-heavy benchmark trace the first 6000 events, what the
+    # benchmark's gate diffs, still read EQUIVALENT; the whole trace's
+    # timestamps diverge at e7534.
+    walk = OrderedList.newer_in_prefix
+    monkeypatch.setattr(OrderedList, "newer_in_prefix",
+                        lambda view, k, other: walk(view, min(k, 16), other))
     config = GenConfig(threads=64, locks=64, vars=256, events=25_000, p_sync=0.8,
                        contention=0.0, accesses_per_cs=1.0)
     tr = apply_sampling(generate_trace(config, 1), SamplingPolicy.bernoulli(0.03, 1))
@@ -292,8 +281,9 @@ def test_whole_trace_diff_catches_the_unshare_fold_bug(monkeypatch):
     assert diff_report(head, SAMPLED_ONLY)["verdict"] == "EQUIVALENT"
     whole = diff_report(tr, SAMPLED_ONLY)
     assert (whole["verdict"], whole["field"], whole["engine"], whole["event_index"]) == (
-        "DIVERGENT", "snapshot", "orderedlist", 19399
+        "DIVERGENT", "snapshot", "orderedlist", 7534
     )
+
 
 def test_refcount_invariant_holds_after_every_event():
     # The checker asserts refs == 1 + live views after every event.
@@ -321,5 +311,5 @@ def test_ping_pong_unshares_instead_of_copying():
     e.run(tr)
     m = e.metrics
     assert m.deep_copies == 0
-    assert (m.nodes_visited, m.shallow_copies, m.acquires_skipped) == (7, 5, 1)
+    assert (m.nodes_visited, m.shallow_copies, m.acquires_skipped) == (4, 5, 1)
     assert e.racy_set() == oracle.racy_events(tr) == set()

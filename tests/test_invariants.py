@@ -19,6 +19,7 @@ from racelab.engines.orderedlist import OrderedListEngine
 from racelab.engines.sampling import SamplingEngine
 from racelab.engines.uclock import UclockEngine
 from racelab.history import EXTENDED, SAMPLED_ONLY
+from racelab.olist import OrderedList
 
 
 def _traces():
@@ -52,16 +53,24 @@ BUGS = [
     ("lock-freshness-above-thread", UclockEngine, "_publish",
      "self.u_locks[lock] = list(ut)", "self.u_locks[lock] = list(ut); self.u_locks[lock][t] += 1",
      ("uclock",), "random_traces(65)[0]", "published own freshness 2 to lock 0"),
-    # A release that publishes the list's own entry, not the last folded
-    # epoch the list has yet to take: acquirers miss the releaser's epoch.
-    ("lock-epoch-drops-pending", OrderedListEngine, "_publish",
-     "self.epochs[t] - 1", "lst.get(t)",
+    # A release that publishes the epoch before its last: acquirers miss
+    # the releaser's last epoch.
+    ("lock-epoch-one-behind", OrderedListEngine, "_publish",
+     "self.epochs[t] - 1", "self.epochs[t] - 2",
      ("orderedlist",), "random_traces(65)[0]", "published epoch 0 to lock 0, not 1"),
     # A fold one epoch ahead: the race checks ignore the own component, so
     # only the own-component check sees it.
     ("fold-writes-next-epoch", SamplingEngine, "_fold",
      "self.epochs[t]", "self.epochs[t] + 1",
      ("sampling", "uclock", "djitp"), "random_traces(65)[0]", "own component 2, epoch 2"),
+    ("fold-writes-next-epoch-orderedlist", OrderedListEngine, "_fold",
+     "self.epochs[t]", "self.epochs[t] + 1",
+     ("orderedlist",), "random_traces(65)[0]", "own component 2, epoch 2"),
+    # Lists that link their owner's entry: a prefix walk may then reach an
+    # entry the owner writes in place.
+    ("owner-entry-linked", OrderedList, "__init__",
+     "before, after = owner - 1, owner + 1 if owner + 1 < width else -1", "return",
+     ("orderedlist",), "random_traces(65)[0]", "owner 0's list links [0, 1"),
     ("join-overwrites", SamplingEngine, "_acquire",
      "if c > ct[s]:", "if c != ct[s]:",
      ("sampling", "djitp"), "random_traces(65)[0]", "clock decreased"),

@@ -11,18 +11,24 @@ from racelab import olist
 from racelab.olist import OrderedList, SharedMutationError
 
 
+def new(width):
+    """A list linking ``width`` entries, threads 0 to ``width - 1``: its
+    owner is one more thread, ``width``, whose entry no walk reaches."""
+    return OrderedList(width + 1, width)
+
+
 def order(o):
     """The list's (tid, time) entries, head first, read off its links."""
     out, tid = [], o._head
     while tid != -1:
-        out.append((tid, o.get(tid)))
+        out.append((tid, o.times[tid]))
         tid = o._next[tid]
     return out
 
 
 def bump(o, tid, k):
     """Add ``k`` to thread ``tid``'s component; moves it to the head."""
-    o.set(tid, o.get(tid) + k)
+    o.set(tid, o.times[tid] + k)
 
 
 def mutate(o, op, tid, val):
@@ -66,23 +72,26 @@ def five_thread_list():
     """The five-thread example list: values t1:6 t2:20 t3:8 t4:0 t5:1,
     list order (head first) t1, t2, t5, t3, t4.  The named threads t1..t5 map to
     dense ids 0..4."""
-    o = OrderedList(5)
+    o = new(5)
     for tid, time in [(3, 0), (2, 8), (4, 1), (1, 20), (0, 6)]:
         o.set(tid, time)
     return o
 
 
 def test_fresh_list_is_bottom_in_tid_order():
-    o = OrderedList(4)
-    assert all(o.get(t) == 0 for t in range(4))
-    assert order(o) == [(0, 0), (1, 0), (2, 0), (3, 0)]
-    assert o.snapshot() == [0, 0, 0, 0]
+    # Every thread's entry but the owner's is linked, in tid order.
+    for owner in range(4):
+        o = OrderedList(4, owner)
+        assert order(o) == [(t, 0) for t in range(4) if t != owner]
+        assert o.snapshot() == [0, 0, 0, 0]
+    assert order(OrderedList(1, 0)) == [] and OrderedList(1, 0).snapshot() == [0]
+    assert order(OrderedList(0, 0)) == [] and OrderedList(0, 0).snapshot() == []
 
 
 def test_five_thread_list_values_and_get():
     o = five_thread_list()
-    assert o.get(2) == 8  # t3 maps to 8
-    assert o.snapshot() == [6, 20, 8, 0, 1]
+    assert o.times[2] == 8  # t3 maps to 8
+    assert o.snapshot() == [6, 20, 8, 0, 1, 0]
     assert order(o) == [(0, 6), (1, 20), (4, 1), (2, 8), (3, 0)]
 
 
@@ -90,25 +99,26 @@ def test_example_list_mutations():
     o = five_thread_list()
     o.set(3, 6)  # t4 <- 6 moves to head
     assert order(o)[0] == (3, 6)
-    o.set(0, o.get(0) + 1)  # t1 +1 -> 7, moves to head
+    o.set(0, o.times[0] + 1)  # t1 +1 -> 7, moves to head
     assert order(o)[0] == (0, 7)
-    assert o.newer_in_prefix(2, OrderedList(5)) == [(0, 7), (3, 6)]
+    assert o.newer_in_prefix(2, new(5)) == [(0, 7), (3, 6)]
     assert order(o) == [(0, 7), (3, 6), (1, 20), (4, 1), (2, 8)]
 
 
 def test_get_after_set_and_head_stability():
-    o = OrderedList(3)
+    o = new(3)
     o.set(1, 5)
-    assert o.get(1) == 5
+    assert o.times[1] == 5
     o.set(1, 6)  # head thread stays at head
     assert order(o)[0] == (1, 6)
 
 
 def test_newer_in_prefix_bounds():
-    o, bottom = five_thread_list(), OrderedList(5)
+    o, bottom = five_thread_list(), new(5)
     assert o.newer_in_prefix(0, bottom) == []
-    # k > T reads the whole list and stops at its end
-    assert o.newer_in_prefix(5 + 5, bottom) == [(0, 6), (1, 20), (4, 1), (2, 8)]
+    # k > T reads the whole list and stops at its end, short of the owner
+    o.times[5] = 3
+    assert o.newer_in_prefix(6 + 6, bottom) == [(0, 6), (1, 20), (4, 1), (2, 8)]
 
 
 def test_deep_copy_isolation_and_structure():
@@ -116,7 +126,7 @@ def test_deep_copy_isolation_and_structure():
     c = o.deep_copy()
     assert order(c) == order(o)
     c.set(2, 99)
-    assert o.get(2) == 8
+    assert o.times[2] == 8
 
 
 def test_lists_of_one_width_share_their_id_ints():
@@ -126,17 +136,17 @@ def test_lists_of_one_width_share_their_id_ints():
     tracemalloc.start()
     try:
         base, _ = tracemalloc.get_traced_memory()
-        lists = [OrderedList(width) for _ in range(count)]
+        lists = [new(width) for _ in range(count)]
         used, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert used - base <= 32 * width * count, used - base
+    assert used - base <= 32 * (width + 1) * count, used - base
     assert lists[0]._next[500] is lists[-1]._next[500]  # 501, above the small ints
     assert order(lists[-1]) == [(tid, 0) for tid in range(width)]
 
 
 def test_shared_view_blocks_mutation():
-    o = OrderedList(3)
+    o = new(3)
     view = publish(o)
     assert view is o and o.refs == 2
     assert view.snapshot() == o.snapshot()
@@ -144,16 +154,18 @@ def test_shared_view_blocks_mutation():
         o.set(0, 1)
     with pytest.raises(SharedMutationError):
         bump(o, 1, 1)
-    assert o.snapshot() == [0, 0, 0]
+    assert o.snapshot() == [0, 0, 0, 0]
+    o.times[3] = 2  # the owner writes its own entry in place, shared or not
+    assert order(o) == [(0, 0), (1, 0), (2, 0)]
     fresh = o.deep_copy()
     fresh.set(0, 1)  # exclusive copy is mutable while the view lives
-    assert fresh.get(0) == 1 and fresh.refs == 1
+    assert fresh.times[0] == 1 and fresh.refs == 1
     with pytest.raises(SharedMutationError):
         o.set(0, 1)
 
 
 def test_share_count_tracking():
-    o = OrderedList(2)
+    o = new(2)
     v1, v2 = publish(o), publish(o)
     assert o.refs == 3
     v1.refs -= 1
@@ -162,8 +174,8 @@ def test_share_count_tracking():
 
 
 def test_snapshot_ignores_order():
-    a = OrderedList(3)
-    b = OrderedList(3)
+    a = new(3)
+    b = new(3)
     a.set(0, 1)
     a.set(2, 4)
     b.set(2, 4)
@@ -180,7 +192,7 @@ ops = st.lists(
 
 @given(ops)
 def test_order_is_reverse_of_last_mutation_times(mutations):
-    o = OrderedList(5)
+    o = new(5)
     last_touch = {}
     for step, (op, tid, val) in enumerate(mutations):
         mutate(o, op, tid, val)
@@ -191,25 +203,26 @@ def test_order_is_reverse_of_last_mutation_times(mutations):
 
 
 def test_constant_work_per_operation():
-    """A get or set runs as many lines of ``olist.py`` at 4096 threads as
-    at 5: the worst case over 600 random calls is the same at both widths."""
+    """A read of ``times`` or a set runs as many lines of ``olist.py`` at
+    4096 threads as at 5: the worst case over 600 random calls is the same
+    at both widths."""
     worst = {}
     for width in (5, 4096):
-        rng, o = random.Random(width), OrderedList(width)
+        rng, o = random.Random(width), new(width)
         for _ in range(600):
             tid = rng.randrange(width)
             if rng.random() < 0.5:
-                key, lines = "get", olist_lines(o.get, tid)
+                key, lines = "times", olist_lines(lambda: o.times[tid])
             else:
                 key, lines = "set", olist_lines(o.set, tid, rng.randrange(10))
             worst[width, key] = max(worst.get((width, key), 0), lines)
-    assert worst[5, "get"] == worst[4096, "get"] > 0
-    assert worst[5, "set"] == worst[4096, "set"] > worst[5, "get"]
+    assert worst[5, "times"] == worst[4096, "times"] > 0
+    assert worst[5, "set"] == worst[4096, "set"] > worst[5, "times"]
 
 
 @given(ops)
 def test_deep_copy_preserves_structure(mutations):
-    o = OrderedList(5)
+    o = new(5)
     for op, tid, val in mutations:
         mutate(o, op, tid, val)
     assert order(o.deep_copy()) == order(o)
@@ -217,17 +230,17 @@ def test_deep_copy_preserves_structure(mutations):
 
 @given(ops, ops, st.integers(0, 7))
 def test_newer_in_prefix_filters_prefix(mutations, other_mutations, k):
-    o, other = OrderedList(5), OrderedList(5)
+    o, other = new(5), new(5)
     for lst, muts in ((o, mutations), (other, other_mutations)):
         for op, tid, val in muts:
             mutate(lst, op, tid, val)
-    want = [(tid, n) for tid, n in order(o)[:k] if n > other.get(tid)]
+    want = [(tid, n) for tid, n in order(o)[:k] if n > other.times[tid]]
     assert o.newer_in_prefix(k, other) == want
     assert publish(o).newer_in_prefix(k, other) == want
 
 
 def test_unshare_waits_for_the_last_view():
-    o = OrderedList(3)
+    o = new(3)
     o.set(1, 2)  # never shared: mutable
     v1, v2 = publish(o), publish(o)
     v1.refs -= 1
@@ -243,14 +256,16 @@ WIDTH = 4
 
 
 class OrderedListModel(RuleBasedStateMachine):
-    """Mixed mutations, views, view drops and deep copies against a reference
-    model: a value per thread plus thread ids ordered by recency of update.
-    The list is shared exactly while it has a live view (``refs > 1``)."""
+    """Mixed mutations, owner writes, views, view drops and deep copies
+    against a reference model: a value per thread plus the linked thread ids
+    ordered by recency of update.  The list is shared exactly while it has
+    a live view (``refs > 1``); the owner, thread ``WIDTH``, writes its own
+    entry in place at any time."""
 
     def __init__(self):
         super().__init__()
-        self.lst = OrderedList(WIDTH)
-        self.values = [0] * WIDTH
+        self.lst = new(WIDTH)
+        self.values = [0] * (WIDTH + 1)
         self.order = list(range(WIDTH))
         self.refs = {id(self.lst): 1}
         self.views = []  # live views, of the current list or of older copies
@@ -278,6 +293,11 @@ class OrderedListModel(RuleBasedStateMachine):
             self.values[tid] += k
         self._mutate(tid, apply)
 
+    @rule(val=st.integers(0, 9))
+    def own(self, val):
+        self.lst.times[WIDTH] = val
+        self.values[WIDTH] = val
+
     @rule()
     def publish_view(self):
         self.views.append(publish(self.lst))
@@ -304,7 +324,7 @@ class OrderedListModel(RuleBasedStateMachine):
         pairs = [(tid, self.values[tid]) for tid in self.order]
         assert order(o) == pairs
         for k in range(WIDTH + 2):
-            assert o.newer_in_prefix(k, OrderedList(WIDTH)) == [p for p in pairs[:k] if p[1] > 0]
+            assert o.newer_in_prefix(k, new(WIDTH)) == [p for p in pairs[:k] if p[1] > 0]
         for target in self.views + [o]:
             assert target.refs == self.refs[id(target)]
 

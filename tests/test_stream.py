@@ -13,20 +13,22 @@ import tracemalloc
 
 import pytest
 
+from conftest import trace_text
 from racelab import metrics
 from racelab.cli import main
 from racelab.engines import ENGINE_TOKENS, create_engine
 from racelab.engines.base import BLOCK
 from racelab.gen import GenConfig, generate_trace
 from racelab.history import render_reports
-from racelab.trace import SamplingPolicy, apply_sampling, dump_trace, load_trace
+from racelab.trace import SamplingPolicy, apply_sampling, load_trace
 
 MODES = ("sampled-only", "extended")
 
 
 def _trace(tmp_path, name, events, threads=8, locks=4, vars_=16, seed=2):
     path = tmp_path / name
-    dump_trace(generate_trace(GenConfig(threads, locks, vars_, events), seed), path)
+    text = trace_text(generate_trace(GenConfig(threads, locks, vars_, events), seed))
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
