@@ -45,19 +45,6 @@ class OrderedListEngine(Engine):
         self.lock_freshness = [0] * num_locks
         self.lock_epoch = [0] * num_locks
 
-    # -- views -------------------------------------------------------------
-
-    def _ensure_exclusive(self, thread: int) -> OrderedList:
-        """The thread's list, made exclusive."""
-        lst = self.o_threads[thread]
-        if lst.refs > 1:
-            lst.refs -= 1
-            self.o_threads[thread] = lst = lst.deep_copy()
-            self.rows[thread] = lst.times
-            self.metrics.deep_copies += 1
-            self.metrics.full_traversals += 1
-        return lst
-
     # -- handlers ------------------------------------------------------------
 
     def _acquire(self, index, t, lock, marked):
@@ -69,20 +56,26 @@ class OrderedListEngine(Engine):
             return
         d = freshness - ut[lr]
         ut[lr] = freshness
-        # Self hand-offs fail the guard, so lr != t.
-        pairs = self.lock_views[lock].newer_in_prefix(d, self.o_threads[t])
+        # Self hand-offs fail the guard, so lr != t; the view never links
+        # lr, so the lock epoch is the only candidate for lr's component.
+        lst = self.o_threads[t]
+        pairs = self.lock_views[lock].newer_in_prefix(d, lst)
+        epoch = self.lock_epoch[lock]
+        if epoch > lst.times[lr]:
+            pairs.append((lr, epoch))
         if pairs:
-            lst = self._ensure_exclusive(t)
+            if lst.refs > 1:  # a lock still views the list: copy it
+                lst.refs -= 1
+                self.o_threads[t] = lst = lst.deep_copy()
+                self.rows[t] = lst.times
+                self.metrics.deep_copies += 1
+                self.metrics.full_traversals += 1
             for tstar, n in pairs:
                 lst.set(tstar, n)
             ut[t] += len(pairs)
-        epoch = self.lock_epoch[lock]
-        if epoch > self.rows[t][lr]:
-            self._ensure_exclusive(t).set(lr, epoch)
-            ut[t] += 1
         visited = min(d, self.num_threads - 1)
         self.metrics.nodes_visited += visited
-        self.metrics.entries_saved += self.num_threads - visited
+        self.metrics.entries_saved += self.num_threads - 1 - visited
 
     def _fold(self, t):
         self.rows[t][t] = self.epochs[t]

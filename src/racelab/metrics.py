@@ -7,9 +7,9 @@ Counting conventions:
   freshness engine, which keeps a second clock), and one per deep copy in the
   ordered-list engine.  Race-check comparisons are not counted here.
 * ``entries_saved`` accumulates, at each non-skipped acquire of the
-  ordered-list engine, the difference between T and the number of list
-  entries actually traversed.  A list links every entry but its owner's,
-  so a full walk is T - 1 entries and saves one.
+  ordered-list engine, the difference between T - 1, the entries a list
+  links (every one but its owner's), and the number actually traversed, so
+  a full walk saves none.
 * ``epoch_increments`` counts local-epoch advances (every release for the
   baseline full detector, only sample-consuming releases for the sampling
   engines).
@@ -63,7 +63,7 @@ class RunMetrics:
     @property
     def saving_ratio(self) -> float:
         processed = self.acquires_total - self.acquires_skipped
-        denom = self.num_threads * processed
+        denom = (self.num_threads - 1) * processed
         if denom == 0:
             return 0.0
         return self.entries_saved / denom

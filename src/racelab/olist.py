@@ -10,16 +10,16 @@ private, so no walk reaches it, and the owner writes it in place through
 
 The list keeps only what the orderedlist engine calls: O(1) ``set``,
 ``newer_in_prefix`` (the entries among the first k that are newer than
-another list), the dense views ``times`` and ``snapshot``, and
-``deep_copy``.
+another list), the dense clock ``times``, ``snapshot`` and ``deep_copy``.
 
-The list is array-backed: ``_time[t]`` is thread t's component, and
-``_next[t]``/``_prev[t]`` are the neighbouring thread ids in list order, with
--1 as the null link and ``_head`` the first thread id.  A deep copy is three
-list slices and a snapshot is one.  The initial links are slices of one
-cached id list per width, so all lists of a width share one set of id ints:
-an entry costs three list slots, 24 bytes on a 64-bit build, and no int
-object of its own.
+The list is array-backed: ``times[t]`` is thread t's component, and
+``_next[t]``/``_prev[t]`` are the neighbouring thread ids in list order.
+The links form a ring through one extra slot, the sentinel, at index -1:
+``_next[-1]`` is the head and ``_prev[-1]`` the tail, and the first entry's
+prev and the last entry's next are -1.  A deep copy is three list slices
+and a snapshot is one.  The initial links are slices of one cached id list
+per width, so all lists of a width share one set of id ints: an entry costs
+three list slots, 24 bytes on a 64-bit build, and no int object of its own.
 
 Sharing is single-writer copy-on-write.  A published view (a lock's
 timestamp) is the list itself: whoever publishes it adds one to ``refs``,
@@ -33,7 +33,7 @@ once the last view is dropped the owner sets it in place again, and
 from __future__ import annotations
 
 from functools import cache
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 
 class SharedMutationError(RuntimeError):
@@ -42,48 +42,47 @@ class SharedMutationError(RuntimeError):
 
 @cache
 def _ids(width: int) -> List[int]:
-    """``[-1, 0, 1, ..., width - 1, -1]``: the prev links are its first
-    ``width`` items and the next links the rest after two; read-only."""
-    return list(range(-1, width)) + [-1]
+    """``[-1, 0, ..., width - 1, -1, 0 if width else -1]``: the prev links
+    are its first ``width + 1`` items and the next links the rest after
+    two; read-only."""
+    return list(range(-1, width)) + [-1, 0 if width else -1]
 
 
 class OrderedList:
-    """Array-backed doubly linked (tid, time) list with O(1) set."""
+    """Array-backed doubly linked (tid, time) ring with O(1) set.
 
-    __slots__ = ("_time", "_next", "_prev", "_head", "refs")
+    ``times`` is the live dense clock, not copied: component t is thread
+    t's time.  It is read-only for callers, except the owner's entry, which
+    the owner writes in place; it changes with the list, so read it at once.
+    """
+
+    __slots__ = ("times", "_next", "_prev", "refs")
 
     def __init__(self, width: int, owner: int):
         ids = _ids(width)
-        self._time = [0] * width
-        self._next = ids[2:]
-        self._prev = ids[:width]
-        self._head = 0
+        self.times = [0] * width
+        self._next = nxt = ids[2:]
+        self._prev = prev = ids[:width + 1]
         self.refs = 1  # the owner; each published view adds one
         # Unlink the owner's entry: its neighbours link past it.
-        before, after = owner - 1, owner + 1 if owner + 1 < width else -1
-        if before == -1:
-            self._head = after
-        else:
-            self._next[before] = after
-        if after != -1:
-            self._prev[after] = before
+        nxt[prev[owner]] = nxt[owner]
+        prev[nxt[owner]] = prev[owner]
 
     def set(self, tid: int, time: int) -> None:
+        """Write tid's component and move its entry to the head: unlink
+        it, then link it after the sentinel, even if it was the head."""
         if self.refs > 1:
             raise SharedMutationError("set() on a shared ordered list")
-        self._time[tid] = time
-        head = self._head
-        if tid == head:
-            return
+        self.times[tid] = time
         nxt, prev = self._next, self._prev
         before, after = prev[tid], nxt[tid]
-        nxt[before] = after  # tid is not the head, so it has a predecessor
-        if after != -1:
-            prev[after] = before
-        prev[tid] = -1
+        nxt[before] = after
+        prev[after] = before
+        head = nxt[-1]
         nxt[tid] = head
         prev[head] = tid
-        self._head = tid
+        prev[tid] = -1
+        nxt[-1] = tid
 
     def newer_in_prefix(self, k: int, other: "OrderedList") -> List[Tuple[int, int]]:
         """The (tid, time) pairs among the first ``min(k, width - 1)``
@@ -91,33 +90,23 @@ class OrderedList:
         order; read-only.  Every thread but the owner has one entry, so the
         walk needs no end test."""
         out: List[Tuple[int, int]] = []
-        times, links, theirs = self._time, self._next, other._time
-        tid = self._head
+        times, links, theirs = self.times, self._next, other.times
+        tid = links[-1]
         for _ in range(min(k, len(times) - 1)):
             if times[tid] > theirs[tid]:
                 out.append((tid, times[tid]))
             tid = links[tid]
         return out
 
-    @property
-    def times(self) -> Sequence[int]:
-        """The live dense clock, not copied: component t is thread t's time.
-
-        Read-only for callers, except the owner's entry, which the owner
-        writes in place; it changes with the list, so read it at once.
-        """
-        return self._time
-
     def snapshot(self) -> List[int]:
         """A copy of ``times``."""
-        return self._time[:]
+        return self.times[:]
 
     def deep_copy(self) -> "OrderedList":
         """Structurally identical, exclusively owned copy (same values, same order)."""
         out = OrderedList.__new__(OrderedList)
-        out._time = self._time[:]
+        out.times = self.times[:]
         out._next = self._next[:]
         out._prev = self._prev[:]
-        out._head = self._head
         out.refs = 1
         return out

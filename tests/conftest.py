@@ -125,7 +125,7 @@ def tally_deep_copies(engine, tr: Trace) -> list:
     """Count an orderedlist ``engine``'s deep copies per thread while it runs
     ``tr``; returns the counts, filled in as the run goes.
 
-    Only an acquire's ``_ensure_exclusive`` replaces a thread's list, and at
+    Only an acquire's copy-on-write step replaces a thread's list, and at
     most once per event, so an ``observe`` hook compares the acting
     thread's list with the one it saw last: O(1) per event."""
     counts = [0] * tr.num_threads

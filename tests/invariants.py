@@ -195,7 +195,7 @@ class _Checker:
 def _linked(lst) -> list:
     """The thread ids ``lst`` links, head first; a cycle stops the walk
     one entry past the list's width."""
-    out, tid = [], lst._head
+    out, tid = [], lst._next[-1]
     while tid != -1 and len(out) <= len(lst.times):
         out.append(tid)
         tid = lst._next[tid]

@@ -62,7 +62,7 @@ def test_freshness_gap_one_merge_visits_one_node():
     assert e.o_threads[1].times[0] == 9
     assert e.u_threads[1][0] == 15
     assert e.u_threads[1][1] == 23
-    assert e.metrics.entries_saved == 5  # six threads, one entry traversed
+    assert e.metrics.entries_saved == 4  # five linked entries, one traversed
 
 
 def _handoff(own_entries, view_entries, last, epoch, releaser_own):

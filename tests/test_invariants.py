@@ -69,15 +69,15 @@ BUGS = [
     # Lists that link their owner's entry: a prefix walk may then reach an
     # entry the owner writes in place.
     ("owner-entry-linked", OrderedList, "__init__",
-     "before, after = owner - 1, owner + 1 if owner + 1 < width else -1", "return",
+     "nxt[prev[owner]] = nxt[owner]", "return",
      ("orderedlist",), "random_traces(65)[0]", "owner 0's list links [0, 1"),
     ("join-overwrites", SamplingEngine, "_acquire",
      "if c > ct[s]:", "if c != ct[s]:",
      ("sampling", "djitp"), "random_traces(65)[0]", "clock decreased"),
     # A deep copy that leaves ``rows`` on the old list: the race checks
     # would read a clock the thread no longer updates.
-    ("copy-skips-rows-update", OrderedListEngine, "_ensure_exclusive",
-     "self.rows[thread] = lst.times", "pass",
+    ("copy-skips-rows-update", OrderedListEngine, "_acquire",
+     "self.rows[t] = lst.times", "pass",
      ("orderedlist",), "random_traces(65)[0]", "is not thread 3's live clock"),
     # Release writes into the lock's row, which before its first release is
     # the bottom row every unreleased lock shares.
