@@ -1,4 +1,4 @@
-"""The engine core: one driver loop, epochs, the access path and the release skeleton.
+"""The engine core: one driver loop, epochs, the access path and the release step.
 
 Engines process one validated trace in order, one instance per analysis
 stream.  The driver loop, ``Engine._walk``, walks the trace's columns in
@@ -22,19 +22,21 @@ call it.
 
 Every engine is the paper's sampling algorithm and differs only in how it
 timestamps.  ``Engine`` keeps only what every engine shares: the per-thread
-epochs, the new-sample flags, the one access path, the release skeleton,
-the driver loop and its tally.  A subclass supplies ``_acquire``, ``_fold``
-(the clock's side of a sample-consuming release, before the epoch advances)
-and ``_publish`` (hand the clock to the lock at every release), and keeps
-``rows``: ``rows[t]`` is thread t's live clock, read in place by the race
-checks and copied only by ``observe``.  An access is handed to the
-histories only if it is marked or ``AccessHistories.will_check`` says it
-will be checked, so an unchecked access costs O(1).  A checked one is a
-single ``check_and_update`` call that reads the live row and appends any
-``(event_index, variable, kind)`` reports to ``self.reports``; it builds no
-timestamp and no list.  With ``sample_all`` set (Djit+), every access is
-sampled and every release ends an epoch; since no access then reaches
-``will_check``, the histories are sampled-only in either mode.
+epochs, the new-sample flags, the one access path, the one release step,
+the driver loop and its tally.  A release that consumes a sample (the
+first after a marked access) writes the epoch into the clock's own
+component ``rows[t][t]`` and advances the epoch; every release then calls
+``_publish``, which writes no thread row.  A subclass supplies only
+``_acquire`` and ``_publish``, and keeps ``rows``: ``rows[t]`` is thread
+t's live clock, read in place by the race checks and copied only by
+``observe``.  An access is handed to the histories only if it is marked or
+``AccessHistories.will_check`` says it will be checked, so an unchecked
+access costs O(1).  A checked one is a single ``check_and_update`` call
+that reads the live row and appends any ``(event_index, variable, kind)``
+reports to ``self.reports``; it builds no timestamp and no list.  With
+``sample_all`` set (Djit+), every access is sampled and every release ends
+an epoch; since no access then reaches ``will_check``, the histories are
+sampled-only in either mode.
 
 ``observe(engine, hook)`` hands ``hook`` each event's effective timestamp,
 the one ``racelab diff`` compares with the oracle's, by wrapping the
@@ -59,13 +61,13 @@ BLOCK = 4096
 class Engine:
     """Base class; every subclass keeps ``rows`` (``rows[t]`` is thread t's
     live clock, not copied; callers must not mutate or keep it) and defines
-    the three timestamping methods:
+    the two timestamping methods:
 
     * ``_acquire(index, thread, lock, marked)``: the acquire handler;
-    * ``_fold(thread)``: at a sample-consuming release, write the epoch
-      into the clock's own component;
-    * ``_publish(thread, lock)``: at every release, after the epoch step,
-      hand the clock to the lock.
+    * ``_publish(thread, lock, folded)``: at every release, after
+      ``_release`` has written the epoch into ``rows[thread][thread]`` and
+      advanced it (``folded`` is true when this release did so), hand the
+      clock to the lock; it writes no thread row.
     """
 
     # Every access counts as marked and every release ends an epoch.
@@ -81,7 +83,7 @@ class Engine:
         self.epochs = [1] * num_threads
         self.new_sample = [self.sample_all] * num_threads
 
-    # -- the access path and the release skeleton ------------------------------
+    # -- the access path and the release step ----------------------------------
 
     def _read(self, index, thread, var, marked):
         if marked:
@@ -102,12 +104,13 @@ class Engine:
         )
 
     def _release(self, index, thread, lock, marked):
-        if self.new_sample[thread]:
-            self._fold(thread)
+        folded = self.new_sample[thread]
+        if folded:
+            self.rows[thread][thread] = self.epochs[thread]
             self.epochs[thread] += 1
             self.metrics.epoch_increments += 1
             self.new_sample[thread] = self.sample_all
-        self._publish(thread, lock)
+        self._publish(thread, lock, folded)
 
     # -- driver ---------------------------------------------------------------
 
@@ -175,10 +178,10 @@ def observe(engine: Engine, hook: Callable[[int, List[int]], None]) -> None:
     replacing its four handlers with instance attributes that wrap them.
     ``eff`` is a copy of ``rows[t]`` whose own component is the epoch read
     before the handler ran.  Acquires and accesses leave ``epochs`` as it
-    is; a release's ``_fold`` writes at most the own component and
-    ``_publish`` no thread row, so at a release ``eff`` is the clock after
-    the fold, before the epoch advances.  Calls stack, the first hook
-    called first."""
+    is; a release writes at most the own component before ``_publish``,
+    which writes no thread row, so at a release ``eff`` is the clock with
+    the epoch written, before the epoch advances.  Calls stack, the first
+    hook called first."""
     rows, epochs = engine.rows, engine.epochs
 
     def wrap(handler):

@@ -9,9 +9,9 @@ any release every lock views one bottom list, built for thread 0, and its
 releaser and freshness are 0, which the freshness guard always skips.
 
 A thread's list links every entry but its own, which is private to the
-thread: no prefix walk reaches it, so a sample-consuming release writes the
-epoch there in place, as the other engines do, even while a lock still
-views the list.  That write counts as one change in the thread's freshness.
+thread: no prefix walk reaches it, so the base release step writes the
+epoch there in place, even while a lock still views the list.  That write
+counts as one change in the thread's freshness, which ``_publish`` bumps.
 Since a view's own entry keeps moving after the release, the release also
 publishes its epoch ``epochs[t] - 1`` as the lock's epoch, the releaser's
 component, which acquirers merge as one extra candidate.  An acquirer's own
@@ -77,11 +77,9 @@ class OrderedListEngine(Engine):
         self.metrics.nodes_visited += visited
         self.metrics.entries_saved += self.num_threads - 1 - visited
 
-    def _fold(self, t):
-        self.rows[t][t] = self.epochs[t]
-        self.u_threads[t][t] += 1
-
-    def _publish(self, t, lock):
+    def _publish(self, t, lock, folded):
+        if folded:
+            self.u_threads[t][t] += 1
         self.lock_views[lock].refs -= 1
         self.lock_views[lock] = lst = self.o_threads[t]
         lst.refs += 1

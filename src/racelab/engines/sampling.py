@@ -27,10 +27,7 @@ class SamplingEngine(Engine):
                 ct[s] = c
         self.metrics.full_traversals += 1
 
-    def _fold(self, t):
-        self.c_threads[t][t] = self.epochs[t]
-
-    def _publish(self, t, lock):
+    def _publish(self, t, lock, folded):
         self.c_locks[lock] = list(self.c_threads[t])
         self.metrics.full_traversals += 1
         self.metrics.releases_copied += 1

@@ -52,13 +52,11 @@ class UclockEngine(SamplingEngine):
         ut[t] += changes
         self.metrics.full_traversals += 2
 
-    def _fold(self, t):
-        super()._fold(t)
-        self.u_threads[t][t] += 1
-
-    def _publish(self, t, lock):
-        self.last_releaser[lock] = t
+    def _publish(self, t, lock, folded):
         ut = self.u_threads[t]
+        if folded:
+            ut[t] += 1
+        self.last_releaser[lock] = t
         if ut[t] != self.u_locks[lock][t]:
             self.c_locks[lock] = list(self.c_threads[t])
             self.u_locks[lock] = list(ut)

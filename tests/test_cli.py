@@ -223,11 +223,14 @@ def test_diff_reports_the_first_timestamp_divergence(tmp_path, capsys, monkeypat
     # grow), but T2 joins T1's inflated component through l1 at e8.
     from racelab.engines.uclock import UclockEngine
 
-    def fold_one_ahead(self, t):
-        self.c_threads[t][t] = self.epochs[t] + 1
-        self.u_threads[t][t] += 1
+    publish = UclockEngine._publish
 
-    monkeypatch.setattr(UclockEngine, "_fold", fold_one_ahead)
+    def publish_one_ahead(self, t, lock, folded):
+        if folded:
+            self.c_threads[t][t] += 1
+        publish(self, t, lock, folded)
+
+    monkeypatch.setattr(UclockEngine, "_publish", publish_one_ahead)
     trace = write(tmp_path, "ladder.trace", LADDER_TEXT)
     assert main(["diff", "--trace", trace]) == 1
     assert capsys.readouterr().out == (
@@ -274,7 +277,7 @@ def test_internal_error_exits_2_not_1(tmp_path, capsys, monkeypatch, command):
     # Exit 1 is a result (races found, or DIVERGENT); a bug in the program is not.
     from racelab.engines.sampling import SamplingEngine
 
-    def broken(self, thread, lock):
+    def broken(self, thread, lock, folded):
         raise RuntimeError("planted")
 
     monkeypatch.setattr(SamplingEngine, "_publish", broken)

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import handoff_trace, random_traces
 from invariants import checked_engine
-from racelab.engines import ENGINE_TOKENS
+from racelab.engines import ENGINE_TOKENS, Engine
 from racelab.engines.orderedlist import OrderedListEngine
 from racelab.engines.sampling import SamplingEngine
 from racelab.engines.uclock import UclockEngine
@@ -60,12 +60,18 @@ BUGS = [
      ("orderedlist",), "random_traces(65)[0]", "published epoch 0 to lock 0, not 1"),
     # A fold one epoch ahead: the race checks ignore the own component, so
     # only the own-component check sees it.
-    ("fold-writes-next-epoch", SamplingEngine, "_fold",
-     "self.epochs[t]", "self.epochs[t] + 1",
-     ("sampling", "uclock", "djitp"), "random_traces(65)[0]", "own component 2, epoch 2"),
-    ("fold-writes-next-epoch-orderedlist", OrderedListEngine, "_fold",
-     "self.epochs[t]", "self.epochs[t] + 1",
-     ("orderedlist",), "random_traces(65)[0]", "own component 2, epoch 2"),
+    ("fold-writes-next-epoch", Engine, "_release",
+     "self.rows[thread][thread] = self.epochs[thread]",
+     "self.rows[thread][thread] = self.epochs[thread] + 1",
+     ENGINE_TOKENS, "random_traces(65)[0]", "own component 2, epoch 2"),
+    # A release that ends an epoch without counting the own write as a
+    # freshness change: acquirers and the copy guard miss it.
+    ("publish-drops-fold-bump", UclockEngine, "_publish",
+     "ut[t] += 1", "pass",
+     ("uclock",), "random_traces(65)[0]", "published clock [0,"),
+    ("publish-drops-fold-bump-orderedlist", OrderedListEngine, "_publish",
+     "self.u_threads[t][t] += 1", "pass",
+     ("orderedlist",), "random_traces(65)[0]", "lock 4 clock decreased"),
     # Lists that link their owner's entry: a prefix walk may then reach an
     # entry the owner writes in place.
     ("owner-entry-linked", OrderedList, "__init__",
