@@ -60,10 +60,16 @@ BUGS = [
      ("orderedlist",), "random_traces(65)[0]", "published epoch 0 to lock 0, not 1"),
     # A fold one epoch ahead: the race checks ignore the own component, so
     # only the own-component check sees it.
+    # Both cases plant into the shared Engine._release; orderedlist runs
+    # apart so each engine family's catch is reported on its own.
     ("fold-writes-next-epoch", Engine, "_release",
      "self.rows[thread][thread] = self.epochs[thread]",
      "self.rows[thread][thread] = self.epochs[thread] + 1",
-     ENGINE_TOKENS, "random_traces(65)[0]", "own component 2, epoch 2"),
+     ("sampling", "uclock", "djitp"), "random_traces(65)[0]", "own component 2, epoch 2"),
+    ("fold-writes-next-epoch-orderedlist", Engine, "_release",
+     "self.rows[thread][thread] = self.epochs[thread]",
+     "self.rows[thread][thread] = self.epochs[thread] + 1",
+     ("orderedlist",), "random_traces(65)[0]", "own component 2, epoch 2"),
     # A release that ends an epoch without counting the own write as a
     # freshness change: acquirers and the copy guard miss it.
     ("publish-drops-fold-bump", UclockEngine, "_publish",
