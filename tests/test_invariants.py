@@ -41,6 +41,12 @@ def _planted(cls, method: str, old: str, new: str):
     return namespace[method]
 
 
+# A fold one epoch ahead: the race checks ignore the own component, so
+# only the own-component check sees it.
+_FOLD_AHEAD = (Engine, "_release",
+               "self.rows[thread][thread] = self.epochs[thread]",
+               "self.rows[thread][thread] = self.epochs[thread] + 1")
+
 # (name, class, method, source fragment, its replacement, engine tokens run,
 # the first trace that catches it, a fragment of the failed check's message)
 BUGS = [
@@ -58,17 +64,11 @@ BUGS = [
     ("lock-epoch-one-behind", OrderedListEngine, "_publish",
      "self.epochs[t] - 1", "self.epochs[t] - 2",
      ("orderedlist",), "random_traces(65)[0]", "published epoch 0 to lock 0, not 1"),
-    # A fold one epoch ahead: the race checks ignore the own component, so
-    # only the own-component check sees it.
-    # Both cases plant into the shared Engine._release; orderedlist runs
-    # apart so each engine family's catch is reported on its own.
-    ("fold-writes-next-epoch", Engine, "_release",
-     "self.rows[thread][thread] = self.epochs[thread]",
-     "self.rows[thread][thread] = self.epochs[thread] + 1",
+    # One plant in the shared release step, run twice: the first catch
+    # stops the search, so with all four tokens orderedlist would never run.
+    ("fold-writes-next-epoch", *_FOLD_AHEAD,
      ("sampling", "uclock", "djitp"), "random_traces(65)[0]", "own component 2, epoch 2"),
-    ("fold-writes-next-epoch-orderedlist", Engine, "_release",
-     "self.rows[thread][thread] = self.epochs[thread]",
-     "self.rows[thread][thread] = self.epochs[thread] + 1",
+    ("fold-writes-next-epoch-orderedlist", *_FOLD_AHEAD,
      ("orderedlist",), "random_traces(65)[0]", "own component 2, epoch 2"),
     # A release that ends an epoch without counting the own write as a
     # freshness change: acquirers and the copy guard miss it.
