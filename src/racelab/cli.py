@@ -26,6 +26,7 @@ import sys
 from contextlib import nullcontext
 from typing import List, Optional
 
+from . import ENGINE_TOKENS
 from .history import EXTENDED, SAMPLED_ONLY, render_reports
 from .trace import (
     ACQ,
@@ -39,10 +40,6 @@ from .trace import (
 )
 
 DEFAULT_RATES = (0.003, 0.03, 0.1, 1.0)
-
-# ``racelab.engines.ENGINE_TOKENS``, spelled out so that building the parser
-# loads no engine module; a test keeps the two equal.
-ENGINE_CHOICES = ("djitp", "sampling", "uclock", "orderedlist")
 
 
 def __getattr__(name: str):
@@ -132,7 +129,7 @@ def cmd_diff(args) -> int:
 
 def cmd_bench(args) -> int:
     from . import metrics as metrics_mod
-    from .engines import ENGINE_TOKENS, create_engine
+    from .engines import create_engine
 
     rates = DEFAULT_RATES if args.rates is None else [float(r) for r in args.rates.split(",")]
     rows = []
@@ -174,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="run one engine over a trace")
     _add_common_analysis_flags(p_an)
-    p_an.add_argument("--engine", choices=list(ENGINE_CHOICES), required=True)
+    p_an.add_argument("--engine", choices=ENGINE_TOKENS, required=True)
     p_an.add_argument("--out-races", default="-")
     p_an.add_argument("--out-metrics", default="-")
     p_an.set_defaults(func=cmd_analyze)

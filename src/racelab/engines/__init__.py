@@ -8,10 +8,9 @@ from __future__ import annotations
 
 from importlib import import_module
 
+from .. import ENGINE_TOKENS
 from ..trace import Trace
 from .base import Engine, observe
-
-ENGINE_TOKENS = ("djitp", "sampling", "uclock", "orderedlist")
 
 # token -> class name in module ``racelab.engines.<token>``
 _CLASS_NAMES = {

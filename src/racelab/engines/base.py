@@ -1,24 +1,24 @@
 """The engine core: one driver loop, epochs, the access path and the release step.
 
 Engines process one validated trace in order, one instance per analysis
-stream.  The driver loop, ``Engine._walk``, walks the trace's columns in
-blocks of ``BLOCK`` events and dispatches on the int kind code to four
+stream.  The driver loop, ``Engine.stream(tr)``, walks the trace's columns
+in blocks of ``BLOCK`` events and dispatches on the int kind code to four
 handlers, ``_acquire``, ``_release``, ``_read`` and ``_write``, each called
-as ``(index, thread, target, marked)``; no ``Event`` is built.
-``Engine.stream(tr)`` yields each block's reports once the block ends and
-drops them when the next block starts, so a caller that writes or folds
-them block by block (``analyze``, ``diff``, ``bench``) holds one block's
-reports at a time, however many races the trace has.  Every report of an
-event is appended inside that event's handler, so no event's reports span
-two blocks.  ``Engine.run(tr)`` keeps them all and returns the list.
+as ``(index, thread, target, marked)``; no ``Event`` is built.  It yields
+each block's reports once the block ends and drops them when the next
+block starts, so a caller that writes or folds them block by block
+(``analyze``, ``diff``, ``bench``) holds one block's reports at a time,
+however many races the trace has.  Every report of an event is appended
+inside that event's handler, so no event's reports span two blocks.
+``Engine.run(tr)`` keeps them all and returns the list.
 Reports arrive sorted, each once: events are walked in index order, and an
 access appends its reports in kind order (a read at most ``write-read``, a
 write ``read-write`` then ``write-write``), so they increase strictly by
 ``(event index, variable, kind)``.  ``render_reports`` relies on it without
 sorting, and the tests' checker asserts it after every event.
-``Engine.process(ev)`` feeds one ``Trace.events`` view through the same
-loop and the same tally; only ``perfbench/layers.py`` and its guard tests
-call it.
+``Engine.process(ev)`` calls one ``Trace.events`` view's handler and
+counts it with the same tally; only ``perfbench/layers.py`` and its guard
+tests call it.
 
 Every engine is the paper's sampling algorithm and differs only in how it
 timestamps.  ``Engine`` keeps only what every engine shares: the per-thread
@@ -47,7 +47,7 @@ tests' checker (``tests/invariants.py``) observes them.
 from __future__ import annotations
 
 from itertools import count, islice, repeat
-from typing import Callable, Iterable, Iterator, List, Tuple
+from typing import Callable, Iterator, List
 
 from ..history import EXTENDED, SAMPLED_ONLY, AccessHistories, Report
 from ..metrics import RunMetrics
@@ -114,21 +114,6 @@ class Engine:
 
     # -- driver ---------------------------------------------------------------
 
-    def _walk(self, events: Iterable[Tuple[int, int, int, int, bool]], n: int) -> Iterator[None]:
-        """The driver loop over ``n`` ``(index, kind, thread, target, marked)``
-        events, ``BLOCK`` at a time; yields after each block, once the block's
-        reports are counted in ``race_count``.  It reads the four handlers
-        once per call, so ``observe`` an engine before its walk starts."""
-        handlers = (self._acquire, self._release, self._read, self._write)
-        m = self.metrics
-        events = iter(events)
-        for _ in range(0, n, BLOCK):
-            before = len(self.reports)
-            for i, k, t, x, mk in islice(events, BLOCK):
-                handlers[k](i, t, x, mk)
-            m.race_count += len(self.reports) - before
-            yield
-
     def _tally(self, events: int, acquires: int, releases: int, sampled: int) -> None:
         """Count walked events."""
         m = self.metrics
@@ -140,24 +125,36 @@ class Engine:
         m.race_checks = self.histories.race_checks
 
     def process(self, ev: Event) -> List[Report]:
-        """Handle one ``Trace.events`` view; returns the races it reports.
-        Only ``perfbench/layers.py`` and its guard tests call it."""
+        """Handle one ``Trace.events`` view with its handler and count it
+        as ``stream`` does; returns the races it reports.  Only
+        ``perfbench/layers.py`` and its guard tests call it."""
         k = ev.kind
         before = len(self.reports)
-        for _ in self._walk(((ev.index, k, ev.thread, ev.target, ev.marked or self.sample_all),), 1):
-            pass
+        (self._acquire, self._release, self._read, self._write)[k](
+            ev.index, ev.thread, ev.target, ev.marked or self.sample_all
+        )
+        self.metrics.race_count += len(self.reports) - before
         self._tally(1, k == ACQ, k == REL, ev.marked and ev.is_access)
         return self.reports[before:]
 
     def stream(self, tr: Trace) -> Iterator[List[Report]]:
-        """Walk ``tr`` and yield each block's reports, in event order, as
-        ``self.reports``; the engine drops them when the next block starts,
-        and holds none before the first block or after the last."""
+        """The driver loop: walk ``tr`` ``BLOCK`` events at a time and yield
+        each block's reports, in event order, as ``self.reports``, once
+        they are counted in ``race_count``; the engine drops them when the
+        next block starts, and holds none before the first block or after
+        the last.  It reads the four handlers once, so ``observe`` an
+        engine before streaming it."""
+        handlers = (self._acquire, self._release, self._read, self._write)
+        m = self.metrics
         marks = repeat(True) if self.sample_all else tr.marks
+        events = zip(count(1), tr.kinds, tr.threads, tr.targets, marks)
+        for _ in range(0, len(tr), BLOCK):
+            self.reports = reports = []
+            for i, k, t, x, mk in islice(events, BLOCK):
+                handlers[k](i, t, x, mk)
+            m.race_count += len(reports)
+            yield reports
         self.reports = []
-        for _ in self._walk(zip(count(1), tr.kinds, tr.threads, tr.targets, marks), len(tr)):
-            yield self.reports
-            self.reports = []
         self._tally(len(tr), tr.kinds.count(ACQ), tr.kinds.count(REL), tr.sample_size)
 
     def run(self, tr: Trace) -> List[Report]:
@@ -175,7 +172,8 @@ class Engine:
 
 def observe(engine: Engine, hook: Callable[[int, List[int]], None]) -> None:
     """Call ``hook(index, eff)`` after each event ``engine`` handles, by
-    replacing its four handlers with instance attributes that wrap them.
+    replacing its four handlers with instance attributes that wrap them;
+    ``Engine.stream``, the driver loop, reads them when it starts.
     ``eff`` is a copy of ``rows[t]`` whose own component is the epoch read
     before the handler ran.  Acquires and accesses leave ``epochs`` as it
     is; a release writes at most the own component before ``_publish``,

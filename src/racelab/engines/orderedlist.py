@@ -1,12 +1,14 @@
 """Ordered-list engine: lazy copies plus scalar lock freshness.
 
-Thread timestamps live in move-to-front ordered lists.  A release publishes
-the thread's list itself to the lock as a shared, read-only view, together
-with the releaser id and a freshness scalar; an acquire that learns anything
-new walks only a prefix of the lock's list, as long as the freshness gap,
-and writes what is newer in one pass after at most one deep copy.  Before
-any release every lock views one bottom list, built for thread 0, and its
-releaser and freshness are 0, which the freshness guard always skips.
+Thread timestamps live in move-to-front ordered lists.  A release of lock
+l publishes one record, ``published[l] = (view, releaser, freshness,
+epoch)``: the thread's list itself as a shared, read-only view, the
+releaser id, its freshness scalar and its lock epoch (below).  An acquire
+that learns anything new walks only a prefix of the view, as long as the
+freshness gap, and writes what is newer in one pass after at most one deep
+copy.  Before any release every lock shares the record ``(bottom, 0, 0,
+0)``, whose bottom list is built for thread 0 and whose freshness 0 the
+freshness guard always skips.
 
 A thread's list links every entry but its own, which is private to the
 thread: no prefix walk reaches it, so the base release step writes the
@@ -40,16 +42,12 @@ class OrderedListEngine(Engine):
         self.u_threads = [[0] * num_threads for _ in range(num_threads)]
         bottom = OrderedList(num_threads, 0)
         bottom.refs += num_locks
-        self.lock_views = [bottom] * num_locks
-        self.last_releaser = [0] * num_locks
-        self.lock_freshness = [0] * num_locks
-        self.lock_epoch = [0] * num_locks
+        self.published = [(bottom, 0, 0, 0)] * num_locks
 
     # -- handlers ------------------------------------------------------------
 
     def _acquire(self, index, t, lock, marked):
-        lr = self.last_releaser[lock]
-        freshness = self.lock_freshness[lock]
+        view, lr, freshness, epoch = self.published[lock]
         ut = self.u_threads[t]
         if freshness <= ut[lr]:
             self.metrics.acquires_skipped += 1
@@ -59,8 +57,7 @@ class OrderedListEngine(Engine):
         # Self hand-offs fail the guard, so lr != t; the view never links
         # lr, so the lock epoch is the only candidate for lr's component.
         lst = self.o_threads[t]
-        pairs = self.lock_views[lock].newer_in_prefix(d, lst)
-        epoch = self.lock_epoch[lock]
+        pairs = view.newer_in_prefix(d, lst)
         if epoch > lst.times[lr]:
             pairs.append((lr, epoch))
         if pairs:
@@ -80,10 +77,8 @@ class OrderedListEngine(Engine):
     def _publish(self, t, lock, folded):
         if folded:
             self.u_threads[t][t] += 1
-        self.lock_views[lock].refs -= 1
-        self.lock_views[lock] = lst = self.o_threads[t]
+        self.published[lock][0].refs -= 1
+        lst = self.o_threads[t]
         lst.refs += 1
+        self.published[lock] = (lst, t, self.u_threads[t][t], self.epochs[t] - 1)
         self.metrics.shallow_copies += 1
-        self.last_releaser[lock] = t
-        self.lock_freshness[lock] = self.u_threads[t][t]
-        self.lock_epoch[lock] = self.epochs[t] - 1

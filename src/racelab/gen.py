@@ -55,7 +55,7 @@ class GenConfig:
         for name, value in (("p_sync", p_sync), ("contention", contention)):
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if accesses_per_cs < 0:
+        if not accesses_per_cs >= 0:  # NaN too
             raise ValueError("accesses_per_cs must be non-negative")
         for name, value in zip(self.__slots__, values):
             setattr(self, name, value)

@@ -10,19 +10,20 @@ observe the engine again; its hook runs after the checker's.  The checks:
   variable, kind)``: sorted and distinct, as ``render_reports`` assumes;
 * no thread clock and no lock clock has decreased since the last check.
   For ``orderedlist`` a thread's clock is its list, and a lock's clock is
-  its view with the lock epoch as the last releaser's component: the
-  releaser writes its own entry in place after the release.  The threads'
-  freshness clocks must not decrease either.  A lock's freshness clock
-  may: an acquire skipped on the last releaser's component joins none of
-  the others, and the acquirer's release replaces them with its own;
+  the view of its record with the record's epoch as the releaser's
+  component: the releaser writes its own entry in place after the
+  release.  The threads' freshness clocks must not decrease either.  A
+  lock's freshness clock may: an acquire skipped on the last releaser's
+  component joins none of the others, and the acquirer's release replaces
+  them with its own;
 * a release of lock l by thread t published what t holds after it:
   sampling and djitp ``c_locks[l] == c_threads[t]``; uclock that, with
   ``last_releaser[l] == t`` and ``u_locks[l][t] == u_threads[t][t]`` (not
   the whole freshness row: a join may raise another component's freshness
   without changing the clock, and the copy is then skipped); orderedlist
-  the thread's list itself as the view, ``last_releaser[l] == t``,
-  ``lock_freshness[l] == u_threads[t][t]`` and ``lock_epoch[l] ==
-  epochs[t] - 1``;
+  the record ``published[l] == (o_threads[t], t, u_threads[t][t],
+  epochs[t] - 1)``: the thread's list itself as the view, the releaser,
+  its freshness and its last folded epoch;
 * uclock: no lock records a thread's freshness above the thread's own,
   ``u_locks[l][t] <= u_threads[t][t]``, so a join never moves ``ut[t]``;
 * uclock: for the thread that acted (every thread after ``run``), every
@@ -30,7 +31,7 @@ observe the engine again; its hook runs after the checker's.  The checks:
   ``c_threads[t][s] >= c_locks[l][s]``, the premise of the join that takes
   only the components the lock is fresher on;
 * orderedlist: each thread's list has ``refs == 1 +`` the number of lock
-  views that are that list;
+  records whose view is that list;
 * orderedlist: the acting thread's list (after ``run``, every thread's
   list and every lock's view) links each of the other ``T - 1`` threads'
   entries once and never its owner's: the thread's own, or the last
@@ -42,8 +43,8 @@ observe the engine again; its hook runs after the checker's.  The checks:
 * the bottom row every lock starts on (``c_locks`` and uclock's
   ``u_locks``; orderedlist's bottom list) is still all zeros, so no
   release wrote a lock row in place;
-* uclock and orderedlist: an acquire of a lock whose ``last_releaser`` is
-  the acquirer is counted in ``acquires_skipped``.
+* uclock and orderedlist: an acquire of a lock whose last releaser is the
+  acquirer is counted in ``acquires_skipped``.
 
 A broken invariant raises ``AssertionError`` naming the event.
 """
@@ -58,6 +59,21 @@ from racelab.engines.uclock import UclockEngine
 from racelab.trace import ACQ, REL
 
 
+def _releaser(engine, lock) -> int:
+    """The last thread to release ``lock`` in uclock or orderedlist."""
+    if isinstance(engine, OrderedListEngine):
+        return engine.published[lock][1]
+    return engine.last_releaser[lock]
+
+
+def _shown(engine, record) -> str:
+    """An orderedlist lock record, its view named by the thread whose list it is."""
+    view, releaser, freshness, epoch = record
+    owner = next((f"thread {t}'s list" for t, lst in enumerate(engine.o_threads) if lst is view),
+                 "no thread's list")
+    return f"({owner}, releaser {releaser}, freshness {freshness}, epoch {epoch})"
+
+
 def _stale(ut, ul, ct, cl) -> bool:
     """One component on which the thread is as fresh as the lock but behind it."""
     return ut >= ul and ct < cl
@@ -66,7 +82,7 @@ def _stale(ut, ul, ct, cl) -> bool:
 def _bottoms(engine) -> list:
     """The rows every lock starts on, before any event: one per clock kind."""
     if isinstance(engine, OrderedListEngine):
-        return [view.times for view in engine.lock_views[:1]]
+        return [view.times for view, *_ in engine.published[:1]]
     out = engine.c_locks[:1]
     if isinstance(engine, UclockEngine):
         out += engine.u_locks[:1]
@@ -85,9 +101,9 @@ def _clocks(engine) -> list:
     out = []
     if isinstance(engine, OrderedListEngine):
         out += ((f"thread {t} clock", lst.snapshot()) for t, lst in enumerate(engine.o_threads))
-        for lock, view in enumerate(engine.lock_views):
+        for lock, (view, releaser, _, epoch) in enumerate(engine.published):
             clock = view.snapshot()
-            clock[engine.last_releaser[lock]] = engine.lock_epoch[lock]
+            clock[releaser] = epoch
             out.append((f"lock {lock} clock", clock))
     else:
         out += ((f"thread {t} clock", list(c)) for t, c in enumerate(engine.c_threads))
@@ -128,7 +144,7 @@ class _Checker:
         where = f"e{index}"
         engine = self.engine
         skipped = engine.metrics.acquires_skipped
-        if self.guarded and kind == ACQ and engine.last_releaser[target] == thread:
+        if self.guarded and kind == ACQ and _releaser(engine, target) == thread:
             assert skipped == self.skipped + 1, (
                 f"{where}: thread {thread} re-acquired lock {target} without a skip"
             )
@@ -142,18 +158,16 @@ class _Checker:
         thread holds after it."""
         engine = self.engine
         if isinstance(engine, OrderedListEngine):
-            assert engine.lock_views[lock] is engine.o_threads[t], (
-                f"{where}: lock {lock} does not view thread {t}'s list"
+            got = engine.published[lock]
+            want = (engine.o_threads[t], t, engine.u_threads[t][t], engine.epochs[t] - 1)
+            assert got == want, (
+                f"{where}: thread {t}'s release published {_shown(engine, got)} to lock {lock}, "
+                f"not {_shown(engine, want)}"
             )
-            published = {
-                "freshness": (engine.lock_freshness[lock], engine.u_threads[t][t]),
-                "epoch": (engine.lock_epoch[lock], engine.epochs[t] - 1),
-            }
-        else:
-            published = {"clock": (engine.c_locks[lock], engine.c_threads[t])}
-            if isinstance(engine, UclockEngine):
-                published["own freshness"] = (engine.u_locks[lock][t], engine.u_threads[t][t])
-        if self.guarded:
+            return
+        published = {"clock": (engine.c_locks[lock], engine.c_threads[t])}
+        if isinstance(engine, UclockEngine):
+            published["own freshness"] = (engine.u_locks[lock][t], engine.u_threads[t][t])
             published["releaser"] = (engine.last_releaser[lock], t)
         for name, (got, want) in published.items():
             assert got == want, (
@@ -187,7 +201,7 @@ class _Checker:
             assert row[t] == epoch - 1, f"{where}: thread {t}: own component {row[t]}, epoch {epoch}"
         if isinstance(engine, OrderedListEngine):
             for t, lst in enumerate(engine.o_threads):
-                views = sum(v is lst for v in engine.lock_views)
+                views = sum(view is lst for view, *_ in engine.published)
                 assert lst.refs == 1 + views, f"{where}: thread {t}: refs {lst.refs}, {views} views"
             check_links(where, ((t, engine.o_threads[t]) for t in threads))
 
@@ -222,7 +236,7 @@ def checked_engine(token: str, tr, **kwargs):
         reports = run(trace)
         checker.check("after run", range(engine.num_threads))
         if isinstance(engine, OrderedListEngine):
-            check_links("after run", zip(engine.last_releaser, engine.lock_views))
+            check_links("after run", ((lr, view) for view, lr, *_ in engine.published))
         return reports
 
     engine.run = checked_run

@@ -322,10 +322,7 @@ def test_criterion_10_golden_worked_examples(ladder_trace):
     ol.epochs[1] = 19
     ol.u_threads[1] = [14, 22, 3, 0, 1, 0]
     donor.refs += 1
-    ol.lock_views[0] = donor
-    ol.last_releaser[0] = 0
-    ol.lock_freshness[0] = 15
-    ol.lock_epoch[0] = 9
+    ol.published[0] = (donor, 0, 15, 9)
     ol._acquire(1, 1, 0, False)
     assert ol.metrics.nodes_visited == 1
     assert ol.o_threads[1].snapshot() == [9, 18, 3, 0, 1, 0]

@@ -356,13 +356,6 @@ def test_gen_loads_no_engine_json_or_dataclasses(tmp_path):
     assert len(parse_trace(Path(out).read_bytes())) == 200
 
 
-def test_engine_choices_are_the_engine_tokens():
-    from racelab import cli
-    from racelab.engines import ENGINE_TOKENS
-
-    assert cli.ENGINE_CHOICES == ENGINE_TOKENS
-
-
 def _budget_trace(tmp_path):
     out = str(tmp_path / "b.trace")
     assert main(["gen", "--threads", "6", "--locks", "3", "--vars", "5",

@@ -31,11 +31,12 @@ def test_ladder_skip_decisions_match_uclock(ladder_trace):
     assert engine.o_threads[1].snapshot() == [2, 0]
 
 
-def _share(e, lock, lst):
-    """Make ``lst`` lock ``lock``'s view, as a release would."""
-    e.lock_views[lock].refs -= 1
-    e.lock_views[lock] = lst
-    lst.refs += 1
+def _publish(e, lock, view, releaser=0, freshness=0, epoch=0):
+    """Make ``(view, releaser, freshness, epoch)`` lock ``lock``'s record,
+    with the references a release would leave."""
+    e.published[lock][0].refs -= 1
+    e.published[lock] = (view, releaser, freshness, epoch)
+    view.refs += 1
 
 
 def test_freshness_gap_one_merge_visits_one_node():
@@ -53,10 +54,7 @@ def test_freshness_gap_one_merge_visits_one_node():
     own.times[1] = 18
     e.epochs[1] = 19  # 18 is t1's last folded epoch
     e.u_threads[1] = [14, 22, 3, 0, 1, 0]
-    _share(e, 0, donor)
-    e.last_releaser[0] = 0
-    e.lock_freshness[0] = 15
-    e.lock_epoch[0] = 9
+    _publish(e, 0, donor, releaser=0, freshness=15, epoch=9)
     e._acquire(1, 1, 0, False)
     assert e.metrics.nodes_visited == 1
     assert e.o_threads[1].times[0] == 9
@@ -81,13 +79,10 @@ def _handoff(own_entries, view_entries, last, epoch, releaser_own):
         for tid, time in entries:
             lst.set(tid, time)
     own.times[1], view.times[0] = last, releaser_own
-    _share(e, 1, own)
-    _share(e, 0, view)
+    _publish(e, 1, own)
+    _publish(e, 0, view, releaser=0, freshness=5, epoch=epoch)
     e.epochs[1] = last + 1
     e.u_threads[1] = [4, 7, 0]
-    e.last_releaser[0] = 0
-    e.lock_freshness[0] = 5
-    e.lock_epoch[0] = epoch
     e._acquire(1, 1, 0, False)
     return e, own
 
@@ -129,7 +124,7 @@ def test_the_prefix_walk_is_exact_and_its_own_entries_are_stale(monkeypatch):
     def spy(view, k, other):
         engine = current[0]
         t = next(t for t, lst in enumerate(engine.o_threads) if lst is other)
-        lr = next(lr for lr, v in zip(engine.last_releaser, engine.lock_views) if v is view)
+        lr = next(lr for v, lr, *_ in engine.published if v is view)
         pairs = walk(view, k, other)
         full = walk(view, engine.num_threads, other)
         assert pairs == full[:len(pairs)] and set(pairs) == set(full), (k, pairs, full)
@@ -178,7 +173,7 @@ def test_republishing_an_unchanged_list_needs_no_copy():
     assert len(releases) == 2
     for count, (index, t, lock) in enumerate(releases, start=1):
         e = run_prefix("orderedlist", tr, index, make=checked_engine)
-        assert e.lock_views[lock] is e.o_threads[t]
+        assert e.published[lock][0] is e.o_threads[t]
         assert e.o_threads[t].refs == 2
         assert e.metrics.shallow_copies == count
         assert e.metrics.deep_copies == 0
@@ -292,7 +287,7 @@ def test_refcount_invariant_holds_after_every_event():
             e = checked_engine("orderedlist", marked, mode=mode)
             e.run(marked)
             for lst in e.o_threads:
-                views = sum(v is lst for v in e.lock_views)
+                views = sum(v is lst for v, *_ in e.published)
                 assert lst.refs == 1 + views
 
 

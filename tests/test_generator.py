@@ -88,6 +88,7 @@ def test_gen_config_keeps_its_fields_in_slots():
         ({"p_sync": 1.5}, "p_sync must lie in [0, 1]"),
         ({"contention": -0.1}, "contention must lie in [0, 1]"),
         ({"accesses_per_cs": -1.0}, "accesses_per_cs must be non-negative"),
+        ({"accesses_per_cs": float("nan")}, "accesses_per_cs must be non-negative"),
     ],
 )
 def test_gen_config_rejects_out_of_range_fields(kwargs, message):

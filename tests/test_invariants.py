@@ -51,7 +51,7 @@ _FOLD_AHEAD = (Engine, "_release",
 # the first trace that catches it, a fragment of the failed check's message)
 BUGS = [
     ("publish-keeps-old-view-ref", OrderedListEngine, "_publish",
-     "self.lock_views[lock].refs -= 1", "pass",
+     "self.published[lock][0].refs -= 1", "pass",
      ("orderedlist",), "random_traces(65)[0]", "refs 3, 1 views"),
     ("guard-lets-self-handoff-through", OrderedListEngine, "_acquire",
      "if freshness <= ut[lr]:", "if freshness <= ut[lr] and lr != t:",
@@ -63,7 +63,7 @@ BUGS = [
     # the releaser's last epoch.
     ("lock-epoch-one-behind", OrderedListEngine, "_publish",
      "self.epochs[t] - 1", "self.epochs[t] - 2",
-     ("orderedlist",), "random_traces(65)[0]", "published epoch 0 to lock 0, not 1"),
+     ("orderedlist",), "random_traces(65)[0]", "epoch 0) to lock 0, not"),
     # One plant in the shared release step, run twice: the first catch
     # stops the search, so with all four tokens orderedlist would never run.
     ("fold-writes-next-epoch", *_FOLD_AHEAD,

@@ -15,7 +15,7 @@ import sys
 import time
 from pathlib import Path
 
-from racelab import cli
+from racelab import ENGINE_TOKENS, cli
 
 SRC = Path(cli.__file__).parent
 
@@ -78,7 +78,7 @@ def _commands(tmp: Path):
         (b"# note\r\n" if i % 50 == 0 else b"") + line.encode() + b"\r\n"
         for i, line in enumerate(lines)
     ))
-    for engine in cli.ENGINE_CHOICES:
+    for engine in ENGINE_TOKENS:
         for mode in ("sampled-only", "extended"):
             yield ["analyze", "--trace", trace, "--engine", engine, "--rate", "0.2",
                    "--mode", mode, "--out-races", out, "--out-metrics", out], None
